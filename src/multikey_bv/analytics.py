@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -191,8 +192,9 @@ def probability_record(formula: str, inputs: dict, exact: Fraction) -> dict:
         "formula": formula,
         "inputs": inputs,
         "rational": {
-            "num": str(exact.numerator),
-            "den": str(exact.denominator),
+            # Decimal renders ints of any size; str() stops at 4300 digits.
+            "num": str(Decimal(exact.numerator)),
+            "den": str(Decimal(exact.denominator)),
         },
         "double": float(exact),
     }

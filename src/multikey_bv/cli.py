@@ -37,7 +37,6 @@ from .analytics import (
 from .errors import CapacityError, InputError
 from .keyspace import KeySet, bit_sum_profile, multiplicity
 from .simulator import (
-    build_circuit,
     chi_square_vs_exact,
     exact_distribution,
     measure_data_register,
@@ -97,7 +96,6 @@ def _base_record(command: str, config: dict, seed: int) -> dict:
 def cmd_simulate(args) -> tuple[dict, list[dict]]:
     keys = _parse_keys(args)
     seed = _resolve_seed(args)
-    spec = build_circuit(keys)
     state = run_circuit(keys, oracle_path=args.oracle_path)
     dist = exact_distribution(state)
     record = _base_record(
@@ -116,21 +114,21 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
         for outcome in sorted(dist)
     ]
     record["results"] = {
-        "total_qubits": spec.total_qubits,
-        "control_qubits": spec.r,
+        "total_qubits": state.total_qubits,
+        "control_qubits": state.r,
         "distribution": rows,
     }
     if args.dump_state:
-        if spec.total_qubits > STATE_DUMP_QUBIT_CAP:
+        if state.total_qubits > STATE_DUMP_QUBIT_CAP:
             raise CapacityError(
                 f"statevector dump limited to {STATE_DUMP_QUBIT_CAP} qubits, "
-                f"circuit has {spec.total_qubits}"
+                f"circuit has {state.total_qubits}"
             )
         record["results"]["statevector"] = {
             "layout": "basis string is controls|target|data, MSB first",
             "amplitudes": [
                 {
-                    "basis": format(i, f"0{spec.total_qubits}b"),
+                    "basis": format(i, f"0{state.total_qubits}b"),
                     "re": float(a.real),
                     "im": float(a.imag),
                 }

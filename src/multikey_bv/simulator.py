@@ -23,10 +23,13 @@ unnormalized vector.  Marginals are always taken by summing
 probabilities over ancilla configurations, which is what reproduces the
 non-uniform duplicate-key histograms.
 
-Two oracle constructions are exposed and must agree: the gate-by-gate
-path (`oracle_path="gate"`) executes the explicit gate list, while the
-fast path (`oracle_path="fast"`) writes the post-oracle phase-branch
-state directly and only applies the trailing Hadamards as gates.
+Two oracle paths are exposed and must agree.  The gate-by-gate path
+(`oracle_path="gate"`) executes the explicit gate list and is the only
+one that simulates the circuit.  The fast path (`oracle_path="fast"`)
+applies no gates: it writes the closed-form final state
+(1/sqrt(k)) sum_i |i>|->|s_i>, whose only nonzero amplitudes are
++1/sqrt(2k) at (control i, target 0, data s_i) and -1/sqrt(2k) at
+(control i, target 1, data s_i).
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class CircuitSpec:
         return self.n + 1 + self.r
 
 
-def build_circuit(keys: KeySet, max_qubits: int = QUBIT_CAP) -> CircuitSpec:
+def build_circuit(keys: KeySet) -> CircuitSpec:
     """Lay out the full circuit for a key multiset.
 
     Control ancillas get explicit Hadamards when k is a power of two and
@@ -82,10 +85,10 @@ def build_circuit(keys: KeySet, max_qubits: int = QUBIT_CAP) -> CircuitSpec:
     n, k = keys.n, keys.k
     r = control_width(k)
     total = n + 1 + r
-    if total > max_qubits:
+    if total > QUBIT_CAP:
         raise CapacityError(
             f"circuit needs {total} qubits ({n} data + 1 target + {r} control), "
-            f"cap is {max_qubits}"
+            f"cap is {QUBIT_CAP}"
         )
     target = n
     gates: list[tuple] = [("h", q) for q in range(n)]
@@ -111,18 +114,12 @@ class StateVector:
 
     __slots__ = ("n", "r", "amps")
 
-    def __init__(
-        self,
-        n: int,
-        r: int,
-        amps: np.ndarray | None = None,
-        max_qubits: int = QUBIT_CAP,
-    ):
+    def __init__(self, n: int, r: int, amps: np.ndarray | None = None):
         if n < 1 or r < 0:
             raise InputError(f"invalid register sizes n={n}, r={r}")
-        if n + 1 + r > max_qubits:
+        if n + 1 + r > QUBIT_CAP:
             raise CapacityError(
-                f"{n + 1 + r} qubits exceed the cap of {max_qubits}"
+                f"{n + 1 + r} qubits exceed the cap of {QUBIT_CAP}"
             )
         self.n = n
         self.r = r
@@ -145,11 +142,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amps.size
-
-    def copy(self) -> "StateVector":
-        return StateVector(
-            self.n, self.r, self.amps.copy(), max_qubits=self.total_qubits
-        )
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
@@ -253,44 +245,28 @@ class StateVector:
         return f"StateVector(n={self.n}, r={self.r}, dim={self.dim})"
 
 
-def _phase_branch_state(spec: CircuitSpec, max_qubits: int = QUBIT_CAP) -> StateVector:
-    """Write the post-oracle state directly, one phase-tagged branch per key."""
-    n, r, k = spec.n, spec.r, spec.k
-    state = StateVector(
-        n,
-        r,
-        np.zeros(1 << (n + 1 + r), dtype=np.complex128),
-        max_qubits=max_qubits,
-    )
-    view = state.amps.reshape(1 << r, 2, 1 << n)
-    scale = 1.0 / math.sqrt(k) * _INV_SQRT2 / math.sqrt(1 << n)
-    for i, key in enumerate(spec.keys):
-        signs = np.where(_parity_table(n, key.value), -1.0, 1.0)
-        view[i, 0, :] = scale * signs
-        view[i, 1, :] = -scale * signs
-    return state
+def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector:
+    """Return the circuit's final statevector.
 
-
-def run_circuit(
-    keys: KeySet,
-    oracle_path: str = "gate",
-    max_qubits: int = QUBIT_CAP,
-) -> StateVector:
-    """Simulate the full circuit and return the final statevector.
-
-    The measurement distribution over the data register is b_t / k for
+    The gate path simulates the circuit gate by gate; the fast path
+    writes the closed-form final state from the module docstring.  The
+    measurement distribution over the data register is b_t / k for
     each distinct key t occurring b_t times, and 0 elsewhere.
     """
-    spec = build_circuit(keys, max_qubits)
+    spec = build_circuit(keys)
     if oracle_path == "gate":
-        state = StateVector(spec.n, spec.r, max_qubits=max_qubits)
+        state = StateVector(spec.n, spec.r)
         for gate in spec.gates:
             _apply_gate(state, spec, gate)
         return state
     if oracle_path == "fast":
-        state = _phase_branch_state(spec, max_qubits=max_qubits)
-        for q in range(spec.n):
-            state.apply_hadamard(q)
+        state = StateVector(
+            spec.n, spec.r, np.zeros(1 << spec.total_qubits, dtype=np.complex128)
+        )
+        view = state.amps.reshape(1 << spec.r, 2, 1 << spec.n)
+        branches, data = np.arange(spec.k), keys.values()
+        view[branches, 0, data] = 1.0 / math.sqrt(2 * spec.k)
+        view[branches, 1, data] = -1.0 / math.sqrt(2 * spec.k)
         return state
     raise InputError(f"unknown oracle path {oracle_path!r}; use 'gate' or 'fast'")
 

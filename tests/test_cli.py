@@ -1,9 +1,12 @@
 """CLI commands: record structure, formats, exit codes, determinism."""
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from multikey_bv import prob_all_keys
 from multikey_bv.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, main
 
 
@@ -173,6 +176,16 @@ class TestAnalyze:
         assert ka["guess_upper_bound"]["rational"] == {"num": "1", "den": "16"}
         assert ka["uniform_multiset_model"]["rational"] == {"num": "1", "den": "12"}
         assert ["0001", "0011", "1011", "1110"] in ka["multisets"]
+
+    def test_grid_rationals_beyond_int_str_limit(self, capsys):
+        # num and den have over 12k digits, past Python's default
+        # 4300-digit int-to-str limit
+        record = run_json(
+            capsys, "analyze", "--k", "2000", "--m", "4096", "--seed", "1"
+        )
+        rational = record["results"]["recovery_grid"][0]["rational"]
+        num, den = (int(Decimal(rational[f])) for f in ("num", "den"))
+        assert Fraction(num, den) == prob_all_keys(2000, 4096).exact
 
     def test_requires_something(self, capsys):
         code, _, err = run(capsys, "analyze", "--seed", "1")

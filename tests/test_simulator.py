@@ -241,6 +241,23 @@ class TestRunCircuit:
             f = run_circuit(ks, oracle_path="fast")
             assert np.max(np.abs(g.amps - f.amps)) < 1e-10
 
+    def test_fast_path_is_closed_form_final_state(self):
+        # basis index = control i << (n + 1) | target << n | data s_i
+        cases = (
+            ("011", "101"),
+            ("010", "011", "011", "101"),
+            ("1101",),
+            ("001", "010", "111"),
+        )
+        for texts in cases:
+            ks = keyset(*texts)
+            n, k = ks.n, ks.k
+            expected = np.zeros(1 << (n + 1 + control_width(k)), dtype=complex)
+            for i, v in enumerate(ks.values()):
+                expected[(i << (n + 1)) | v] = 1 / math.sqrt(2 * k)
+                expected[(i << (n + 1)) | (1 << n) | v] = -1 / math.sqrt(2 * k)
+            assert np.array_equal(run_circuit(ks, oracle_path="fast").amps, expected)
+
     def test_unknown_path(self):
         with pytest.raises(InputError):
             run_circuit(keyset("01"), oracle_path="magic")
