@@ -107,27 +107,6 @@ def rounded_bit_sums(estimates: np.ndarray, k: int) -> BitSumProfile:
     return BitSumProfile(counts)
 
 
-def draw_consistent_multiset(
-    profile: BitSumProfile,
-    k: int,
-    n: int,
-    rng: np.random.Generator,
-    assume_distinct: bool = False,
-    work_bound: int = DEFAULT_WORK_BOUND,
-) -> KeySet:
-    """Draw one key multiset uniformly among those consistent with a profile."""
-    count = count_consistent_keysets(
-        profile, k, include_multisets=True, work_bound=work_bound
-    )
-    pool = count.distinct_multisets() if assume_distinct else count.multisets
-    if not pool:
-        raise InputError(
-            "no consistent key multiset exists under the requested assumption"
-        )
-    vals = pool[int(rng.integers(len(pool)))]
-    return KeySet(tuple(SecretKey(v, n) for v in vals))
-
-
 def classical_guess_attack(
     true_keys: KeySet,
     runs: int,

@@ -110,6 +110,19 @@ class ConsistencyCount:
         )
 
 
+def _ordered_count(profile: BitSumProfile, k: int) -> int:
+    """prod_q C(k, r_q): the ordered column assignments matching a profile."""
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    _check_exact_range(0, k)
+    for q, r in enumerate(profile.counts):
+        if r > k:
+            raise InputError(
+                f"profile count {r} at position {q} exceeds k={k}"
+            )
+    return prod(comb(k, r) for r in profile.counts)
+
+
 def count_consistent_keysets(
     profile: BitSumProfile,
     k: int,
@@ -118,61 +131,44 @@ def count_consistent_keysets(
 ) -> ConsistencyCount:
     """Enumerate every key multiset consistent with a bit-sum profile.
 
-    Iterates the ordered column assignments (which rows get bit 1, per
-    position), collects the row multisets, and deduplicates them in
-    canonical sorted order.  Refuses instances whose ordered assignment
-    count exceeds `work_bound`.
+    Folds over bit positions: starting from k zero rows, position q
+    turns each partial multiset (a sorted tuple of row values) into its
+    children by setting bit q on every r_q-subset of rows, and merges
+    duplicates before the next position.  Rows are interchangeable, so
+    merging early yields exactly the multisets of the full ordered
+    walk.  Refuses instances whose ordered assignment count
+    prod_q C(k, r_q), which bounds the fold's work, exceeds `work_bound`.
     """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    _check_exact_range(0, k)
-    n = profile.n
-    for q, r in enumerate(profile.counts):
-        if r > k:
-            raise InputError(
-                f"profile count {r} at position {q} exceeds k={k}"
-            )
-    ordered = prod(comb(k, r) for r in profile.counts)
+    ordered = _ordered_count(profile, k)
     if ordered > work_bound:
         raise CapacityError(
             f"enumeration needs {ordered} ordered assignments, "
             f"work bound is {work_bound}"
         )
-    columns = [
-        list(itertools.combinations(range(k), r)) for r in profile.counts
-    ]
-    seen: set[tuple[int, ...]] = set()
-    for assignment in itertools.product(*columns):
-        vals = [0] * k
-        for q, rows in enumerate(assignment):
-            bit = 1 << q
-            for row in rows:
-                vals[row] |= bit
-        seen.add(tuple(sorted(vals)))
-    distinct_free = sum(1 for ms in seen if len(set(ms)) == len(ms))
+    level = {(0,) * k}
+    for q, r in enumerate(profile.counts):
+        bit = 1 << q
+        level = {
+            tuple(sorted(v | bit if i in rows else v for i, v in enumerate(ms)))
+            for ms in level
+            for rows in itertools.combinations(range(k), r)
+        }
+    distinct_free = sum(1 for ms in level if len(set(ms)) == len(ms))
     return ConsistencyCount(
         profile=profile,
         k=k,
-        n=n,
+        n=profile.n,
         ordered_count=ordered,
-        multiset_count=len(seen),
+        multiset_count=len(level),
         distinct_multiset_count=distinct_free,
-        multisets=tuple(sorted(seen)) if include_multisets else None,
+        multisets=tuple(sorted(level)) if include_multisets else None,
     )
 
 
 def classical_guess_bound(profile: BitSumProfile, k: int) -> Fraction:
     """Upper bound on guessing all keys from an exact bit-sum profile:
     min(k! / prod_q C(k, r_q), 1)."""
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    _check_exact_range(0, k)
-    for q, r in enumerate(profile.counts):
-        if r > k:
-            raise InputError(
-                f"profile count {r} at position {q} exceeds k={k}"
-            )
-    ordered = prod(comb(k, r) for r in profile.counts)
+    ordered = _ordered_count(profile, k)
     return min(Fraction(factorial(k), ordered), Fraction(1))
 
 
@@ -180,10 +176,8 @@ def classical_guess_exact(keys: KeySet) -> Fraction:
     """Exact probability that a uniformly drawn ordered assignment
     consistent with the keys' own bit-sum profile reproduces them:
     (k! / prod b_i!) / prod_q C(k, r_q)."""
-    profile = bit_sum_profile(keys)
-    mult = multiplicity(keys)
-    ordered = prod(comb(keys.k, r) for r in profile.counts)
-    return Fraction(mult.permutations, ordered)
+    ordered = _ordered_count(bit_sum_profile(keys), keys.k)
+    return Fraction(multiplicity(keys).permutations, ordered)
 
 
 def probability_record(formula: str, inputs: dict, exact: Fraction) -> dict:

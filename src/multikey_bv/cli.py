@@ -77,6 +77,8 @@ def _parse_range(text: str, flag: str) -> list[int]:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.seed
     seed = secrets.randbelow(2**32)
     print(f"note: no --seed given, using randomized seed {seed}", file=sys.stderr)
@@ -213,19 +215,23 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
         profile = bit_sum_profile(keys)
         mult = multiplicity(keys)
         count = count_consistent_keysets(
-            profile, keys.k, include_multisets=True, work_bound=args.work_bound
+            profile,
+            keys.k,
+            include_multisets=args.enumerate,
+            work_bound=args.work_bound,
         )
         bound = classical_guess_bound(profile, keys.k)
         exact = classical_guess_exact(keys)
-        pool = (
-            count.distinct_multisets() if keys.all_distinct() else count.multisets
+        # The keys' own profile admits them, so they are always in the pool.
+        pool_size = (
+            count.distinct_multiset_count
+            if keys.all_distinct()
+            else count.multiset_count
         )
         uniform_pick = probability_record(
             "uniform-pick-among-combinations",
-            {"combinations": len(pool)},
-            Fraction(1, len(pool))
-            if tuple(sorted(keys.values())) in pool
-            else Fraction(0),
+            {"combinations": pool_size},
+            Fraction(1, pool_size),
         )
         results["key_analysis"] = {
             "bit_sums": [

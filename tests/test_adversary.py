@@ -18,13 +18,11 @@ from multikey_bv import (
     quantum_coupon_experiment,
 )
 from multikey_bv.adversary import (
-    draw_consistent_multiset,
     rounded_bit_sums,
     run_bit_sum_estimation,
     run_coupon_experiment,
     run_single_key_baseline,
 )
-from multikey_bv.keyspace import bit_sum_profile
 
 
 def keyset(*texts: str) -> KeySet:
@@ -151,15 +149,6 @@ class TestGuessAttack:
             assert report.claims_certainty is False
             if report.details["candidate_pool_size"] >= 2:
                 assert report.details["theory_success_probability"] < 1
-
-    def test_single_draw(self):
-        ks = keyset("0001", "0011", "1011", "1110")
-        profile = bit_sum_profile(ks)
-        guess = draw_consistent_multiset(
-            profile, 4, 4, np.random.default_rng(0), assume_distinct=True
-        )
-        assert guess.k == 4
-        assert bit_sum_profile(guess).counts == profile.counts
 
 
 class TestCouponExperiment:

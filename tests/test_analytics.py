@@ -199,6 +199,26 @@ class TestCountConsistent:
                     assert orbit_sum == cc.ordered_count
                     assert cc.multiset_count <= cc.ordered_count
 
+    def test_matches_brute_force_filter(self):
+        # every profile for k <= 5, n <= 3 against a direct filter of all
+        # sorted k-tuples of n-bit values by their bit sums
+        for k in range(1, 6):
+            for n in range(1, 4):
+                by_profile: dict[tuple[int, ...], list] = {}
+                for ms in itertools.combinations_with_replacement(range(1 << n), k):
+                    counts = tuple(sum((v >> q) & 1 for v in ms) for q in range(n))
+                    by_profile.setdefault(counts, []).append(ms)
+                for counts in itertools.product(range(k + 1), repeat=n):
+                    expected = tuple(by_profile.get(counts, ()))
+                    cc = count_consistent_keysets(
+                        BitSumProfile(counts), k, include_multisets=True
+                    )
+                    assert cc.multisets == expected
+                    assert cc.multiset_count == len(expected)
+                    assert cc.distinct_multiset_count == sum(
+                        1 for ms in expected if len(set(ms)) == k
+                    )
+
     def test_work_bound_refusal(self):
         profile = BitSumProfile(tuple([10] * 12))
         with pytest.raises(CapacityError, match="work bound"):

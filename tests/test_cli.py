@@ -289,6 +289,21 @@ class TestDeterminism:
         assert isinstance(record["seed"], int)
         assert "randomized seed" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--keys", "01,10"],
+            ["sample", "--keys", "01,10"],
+            ["analyze", "--keys", "01,10"],
+            ["adversary", "--keys", "01,10", "--trials", "10"],
+        ],
+    )
+    def test_negative_seed_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--seed" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         code, out, err = run(
