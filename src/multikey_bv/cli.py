@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import secrets
@@ -411,6 +412,7 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multikey-bv",

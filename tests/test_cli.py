@@ -282,6 +282,20 @@ class TestDeterminism:
         a, b = self.stripped(out1), self.stripped(out2)
         assert json.dumps(a, sort_keys=False) == json.dumps(b, sort_keys=False)
 
+    def test_flag_values_do_not_leak_between_calls(self, capsys):
+        first = run_json(
+            capsys, "sample", "--keys", "011,101", "--shots", "7",
+            "--oracle-path", "fast", "--seed", "3",
+        )
+        assert first["config"]["shots"] == 7
+        second = run_json(capsys, "sample", "--keys", "011,101", "--seed", "3")
+        assert second["config"]["shots"] == 1024
+        assert second["config"]["oracle_path"] == "gate"
+        run_json(capsys, "simulate", "--keys", "01", "--dump-state", "--seed", "3")
+        plain = run_json(capsys, "simulate", "--keys", "01", "--seed", "3")
+        assert plain["config"]["dump_state"] is False
+        assert "statevector" not in plain["results"]
+
     def test_randomized_seed_is_reported(self, capsys):
         code, out, err = run(capsys, "simulate", "--keys", "01")
         assert code == EXIT_OK

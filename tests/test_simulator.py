@@ -69,6 +69,28 @@ class TestGates:
         with pytest.raises(InputError):
             st.apply_hadamard(3)
 
+    def test_blocked_gates_bit_identical_to_pair_formula(self):
+        from multikey_bv.simulator import _BLOCK
+
+        total = 19
+        # Low qubits pack several rows into a block, high qubits split a
+        # row into several blocks; both layouts must be exercised.
+        assert 1 < _BLOCK <= 1 << (total - 2)
+        rng = np.random.default_rng(19)
+        amps = rng.normal(size=1 << total) + 1j * rng.normal(size=1 << total)
+        amps /= np.linalg.norm(amps)
+        s = 1.0 / math.sqrt(2.0)
+        for q in range(total):
+            pairs = amps.copy().reshape(-1, 2, 1 << q)
+            lo, hi = pairs[:, 0, :].copy(), pairs[:, 1, :].copy()
+            pairs[:, 0, :], pairs[:, 1, :] = (lo + hi) * s, (lo - hi) * s
+            st = StateVector(total - 1, 0, amps.copy()).apply_hadamard(q)
+            assert np.array_equal(st.amps, pairs.reshape(-1)), f"H on qubit {q}"
+
+            swapped = amps.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
+            st = StateVector(total - 1, 0, amps.copy()).apply_x(q)
+            assert np.array_equal(st.amps, swapped), f"X on qubit {q}"
+
 
 class TestControlledKeyUnitary:
     def test_zero_key_is_identity(self):
