@@ -146,8 +146,11 @@ def cmd_sample(args) -> tuple[dict, list[dict]]:
     keys = _parse_keys(args)
     seed = _resolve_seed(args)
     state = run_circuit(keys, oracle_path=args.oracle_path)
-    dist = exact_distribution(state)
-    hist = measure_data_register(state, args.shots, np.random.default_rng(seed))
+    marginal = state.data_marginal()
+    dist = exact_distribution(state, marginal=marginal)
+    hist = measure_data_register(
+        state, args.shots, np.random.default_rng(seed), marginal=marginal
+    )
     chi = chi_square_vs_exact(hist, dist)
     record = _base_record(
         "sample",

@@ -25,17 +25,21 @@ non-uniform duplicate-key histograms.
 
 Two oracle paths are exposed and must agree.  The gate-by-gate path
 (`oracle_path="gate"`) executes the explicit gate list and is the only
-one that simulates the circuit.  Its Hadamard and X gates update the
-amplitude array in place, one cache-sized block of amplitude pairs at a
-time, and give results bit-identical to the textbook pair formula.  The
-fast path (`oracle_path="fast"`) applies no gates: it writes the
-closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i>, whose only
-nonzero amplitudes are +1/sqrt(2k) at (control i, target 0, data s_i)
-and -1/sqrt(2k) at (control i, target 1, data s_i).
+one that simulates the circuit.  It applies each run of consecutive
+Hadamards as one layer: the layer runs all its gates over one
+cache-sized tile of amplitudes before moving to the next, and skips
+tiles whose bits are all zero, which H leaves unchanged.  X gates update
+the array in place one cache-sized block of amplitude pairs at a time.
+Both give results bit-identical to the textbook pair formula applied one
+gate at a time.  The fast path (`oracle_path="fast"`) applies no gates:
+it writes the closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i>,
+whose only nonzero amplitudes are +1/sqrt(2k) at (control i, target 0,
+data s_i) and -1/sqrt(2k) at (control i, target 1, data s_i).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,10 +52,24 @@ QUBIT_CAP = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Amplitude pairs per block of an in-place gate.  lo, hi and the scratch
-# block hold 256 KB of complex128 each, so a block stays in a core's L2
-# cache while a gate's four passes run over it.
+# Amplitude pairs per block of an in-place X gate.  lo, hi and the
+# scratch block hold 256 KB of complex128 each, so a block stays in a
+# core's L2 cache while the gate's three copies run over it.
 _BLOCK = 1 << 14
+
+# A Hadamard layer runs all its gates over one tile before moving to the
+# next.  For qubits below _TILE_BITS a tile is 2^16 contiguous amplitudes
+# (1 MB, within a core's L2 cache), seen as four axes of 4 qubits each.
+# numpy runs a gate at full speed only when the paired amplitudes form
+# contiguous runs of at least 2^12 (shorter runs go through its ufunc
+# buffers, 2-10x slower), so the tile is copied with the gate's qubit
+# group as the outermost axis whenever it is not already.
+_TILE_BITS = 16
+_TILE = 1 << _TILE_BITS
+_GROUP_BITS = 4
+_GROUP_SHAPE = (1 << _GROUP_BITS,) * (_TILE_BITS // _GROUP_BITS)
+_NATURAL_ORDER = tuple(reversed(range(len(_GROUP_SHAPE))))
+_MIN_RUN = _TILE >> _GROUP_BITS
 
 
 def control_width(k: int) -> int:
@@ -135,7 +153,8 @@ class StateVector:
             amps = np.zeros(dim, dtype=np.complex128)
             amps[0] = 1.0
         else:
-            amps = np.asarray(amps, dtype=np.complex128)
+            # The gate kernels work on reshaped views of one C-ordered array.
+            amps = np.ascontiguousarray(amps, dtype=np.complex128)
             if amps.shape != (dim,):
                 raise InputError(
                     f"amplitude array has shape {amps.shape}, expected ({dim},)"
@@ -153,6 +172,12 @@ class StateVector:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
+    def _check_qubit(self, qubit: int) -> None:
+        if not 0 <= qubit < self.total_qubits:
+            raise InputError(
+                f"qubit {qubit} out of range for {self.total_qubits}-qubit register"
+            )
+
     def _pair_blocks(self, qubit: int):
         """Yield (lo, hi, tmp) over blocks of at most `_BLOCK` amplitude pairs.
 
@@ -161,10 +186,7 @@ class StateVector:
         reused for every block.  Blocks cover every pair exactly once, so
         a gate applied block by block updates the whole array in place.
         """
-        if not 0 <= qubit < self.total_qubits:
-            raise InputError(
-                f"qubit {qubit} out of range for {self.total_qubits}-qubit register"
-            )
+        self._check_qubit(qubit)
         stride = 1 << qubit
         view = self.amps.reshape(-1, 2, stride)
         # Below _BLOCK a block is several whole rows; from _BLOCK on it is
@@ -176,14 +198,16 @@ class StateVector:
                 block = view[r:r + rows, :, c:c + cols]
                 yield block[:, 0], block[:, 1], scratch
 
-    def apply_hadamard(self, qubit: int) -> "StateVector":
-        # The ufuncs of ((lo + hi) * s, (lo - hi) * s) on the same operands,
-        # so the result is bit-identical to that pair formula.
-        for lo, hi, diff in self._pair_blocks(qubit):
-            np.subtract(lo, hi, out=diff)
-            lo += hi
-            lo *= _INV_SQRT2
-            np.multiply(diff, _INV_SQRT2, out=hi)
+    def apply_hadamard(self, *qubits: int) -> "StateVector":
+        """Apply H to each listed qubit, in the given order, in one call.
+
+        All qubits are checked before any amplitude changes.  The result
+        is bit-identical to one-qubit calls in sequence: see
+        `_hadamard_layer`.
+        """
+        for qubit in qubits:
+            self._check_qubit(qubit)
+        _hadamard_layer(self.amps, qubits)
         return self
 
     def apply_x(self, qubit: int) -> "StateVector":
@@ -231,24 +255,42 @@ class StateVector:
         if k == 1:
             return self
         rows = self.amps.reshape(1 << self.r, -1)
-        tail = float(np.sum(np.abs(rows[1:]) ** 2))
-        if tail > 1e-20:
+        tail = rows[1:].reshape(-1)
+        if np.vdot(tail, tail).real > 1e-20:
             raise InputError(
                 "uniform preparation requires the control register in |0..0>"
             )
         if k == (1 << control_width(k)):
-            for j in range(control_width(k)):
-                self.apply_hadamard(self.n + 1 + j)
-            return self
+            first = self.n + 1
+            return self.apply_hadamard(*range(first, first + control_width(k)))
         base = rows[0] * (1.0 / math.sqrt(k))
         rows[:k] = base
         rows[k:] = 0.0
         return self
 
     def data_marginal(self) -> np.ndarray:
-        """Probability of each data-register outcome, traced over ancillas."""
-        probs = np.abs(self.amps.reshape(-1, 1 << self.n)) ** 2
-        return probs.sum(axis=0)
+        """Probability of each data-register outcome, traced over ancillas.
+
+        A state of at most one tile takes `(np.abs(rows) ** 2).sum(axis=0)`
+        over its ancilla rows.  A larger one gets the same sums, bit for
+        bit, one chunk of rows at a time, so no temporary spans the whole
+        array: row 0 of each chunk's buffer carries the running sum, and
+        numpy adds the rows of an axis-0 sum in order.
+        """
+        rows = self.amps.reshape(-1, 1 << self.n)
+        if rows.size <= _TILE:
+            return (np.abs(rows) ** 2).sum(axis=0)
+        step = max(1, _TILE // rows.shape[1])
+        buf = np.empty((step + 1, rows.shape[1]))
+        total = np.zeros(rows.shape[1])
+        for start in range(0, rows.shape[0], step):
+            chunk = rows[start:start + step]
+            part = buf[:len(chunk) + 1]
+            part[0] = total
+            np.abs(chunk, out=part[1:])
+            np.square(part[1:], out=part[1:])
+            part.sum(axis=0, out=total)
+        return total
 
     def data_register_state(self) -> np.ndarray:
         """Data-register amplitudes with the ancillas dropped.
@@ -270,6 +312,110 @@ class StateVector:
         return f"StateVector(n={self.n}, r={self.r}, dim={self.dim})"
 
 
+def _hadamard_row_bit(block: np.ndarray, bit: int, diff: np.ndarray) -> None:
+    """H on bit `bit` of the row index of the 2-D view `block`, in place.
+
+    The ufuncs of ((lo + hi) * s, (lo - hi) * s) on the same operands, so
+    the result is bit-identical to that pair formula.
+    """
+    pairs = block.reshape(-1, 2, 1 << bit, block.shape[-1])
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    diff = diff[:lo.size].reshape(lo.shape)
+    np.subtract(lo, hi, out=diff)
+    lo += hi
+    lo *= _INV_SQRT2
+    np.multiply(diff, _INV_SQRT2, out=hi)
+
+
+def _is_zero(tile: np.ndarray) -> bool:
+    """True when every bit of the tile is 0 (so -0.0 counts as nonzero).
+
+    The first amplitude settles most nonzero tiles without a scan.
+    """
+    return tile.item(0) == 0 and not tile.view(np.uint64).any()
+
+
+def _hadamard_layer(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
+    """Apply H to each qubit in turn, one tile of amplitudes at a time.
+
+    Every amplitude goes through the pair formula once per listed qubit,
+    in list order, exactly as in one-qubit calls; only the order in which
+    tiles are visited changes, so the result is bit-identical.  Tiles
+    whose bits are all zero, such as the rows of a register still in
+    |0..0>, are skipped: H maps them to themselves bit for bit.  A state
+    of at most one tile is transformed whole, without the zero check.
+    """
+    if amps.size <= _TILE:
+        column, diff = amps.reshape(-1, 1), np.empty(amps.size // 2, amps.dtype)
+        for qubit in qubits:
+            _hadamard_row_bit(column, qubit, diff)
+        return
+    for low, run in itertools.groupby(qubits, key=lambda q: q < _TILE_BITS):
+        if low:
+            _low_qubit_pass(amps, tuple(run))
+        else:
+            _high_qubit_pass(amps, tuple(run))
+
+
+def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
+    """H on qubits below _TILE_BITS over contiguous tiles of _TILE amplitudes.
+
+    The tile is regrouped, alternately into `spare` and back in place, so
+    that each gate's qubit group is the outermost axis, and ends in its
+    natural order.
+    """
+    diff = np.empty(_TILE // 2, amps.dtype)
+    spare = np.empty(_TILE, amps.dtype)
+    for tile in amps.reshape(-1, _TILE):
+        if _is_zero(tile):
+            continue
+        buf, order = tile, _NATURAL_ORDER
+        for qubit in qubits:
+            group, bit = divmod(qubit, _GROUP_BITS)
+            if order[0] != group:
+                new = (group,) + tuple(g for g in _NATURAL_ORDER if g != group)
+                buf, order = _regroup(buf, order, new, spare if buf is tile else tile)
+            _hadamard_row_bit(buf.reshape(_GROUP_SHAPE[0], -1), bit, diff)
+        if order != _NATURAL_ORDER:
+            buf, order = _regroup(
+                buf, order, _NATURAL_ORDER, spare if buf is tile else tile
+            )
+        if buf is not tile:
+            tile[...] = buf
+
+
+def _regroup(
+    src: np.ndarray, order: tuple[int, ...], new: tuple[int, ...], dst: np.ndarray
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Copy `src`, whose group axes run in `order`, into `dst` in `new` order."""
+    np.copyto(
+        dst.reshape(_GROUP_SHAPE),
+        src.reshape(_GROUP_SHAPE).transpose([order.index(g) for g in new]),
+    )
+    return dst, new
+
+
+def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
+    """H on qubits from _TILE_BITS up, as row bits over column chunks.
+
+    Rows are indexed by the bits from the lowest to the highest listed
+    qubit; a tile is every such row over one chunk of at least _MIN_RUN
+    contiguous columns.
+    """
+    low, top = min(qubits), max(qubits) + 1
+    view = amps.reshape(-1, 1 << (top - low), 1 << low)
+    height = view.shape[1]
+    width = max(_TILE // height, _MIN_RUN)
+    diff = np.empty(height * width // 2, amps.dtype)
+    for rows in view:
+        for start in range(0, rows.shape[1], width):
+            tile = rows[:, start:start + width]
+            if _is_zero(tile):
+                continue
+            for qubit in qubits:
+                _hadamard_row_bit(tile, qubit - low, diff)
+
+
 def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector:
     """Return the circuit's final statevector.
 
@@ -281,8 +427,13 @@ def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector:
     spec = build_circuit(keys)
     if oracle_path == "gate":
         state = StateVector(spec.n, spec.r)
-        for gate in spec.gates:
-            _apply_gate(state, spec, gate)
+        # Each run of consecutive Hadamards is applied as one layer.
+        for is_h, gates in itertools.groupby(spec.gates, key=lambda g: g[0] == "h"):
+            if is_h:
+                state.apply_hadamard(*(gate[1] for gate in gates))
+            else:
+                for gate in gates:
+                    _apply_gate(state, spec, gate)
         return state
     if oracle_path == "fast":
         state = StateVector(
@@ -311,13 +462,16 @@ def _apply_gate(state: StateVector, spec: CircuitSpec, gate: tuple) -> None:
         raise InputError(f"unknown gate {gate!r}")
 
 
-def exact_distribution(state: StateVector, tol: float = 1e-12) -> dict[str, float]:
+def exact_distribution(
+    state: StateVector, tol: float = 1e-12, *, marginal: np.ndarray | None = None
+) -> dict[str, float]:
     """Marginal probability of each data-register outcome, MSB-first keys.
 
     Entries below `tol` are dropped; the remainder sums to 1 within
-    numerical precision.
+    numerical precision.  `marginal`, when given, is the state's
+    `data_marginal()`, already computed by the caller.
     """
-    probs = state.data_marginal()
+    probs = state.data_marginal() if marginal is None else marginal
     n = state.n
     return {
         format(int(x), f"0{n}b"): float(probs[x])
@@ -354,12 +508,20 @@ class Histogram:
 
 
 def measure_data_register(
-    state: StateVector, shots: int, rng: np.random.Generator
+    state: StateVector,
+    shots: int,
+    rng: np.random.Generator,
+    *,
+    marginal: np.ndarray | None = None,
 ) -> Histogram:
-    """Draw i.i.d. samples from the exact data-register marginal."""
+    """Draw i.i.d. samples from the exact data-register marginal.
+
+    `marginal`, when given, is the state's `data_marginal()`, already
+    computed by the caller; it is not modified.
+    """
     if shots < 1:
         raise InputError(f"shots must be >= 1, got {shots}")
-    probs = state.data_marginal()
+    probs = state.data_marginal() if marginal is None else marginal
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     drawn = rng.choice(probs.size, size=shots, p=probs)

@@ -1,5 +1,6 @@
 """CLI commands: record structure, formats, exit codes, determinism."""
 
+import hashlib
 import json
 from decimal import Decimal
 from fractions import Fraction
@@ -328,3 +329,49 @@ class TestDeterminism:
         assert out == ""
         record = json.loads(path.read_text())
         assert record["command"] == "simulate"
+
+
+# 13-bit keys, k=6: 13 data + 1 target + 3 control = 17 qubits.
+KEYS_17Q = (
+    "0010110100111,1100101011010,0111000110101,"
+    "1010011100011,0001111010110,1111000001101"
+)
+
+
+class TestGoldenOutputs:
+    """Seeded gate-path records pinned by sha256 of the record without
+    `wall_time_s`, so any change to a simulated amplitude or a sampled
+    count shows up here."""
+
+    @pytest.mark.parametrize(
+        "command,keys,extra,digest",
+        [
+            ("simulate", "011,101", ["--dump-state"],
+             "e406268c8419b01506d8126f22d5e087c52654d251413da680a870a66f3552cb"),
+            ("sample", "011,101", [],
+             "4142bd0f8d91c376cb967e0507794346aa8ef4dab95164b28172b3f191d3235d"),
+            ("simulate", "010,011,011,101", ["--dump-state"],
+             "f44feb11b6ffbdee499a9e54f6e01941e74179206e80def3eaeaae3c41a1cb09"),
+            ("sample", "010,011,011,101", [],
+             "a1d222eccd972cf6ca74bc1eed36ed3608d4f2e137805d429e22dcc08b9351f3"),
+            ("simulate", "0001,0011,1011,1110", ["--dump-state"],
+             "c643d8a399f42d6db1298a0a54f1bf8a0fa7f2566cb78fb74d3748f2c86a5fd8"),
+            ("sample", "0001,0011,1011,1110", [],
+             "bd457e0122a552b467d156571174d97fd9e2c01b79b2254b4f4959b934e5c26b"),
+            ("simulate", "00101,01100,10011,11110", ["--dump-state"],
+             "491f31e14becf41ab3593ba2501e00bab639373a59b895c2eb681fb4296c8ec7"),
+            ("sample", "00101,01100,10011,11110", [],
+             "cddf3836ae82b860ff0a82a3d02fb27cc2743897a967808ae94db58a2bdf0ca2"),
+            ("simulate", KEYS_17Q, [],
+             "c6f5e1dd264d2b0e7331621f84aa98d409897bceeed7c3e1d4bde8ba369f91e6"),
+            ("sample", KEYS_17Q, [],
+             "7f4d18d395abe77abc4d6e084357e2ae2161a176acd2bab7c86436844b20bc54"),
+        ],
+    )
+    def test_seeded_record_digest(self, capsys, command, keys, extra, digest):
+        record = run_json(
+            capsys, command, "--keys", keys, "--seed", "7", "--format", "json",
+            "--oracle-path", "gate", *extra,
+        )
+        record.pop("wall_time_s")
+        assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest

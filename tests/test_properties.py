@@ -1,0 +1,36 @@
+"""Property tests (Hypothesis) for the simulator kernels."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from multikey_bv.simulator import StateVector  # noqa: E402
+
+
+@st.composite
+def sparse_states(draw):
+    """A random state of 2..18 qubits whose rows are partly all-zero or -0.0."""
+    # Half the draws are single-tile states, half are tiled (17-18 qubits).
+    total = draw(st.one_of(st.integers(2, 16), st.integers(17, 18)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=1 << total) + 1j * rng.normal(size=1 << total)
+    rows = amps.reshape(-1, 1 << draw(st.integers(0, total)))
+    kinds = rng.integers(3, size=rows.shape[0])
+    rows[kinds == 1] = 0.0
+    rows[kinds == 2] = complex(-0.0, -0.0)
+    qubits = draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=8))
+    return total, amps, qubits
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_states())
+def test_hadamard_layer_equals_one_qubit_sequence(case):
+    total, amps, qubits = case
+    layer = StateVector(total - 1, 0, amps.copy()).apply_hadamard(*qubits)
+    sequence = StateVector(total - 1, 0, amps.copy())
+    for q in qubits:
+        sequence.apply_hadamard(q)
+    assert np.array_equal(layer.amps.view(np.uint64), sequence.amps.view(np.uint64))

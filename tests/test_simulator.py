@@ -29,6 +29,27 @@ def random_keyset(rng: np.random.Generator, n: int, k: int) -> KeySet:
     return KeySet(tuple(SecretKey(int(v), n) for v in values))
 
 
+LAYER_QUBITS = 19
+
+
+def bits(amps: np.ndarray) -> np.ndarray:
+    """Amplitudes as raw uint64 words, so -0.0 and 0.0 differ."""
+    return amps.view(np.uint64)
+
+
+def random_state(total: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << total) + 1j * rng.normal(size=1 << total)
+    return amps / np.linalg.norm(amps)
+
+
+def one_qubit_sequence(total: int, amps: np.ndarray, qubits) -> np.ndarray:
+    st = StateVector(total - 1, 0, amps.copy())
+    for q in qubits:
+        st.apply_hadamard(q)
+    return st.amps
+
+
 class TestGates:
     def test_hadamard_on_zero(self):
         st = StateVector(1, 0)
@@ -90,6 +111,66 @@ class TestGates:
             swapped = amps.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
             st = StateVector(total - 1, 0, amps.copy()).apply_x(q)
             assert np.array_equal(st.amps, swapped), f"X on qubit {q}"
+
+    # apply_hadamard(*qubits) against one-qubit calls in sequence.
+
+    def test_layer_every_prefix(self):
+        amps = random_state(LAYER_QUBITS, 23)
+        ref = StateVector(LAYER_QUBITS - 1, 0, amps.copy())
+        for b in range(1, LAYER_QUBITS + 1):
+            ref.apply_hadamard(b - 1)
+            layer = StateVector(LAYER_QUBITS - 1, 0, amps.copy())
+            layer.apply_hadamard(*range(b))
+            assert np.array_equal(bits(layer.amps), bits(ref.amps)), f"prefix {b}"
+
+    @pytest.mark.parametrize(
+        "qubits",
+        [
+            tuple(range(5, 12)),
+            tuple(range(12, 19)),
+            tuple(range(16, 19)),
+            (18,),
+            tuple(range(3, 19)),
+            (7, 0, 18, 3, 3, 16, 0, 12, 17, 17),
+            (18, 16, 17),
+            (2, 2),
+            (15, 1, 14, 2),
+        ],
+    )
+    def test_layer_runs_unsorted_and_repeated(self, qubits):
+        amps = random_state(LAYER_QUBITS, 29)
+        layer = StateVector(LAYER_QUBITS - 1, 0, amps.copy()).apply_hadamard(*qubits)
+        expected = one_qubit_sequence(LAYER_QUBITS, amps, qubits)
+        assert np.array_equal(bits(layer.amps), bits(expected))
+
+    @pytest.mark.parametrize("top", [12, 15, 17])
+    def test_layer_zero_rows_between_nonzero_rows(self, top):
+        # Rows of 2^top amplitudes do not mix under H on qubits below top.
+        amps = random_state(LAYER_QUBITS, top)
+        rows = amps.reshape(-1, 1 << top)
+        rows[1] = 0.0
+        rows[2] = complex(-0.0, -0.0)  # not all-zero bits: H turns it to +0.0
+        rows[-1, : rows.shape[1] // 2] = 0.0
+        qubits = tuple(range(top))
+        layer = StateVector(LAYER_QUBITS - 1, 0, amps.copy()).apply_hadamard(*qubits)
+        expected = one_qubit_sequence(LAYER_QUBITS, amps, qubits)
+        assert np.array_equal(bits(layer.amps), bits(expected))
+        assert not np.array_equal(bits(expected.reshape(rows.shape)[2]), bits(rows[2]))
+
+    def test_layer_on_strided_amplitudes(self):
+        amps = random_state(LAYER_QUBITS + 1, 37)
+        strided = StateVector(LAYER_QUBITS - 1, 0, amps[::2]).apply_hadamard(0, 17)
+        expected = one_qubit_sequence(LAYER_QUBITS, amps[::2].copy(), (0, 17))
+        assert np.array_equal(bits(strided.amps), bits(expected))
+
+    def test_layer_out_of_range_qubit_changes_nothing(self):
+        amps = random_state(LAYER_QUBITS, 31)
+        st = StateVector(LAYER_QUBITS - 1, 0, amps.copy())
+        with pytest.raises(InputError):
+            st.apply_hadamard(0, 1, 18, LAYER_QUBITS)
+        with pytest.raises(InputError):
+            st.apply_hadamard(3, -1)
+        assert np.array_equal(bits(st.amps), bits(amps))
 
 
 class TestControlledKeyUnitary:
@@ -157,6 +238,27 @@ class TestPrepareUniform:
         st.apply_x(2)
         with pytest.raises(InputError):
             st.prepare_uniform(3)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_tiny_control_amplitude_refuses(self, k):
+        st = StateVector(2, 2)
+        st.amps[2 << 3] = 1e-9  # control value 2, data 0, target 0
+        before = st.amps.copy()
+        with pytest.raises(InputError):
+            st.prepare_uniform(k)
+        assert np.array_equal(st.amps, before)
+
+
+class TestDataMarginal:
+    @pytest.mark.parametrize(
+        "n,r", [(2, 2), (1, 16), (3, 17), (8, 10), (16, 1), (17, 0), (19, 3)]
+    )
+    def test_bit_identical_to_one_expression(self, n, r):
+        amps = random_state(n + 1 + r, n + r)
+        amps.reshape(-1, 1 << n)[::3] = 0.0
+        expected = (np.abs(amps.reshape(-1, 1 << n)) ** 2).sum(axis=0)
+        marginal = StateVector(n, r, amps).data_marginal()
+        assert np.array_equal(bits(marginal), bits(expected))
 
 
 class TestBuildCircuit:
