@@ -38,6 +38,7 @@ from .analytics import (
 from .errors import CapacityError, InputError
 from .keyspace import KeySet, bit_sum_profile, multiplicity
 from .simulator import (
+    build_circuit,
     chi_square_vs_exact,
     exact_distribution,
     measure_data_register,
@@ -99,6 +100,14 @@ def _base_record(command: str, config: dict, seed: int) -> dict:
 def cmd_simulate(args) -> tuple[dict, list[dict]]:
     keys = _parse_keys(args)
     seed = _resolve_seed(args)
+    if args.dump_state:
+        # build_circuit refuses a circuit over the qubit cap first.
+        total = build_circuit(keys).total_qubits
+        if total > STATE_DUMP_QUBIT_CAP:
+            raise CapacityError(
+                f"statevector dump limited to {STATE_DUMP_QUBIT_CAP} qubits, "
+                f"circuit has {total}"
+            )
     state = run_circuit(keys, oracle_path=args.oracle_path)
     dist = exact_distribution(state)
     record = _base_record(
@@ -122,11 +131,6 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
         "distribution": rows,
     }
     if args.dump_state:
-        if state.total_qubits > STATE_DUMP_QUBIT_CAP:
-            raise CapacityError(
-                f"statevector dump limited to {STATE_DUMP_QUBIT_CAP} qubits, "
-                f"circuit has {state.total_qubits}"
-            )
         record["results"]["statevector"] = {
             "layout": "basis string is controls|target|data, MSB first",
             "amplitudes": [

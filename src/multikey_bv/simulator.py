@@ -28,13 +28,17 @@ Two oracle paths are exposed and must agree.  The gate-by-gate path
 one that simulates the circuit.  It applies each run of consecutive
 Hadamards as one layer: the layer runs all its gates over one
 cache-sized tile of amplitudes before moving to the next, and skips
-tiles whose bits are all zero, which H leaves unchanged.  X gates update
-the array in place one cache-sized block of amplitude pairs at a time.
-Both give results bit-identical to the textbook pair formula applied one
-gate at a time.  The fast path (`oracle_path="fast"`) applies no gates:
-it writes the closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i>,
-whose only nonzero amplitudes are +1/sqrt(2k) at (control i, target 0,
-data s_i) and -1/sqrt(2k) at (control i, target 1, data s_i).
+tiles whose bits are all zero, which H leaves unchanged.  X gates swap
+cache-sized blocks of amplitude pairs in place and skip pairs of
+all-zero blocks.  Each controlled key unitary swaps the odd-parity
+amplitudes of its branch one data tile at a time, through a low-bit
+parity mask or its complement.  The gates give results bit-identical to
+the textbook pair formula applied one gate at a time, and no gate
+writes an amplitude the circuit leaves at zero.  The fast path
+(`oracle_path="fast"`) applies no gates: it writes the closed-form final
+state (1/sqrt(k)) sum_i |i>|->|s_i>, whose only nonzero amplitudes are
++1/sqrt(2k) at (control i, target 0, data s_i) and -1/sqrt(2k) at
+(control i, target 1, data s_i).
 """
 
 from __future__ import annotations
@@ -128,12 +132,6 @@ def build_circuit(keys: KeySet) -> CircuitSpec:
     return CircuitSpec(keys=keys, n=n, r=r, gates=tuple(gates))
 
 
-def _parity_table(n: int, key_value: int) -> np.ndarray:
-    """parity[x] = (x . key) mod 2 for every n-bit data value x."""
-    x = np.arange(1 << n, dtype=np.uint64)
-    return ((np.bitwise_count(x & np.uint64(key_value)) & 1) == 1)
-
-
 class StateVector:
     """Dense complex amplitudes over the full (n + 1 + r)-qubit register."""
 
@@ -212,6 +210,10 @@ class StateVector:
 
     def apply_x(self, qubit: int) -> "StateVector":
         for lo, hi, tmp in self._pair_blocks(qubit):
+            # Swapping two all-zero halves changes no bit; skipping them
+            # leaves rows of a register still in |0..0> unwritten.
+            if _is_zero(lo) and _is_zero(hi):
+                continue
             tmp[...] = lo
             lo[...] = hi
             hi[...] = tmp
@@ -232,11 +234,20 @@ class StateVector:
             raise InputError(
                 f"control value {i} cannot be addressed by {self.r} control qubits"
             )
-        odd = _parity_table(self.n, key.value)
-        block = self.amps.reshape(1 << self.r, 2, 1 << self.n)[i]
-        flipped = block[0, odd].copy()
-        block[0, odd] = block[1, odd]
-        block[1, odd] = flipped
+        # Within a tile at offset base, x . key = (low bits of x) . key
+        # + parity(base & key) mod 2, so one low-bit parity table or its
+        # complement masks every tile.
+        width = 1 << min(self.n, _TILE_BITS)
+        low = np.arange(width, dtype=np.uint64) & np.uint64(key.value)
+        odd = (np.bitwise_count(low) & 1) == 1
+        masks = (odd, ~odd)
+        lo_tiles, hi_tiles = self.amps.reshape(1 << self.r, 2, -1, width)[i]
+        buf = np.empty(width, self.amps.dtype)
+        for t, (lo, hi) in enumerate(zip(lo_tiles, hi_tiles)):
+            mask = masks[(t * width & key.value).bit_count() & 1]
+            np.copyto(buf, lo, where=mask)
+            np.copyto(lo, hi, where=mask)
+            np.copyto(hi, buf, where=mask)
         return self
 
     def prepare_uniform(self, k: int) -> "StateVector":
@@ -263,9 +274,12 @@ class StateVector:
         if k == (1 << control_width(k)):
             first = self.n + 1
             return self.apply_hadamard(*range(first, first + control_width(k)))
-        base = rows[0] * (1.0 / math.sqrt(k))
-        rows[:k] = base
-        rows[k:] = 0.0
+        rows[0] *= 1.0 / math.sqrt(k)
+        rows[1:k] = rows[0]
+        # Rows from k on passed the check above, so they are (near) zero;
+        # they are written only when some bit is set.
+        if not _is_zero(rows[k:]):
+            rows[k:] = 0.0
         return self
 
     def data_marginal(self) -> np.ndarray:
@@ -485,9 +499,6 @@ class Histogram:
 
     counts: dict[str, int]
     shots: int
-
-    def probabilities(self) -> dict[str, float]:
-        return {outcome: c / self.shots for outcome, c in self.counts.items()}
 
     def to_records(self, exact: dict[str, float] | None = None) -> list[dict]:
         """Stable per-outcome records: outcome, count, probability."""

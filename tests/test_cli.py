@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from multikey_bv import prob_all_keys
+from multikey_bv import cli, prob_all_keys
 from multikey_bv.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, main
 
 
@@ -68,6 +68,24 @@ class TestSimulate:
         )
         assert code == EXIT_CAPACITY
         assert "capacity" in err
+
+    def test_state_dump_capacity_refused_before_simulating(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_circuit called")
+
+        monkeypatch.setattr(cli, "run_circuit", fail)
+        code, _, err = run(
+            capsys, "simulate", "--keys", ",".join(["1" * 20] + ["0" * 20] * 5),
+            "--seed", "1", "--dump-state",
+        )
+        assert code == EXIT_CAPACITY
+        assert "statevector dump limited to 12 qubits, circuit has 24" in err
+        code, _, err = run(
+            capsys, "simulate", "--keys", "0" * 30 + "1", "--seed", "1",
+            "--dump-state",
+        )
+        assert code == EXIT_CAPACITY
+        assert "circuit needs 32 qubits" in err
 
     def test_n_mismatch_is_input_error(self, capsys):
         code, _, err = run(

@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from multikey_bv.keyspace import SecretKey  # noqa: E402
 from multikey_bv.simulator import StateVector  # noqa: E402
 
 
@@ -34,3 +35,36 @@ def test_hadamard_layer_equals_one_qubit_sequence(case):
     for q in qubits:
         sequence.apply_hadamard(q)
     assert np.array_equal(layer.amps.view(np.uint64), sequence.amps.view(np.uint64))
+
+
+def bits(amps: np.ndarray) -> np.ndarray:
+    return amps.view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_states())
+def test_x_equals_plain_swap(case):
+    total, amps, qubits = case
+    for q in qubits:
+        swapped = amps.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
+        state = StateVector(total - 1, 0, amps.copy()).apply_x(q)
+        assert np.array_equal(bits(state.amps), bits(swapped))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_states(), st.data())
+def test_oracle_equals_index_permutation(case, data):
+    total, amps, _ = case
+    n = data.draw(st.integers(1, total - 1))
+    r = total - 1 - n
+    i = data.draw(st.integers(0, (1 << r) - 1))
+    key = data.draw(st.integers(0, (1 << n) - 1))
+    # Basis state (i, y, x) goes to (i, y ^ (x . key), x).
+    index = np.arange(amps.size)
+    x, control = index & ((1 << n) - 1), index >> (n + 1)
+    odd = (np.bitwise_count(x & key) & 1) == 1
+    source = np.where((control == i) & odd, index ^ (1 << n), index)
+    state = StateVector(n, r, amps.copy()).apply_controlled_key_unitary(
+        i, SecretKey(key, n)
+    )
+    assert np.array_equal(bits(state.amps), bits(amps[source]))

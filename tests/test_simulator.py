@@ -50,6 +50,27 @@ def one_qubit_sequence(total: int, amps: np.ndarray, qubits) -> np.ndarray:
     return st.amps
 
 
+def with_negative_zeros(amps: np.ndarray, seed: int) -> np.ndarray:
+    """A copy with about a tenth of the entries set to -0.0 (both parts or one)."""
+    rng = np.random.default_rng(seed)
+    amps = amps.copy()
+    kinds = rng.integers(10, size=amps.size)
+    amps[kinds == 0] = complex(-0.0, -0.0)
+    amps.real[kinds == 1] = -0.0
+    amps.imag[kinds == 2] = -0.0
+    return amps
+
+
+def parity_table_swap(amps: np.ndarray, n: int, r: int, i: int, key: int) -> None:
+    """Reference controlled key unitary: a 2^n parity table and a fancy-index swap."""
+    x = np.arange(1 << n, dtype=np.uint64)
+    odd = (np.bitwise_count(x & np.uint64(key)) & 1) == 1
+    block = amps.reshape(1 << r, 2, 1 << n)[i]
+    flipped = block[0, odd].copy()
+    block[0, odd] = block[1, odd]
+    block[1, odd] = flipped
+
+
 class TestGates:
     def test_hadamard_on_zero(self):
         st = StateVector(1, 0)
@@ -111,6 +132,35 @@ class TestGates:
             swapped = amps.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
             st = StateVector(total - 1, 0, amps.copy()).apply_x(q)
             assert np.array_equal(st.amps, swapped), f"X on qubit {q}"
+
+    def test_x_on_zero_and_negative_zero_blocks_matches_plain_swap(self):
+        from multikey_bv.simulator import _BLOCK
+
+        total = 19
+        zero, neg = complex(0.0, 0.0), complex(-0.0, -0.0)
+        for q in range(total):
+            amps = random_state(total, q)
+            # (block groups, rows, half, column chunks, columns): one
+            # (group, chunk) pair is one block pair of apply_x.
+            rows, cols = max(1, _BLOCK >> q), min(1 << q, _BLOCK)
+            blocks = amps.reshape(-1, rows, 2, (1 << q) // cols, cols)
+            count = blocks.shape[0] * blocks.shape[3]
+            assert count >= 4
+            # By block pair: both halves zero (skipped), lo zero with hi
+            # -0.0, lo zero but one -0.0 with hi zero, both nonzero.
+            for m in range(count):
+                g, c = divmod(m, blocks.shape[3])
+                pair, kind = blocks[g, :, :, c, :], m % 4
+                if kind == 0:
+                    pair[...] = zero
+                elif kind == 1:
+                    pair[:, 0], pair[:, 1] = zero, neg
+                elif kind == 2:
+                    pair[...] = zero
+                    pair[-1, 0, -1] = neg
+            swapped = amps.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
+            st = StateVector(total - 1, 0, amps.copy()).apply_x(q)
+            assert np.array_equal(bits(st.amps), bits(swapped)), f"X on qubit {q}"
 
     # apply_hadamard(*qubits) against one-qubit calls in sequence.
 
@@ -196,6 +246,22 @@ class TestControlledKeyUnitary:
             st.amps, np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 19])
+    def test_tiled_swap_bit_identical_to_parity_table(self, n):
+        r = 1 if n == 19 else 2
+        amps = with_negative_zeros(random_state(n + 1 + r, n), n)
+        rng = np.random.default_rng(100 + n)
+        keys = {0, (1 << n) - 1, *(int(v) for v in rng.integers(1 << n, size=3))}
+        if n > 16:
+            keys.add(((1 << n) - 1) & ~0xFFFF)  # only bits from 16 up
+        for i in range(1 << r):
+            for key in sorted(keys):
+                expected = amps.copy()
+                parity_table_swap(expected, n, r, i, key)
+                st = StateVector(n, r, amps.copy())
+                st.apply_controlled_key_unitary(i, SecretKey(key, n))
+                assert np.array_equal(bits(st.amps), bits(expected)), (i, key)
+
     def test_bad_control_index(self):
         st = StateVector(1, 1)
         with pytest.raises(InputError):
@@ -247,6 +313,22 @@ class TestPrepareUniform:
         with pytest.raises(InputError):
             st.prepare_uniform(k)
         assert np.array_equal(st.amps, before)
+
+    @pytest.mark.parametrize("tiny", [1e-12, 0.0])
+    def test_accepted_tail_comes_out_bitwise_zero(self, tiny):
+        n, r, k = 3, 3, 5
+        amps = np.zeros(1 << (n + 1 + r), dtype=complex)
+        rows = amps.reshape(1 << r, -1)
+        rows[0] = random_state(n + 1, 41)
+        rows[1, 2] = 1e-12  # below k: overwritten by row 0
+        rows[k, 0] = tiny  # from k on: written back to zero
+        rows[k + 1] = with_negative_zeros(np.zeros(rows.shape[1], dtype=complex), 3)
+        assert bits(rows[k + 1]).any()
+        # Amplitudes of the direct write (1/sqrt(k)) row 0 on rows < k, 0.0 after.
+        expected = np.zeros_like(rows)
+        expected[:k] = rows[0] * (1.0 / math.sqrt(k))
+        st = StateVector(n, r, amps).prepare_uniform(k)
+        assert np.array_equal(bits(st.amps), bits(expected.reshape(-1)))
 
 
 class TestDataMarginal:
