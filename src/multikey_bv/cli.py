@@ -131,6 +131,7 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
         "distribution": rows,
     }
     if args.dump_state:
+        dense = state.to_statevector() if args.oracle_path == "fast" else state
         record["results"]["statevector"] = {
             "layout": "basis string is controls|target|data, MSB first",
             "amplitudes": [
@@ -139,7 +140,7 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
                     "re": float(a.real),
                     "im": float(a.imag),
                 }
-                for i, a in enumerate(state.amps)
+                for i, a in enumerate(dense.amps)
                 if abs(a) > 1e-12
             ],
         }
@@ -149,6 +150,8 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
 def cmd_sample(args) -> tuple[dict, list[dict]]:
     keys = _parse_keys(args)
     seed = _resolve_seed(args)
+    if args.shots < 1:
+        raise InputError(f"shots must be >= 1, got {args.shots}")
     state = run_circuit(keys, oracle_path=args.oracle_path)
     marginal = state.data_marginal()
     dist = exact_distribution(state, marginal=marginal)

@@ -35,10 +35,10 @@ amplitudes of its branch one data tile at a time, through a low-bit
 parity mask or its complement.  The gates give results bit-identical to
 the textbook pair formula applied one gate at a time, and no gate
 writes an amplitude the circuit leaves at zero.  The fast path
-(`oracle_path="fast"`) applies no gates: it writes the closed-form final
-state (1/sqrt(k)) sum_i |i>|->|s_i>, whose only nonzero amplitudes are
-+1/sqrt(2k) at (control i, target 0, data s_i) and -1/sqrt(2k) at
-(control i, target 1, data s_i).
+(`oracle_path="fast"`) returns the `CircuitSpec`, which answers from the
+closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i> without gates or
+amplitudes; its only nonzero amplitudes are +1/sqrt(2k) at (control i,
+target 0, data s_i) and -1/sqrt(2k) at (control i, target 1, data s_i).
 """
 
 from __future__ import annotations
@@ -75,6 +75,11 @@ _GROUP_SHAPE = (1 << _GROUP_BITS,) * (_TILE_BITS // _GROUP_BITS)
 _NATURAL_ORDER = tuple(reversed(range(len(_GROUP_SHAPE))))
 _MIN_RUN = _TILE >> _GROUP_BITS
 
+# Shots drawn per rng.choice call when sampling, so that memory stays
+# bounded however many shots are asked for.  The draws read the same
+# random doubles in the same order as one call over all shots.
+_SHOT_CHUNK = 1 << 20
+
 
 def control_width(k: int) -> int:
     """Number of control ancillas needed to address k unitaries."""
@@ -103,6 +108,24 @@ class CircuitSpec:
     @property
     def total_qubits(self) -> int:
         return self.n + 1 + self.r
+
+    def data_marginal(self) -> np.ndarray:
+        """Data-register marginal of the closed-form state, without amplitudes.
+
+        Key t gets the square 1/(2k) added 2 b_t times in turn, as the
+        dense row sum adds it, so this is bit-identical to the dense one.
+        """
+        probs = np.zeros(1 << self.n)
+        amp = 1.0 / math.sqrt(2 * self.k)
+        np.add.at(probs, np.repeat(self.keys.values(), 2), amp * amp)
+        return probs
+
+    def to_statevector(self) -> "StateVector":
+        """The closed-form final state as a dense statevector."""
+        view = np.zeros((1 << self.r, 2, 1 << self.n), dtype=np.complex128)
+        branches, data = np.arange(self.k), self.keys.values()
+        view[branches, :, data] = np.array([1.0, -1.0]) / math.sqrt(2 * self.k)
+        return StateVector(self.n, self.r, view.reshape(-1))
 
 
 def build_circuit(keys: KeySet) -> CircuitSpec:
@@ -285,15 +308,12 @@ class StateVector:
     def data_marginal(self) -> np.ndarray:
         """Probability of each data-register outcome, traced over ancillas.
 
-        A state of at most one tile takes `(np.abs(rows) ** 2).sum(axis=0)`
-        over its ancilla rows.  A larger one gets the same sums, bit for
-        bit, one chunk of rows at a time, so no temporary spans the whole
-        array: row 0 of each chunk's buffer carries the running sum, and
-        numpy adds the rows of an axis-0 sum in order.
+        Gives `(np.abs(rows) ** 2).sum(axis=0)` over the ancilla rows bit
+        for bit, one chunk of rows at a time, so no temporary spans the
+        whole array: row 0 of each chunk's buffer carries the running
+        sum, and numpy adds the rows of an axis-0 sum in order.
         """
         rows = self.amps.reshape(-1, 1 << self.n)
-        if rows.size <= _TILE:
-            return (np.abs(rows) ** 2).sum(axis=0)
         step = max(1, _TILE // rows.shape[1])
         buf = np.empty((step + 1, rows.shape[1]))
         total = np.zeros(rows.shape[1])
@@ -430,13 +450,13 @@ def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
                 _hadamard_row_bit(tile, qubit - low, diff)
 
 
-def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector:
-    """Return the circuit's final statevector.
+def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | CircuitSpec:
+    """Return the circuit's final state.
 
-    The gate path simulates the circuit gate by gate; the fast path
-    writes the closed-form final state from the module docstring.  The
-    measurement distribution over the data register is b_t / k for
-    each distinct key t occurring b_t times, and 0 elsewhere.
+    The gate path simulates the circuit gate by gate into a dense
+    `StateVector`; the fast path returns the `CircuitSpec`, which answers
+    from the closed-form final state without allocating it.  Both give
+    the data marginal b_t / k for each key t occurring b_t times.
     """
     spec = build_circuit(keys)
     if oracle_path == "gate":
@@ -450,14 +470,7 @@ def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector:
                     _apply_gate(state, spec, gate)
         return state
     if oracle_path == "fast":
-        state = StateVector(
-            spec.n, spec.r, np.zeros(1 << spec.total_qubits, dtype=np.complex128)
-        )
-        view = state.amps.reshape(1 << spec.r, 2, 1 << spec.n)
-        branches, data = np.arange(spec.k), keys.values()
-        view[branches, 0, data] = 1.0 / math.sqrt(2 * spec.k)
-        view[branches, 1, data] = -1.0 / math.sqrt(2 * spec.k)
-        return state
+        return spec
     raise InputError(f"unknown oracle path {oracle_path!r}; use 'gate' or 'fast'")
 
 
@@ -477,7 +490,10 @@ def _apply_gate(state: StateVector, spec: CircuitSpec, gate: tuple) -> None:
 
 
 def exact_distribution(
-    state: StateVector, tol: float = 1e-12, *, marginal: np.ndarray | None = None
+    state: StateVector | CircuitSpec,
+    tol: float = 1e-12,
+    *,
+    marginal: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Marginal probability of each data-register outcome, MSB-first keys.
 
@@ -519,7 +535,7 @@ class Histogram:
 
 
 def measure_data_register(
-    state: StateVector,
+    state: StateVector | CircuitSpec,
     shots: int,
     rng: np.random.Generator,
     *,
@@ -527,6 +543,7 @@ def measure_data_register(
 ) -> Histogram:
     """Draw i.i.d. samples from the exact data-register marginal.
 
+    Shots are drawn `_SHOT_CHUNK` at a time and tallied per chunk.
     `marginal`, when given, is the state's `data_marginal()`, already
     computed by the caller; it is not modified.
     """
@@ -535,8 +552,11 @@ def measure_data_register(
     probs = state.data_marginal() if marginal is None else marginal
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    drawn = rng.choice(probs.size, size=shots, p=probs)
-    tallies = np.bincount(drawn, minlength=probs.size)
+    tallies = np.zeros(probs.size, dtype=np.int64)
+    for start in range(0, shots, _SHOT_CHUNK):
+        size = min(_SHOT_CHUNK, shots - start)
+        drawn = rng.choice(probs.size, size=size, p=probs)
+        tallies += np.bincount(drawn, minlength=probs.size)
     n = state.n
     counts = {
         format(int(x), f"0{n}b"): int(tallies[x]) for x in np.flatnonzero(tallies)

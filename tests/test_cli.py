@@ -165,6 +165,19 @@ class TestSample:
         assert "chi-square" in out
         assert "outcome" in out
 
+    def test_zero_shots_refused_before_simulating(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_circuit called")
+
+        monkeypatch.setattr(cli, "run_circuit", fail)
+        for path in ("gate", "fast"):
+            code, _, err = run(
+                capsys, "sample", "--keys", ",".join(["1" * 19] * 6), "--seed", "1",
+                "--shots", "0", "--oracle-path", path,
+            )
+            assert code == EXIT_INPUT
+            assert "shots must be >= 1, got 0" in err
+
 
 class TestAnalyze:
     def test_grid(self, capsys):
@@ -357,9 +370,10 @@ KEYS_17Q = (
 
 
 class TestGoldenOutputs:
-    """Seeded gate-path records pinned by sha256 of the record without
-    `wall_time_s`, so any change to a simulated amplitude or a sampled
-    count shows up here."""
+    """Seeded records pinned by sha256 of the record without any
+    `wall_time_s` field, so any change to a simulated amplitude or a
+    sampled count shows up here.  Cases run on the gate path unless their
+    extra arguments select the fast one."""
 
     @pytest.mark.parametrize(
         "command,keys,extra,digest",
@@ -384,6 +398,17 @@ class TestGoldenOutputs:
              "c6f5e1dd264d2b0e7331621f84aa98d409897bceeed7c3e1d4bde8ba369f91e6"),
             ("sample", KEYS_17Q, [],
              "7f4d18d395abe77abc4d6e084357e2ae2161a176acd2bab7c86436844b20bc54"),
+            ("simulate", "010,011,011,101", ["--dump-state", "--oracle-path", "fast"],
+             "a3257bd7bc10faedb8872263d3424a1e50ab7ed4d9f7b83c17a2ef2da71c9a37"),
+            ("simulate", "001,011,011", ["--dump-state", "--oracle-path", "fast"],
+             "29da39a00e8e97750a50a5febf551323db55cc5a7dc211010a5f0f29b6f5887a"),
+            ("sample", "001,011,011", ["--oracle-path", "fast"],
+             "a04cdac31e6ec5d0c1f77d22b0b9143ad5e4decd1c7b0861fc580f521978f225"),
+            ("sample", "0010110100111,1100101011010,0111011010001",
+             ["--oracle-path", "fast"],
+             "e6d1992b8ad0fb5c8176f8da5f0ba8a4237e3e5e1a9c39641a445a533da384b0"),
+            ("adversary", "00101,01100,10011", ["--oracle-path", "fast", "--trials", "2000"],
+             "bb6541b2055b4b5baf95ec4ab8fb1a7c83fa93cf4210c910ffe469e8dd156df4"),
         ],
     )
     def test_seeded_record_digest(self, capsys, command, keys, extra, digest):
@@ -391,5 +416,16 @@ class TestGoldenOutputs:
             capsys, command, "--keys", keys, "--seed", "7", "--format", "json",
             "--oracle-path", "gate", *extra,
         )
-        record.pop("wall_time_s")
+        record = without_wall_times(record)
         assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
+
+
+def without_wall_times(value):
+    """The record with every `wall_time_s` field removed, at any depth."""
+    if isinstance(value, dict):
+        return {
+            k: without_wall_times(v) for k, v in value.items() if k != "wall_time_s"
+        }
+    if isinstance(value, list):
+        return [without_wall_times(v) for v in value]
+    return value

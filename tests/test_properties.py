@@ -7,8 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from multikey_bv.keyspace import SecretKey  # noqa: E402
-from multikey_bv.simulator import StateVector  # noqa: E402
+from multikey_bv.keyspace import KeySet, SecretKey  # noqa: E402
+from multikey_bv.simulator import StateVector, run_circuit  # noqa: E402
 
 
 @st.composite
@@ -68,3 +68,31 @@ def test_oracle_equals_index_permutation(case, data):
         i, SecretKey(key, n)
     )
     assert np.array_equal(bits(state.amps), bits(amps[source]))
+
+
+@st.composite
+def key_multisets(draw, max_qubits):
+    """Keys drawn from a small pool, so duplicates are common; any k <= 2^n."""
+    n = draw(st.integers(1, max_qubits - 1))
+    k = draw(st.integers(1, min(40, 1 << n, 1 << (max_qubits - 1 - n))))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=k))
+    values = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    return KeySet(tuple(SecretKey(v, n) for v in values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(key_multisets(max_qubits=12))
+def test_fast_path_matches_gate_path(keys):
+    gate = run_circuit(keys, oracle_path="gate")
+    spec = run_circuit(keys, oracle_path="fast")
+    dense = spec.to_statevector()
+    assert np.max(np.abs(gate.amps - dense.amps)) < 1e-10
+    assert np.array_equal(bits(spec.data_marginal()), bits(dense.data_marginal()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(key_multisets(max_qubits=20))
+def test_closed_form_marginal_equals_dense_marginal(keys):
+    spec = run_circuit(keys, oracle_path="fast")
+    dense = spec.to_statevector()
+    assert np.array_equal(bits(spec.data_marginal()), bits(dense.data_marginal()))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from multikey_bv import (
     measure_data_register,
     run_circuit,
 )
+from multikey_bv import simulator
 from multikey_bv.simulator import StateVector, chi_square_vs_exact, control_width
 
 
@@ -434,7 +436,7 @@ class TestRunCircuit:
                     ks = KeySet(tuple(SecretKey(v, n) for v in values))
                     g = run_circuit(ks, oracle_path="gate")
                     f = run_circuit(ks, oracle_path="fast")
-                    assert np.max(np.abs(g.amps - f.amps)) < 1e-10
+                    assert np.max(np.abs(g.amps - f.to_statevector().amps)) < 1e-10
 
     def test_oracle_paths_agree_randomized(self):
         rng = np.random.default_rng(23)
@@ -445,7 +447,7 @@ class TestRunCircuit:
             ks = random_keyset(rng, n, k)
             g = run_circuit(ks, oracle_path="gate")
             f = run_circuit(ks, oracle_path="fast")
-            assert np.max(np.abs(g.amps - f.amps)) < 1e-10
+            assert np.max(np.abs(g.amps - f.to_statevector().amps)) < 1e-10
 
     def test_fast_path_is_closed_form_final_state(self):
         # basis index = control i << (n + 1) | target << n | data s_i
@@ -462,7 +464,34 @@ class TestRunCircuit:
             for i, v in enumerate(ks.values()):
                 expected[(i << (n + 1)) | v] = 1 / math.sqrt(2 * k)
                 expected[(i << (n + 1)) | (1 << n) | v] = -1 / math.sqrt(2 * k)
-            assert np.array_equal(run_circuit(ks, oracle_path="fast").amps, expected)
+            assert np.array_equal(
+                run_circuit(ks, oracle_path="fast").to_statevector().amps, expected
+            )
+
+    def test_fast_path_returns_the_spec(self):
+        ks = keyset("010", "011", "011")
+        fast = run_circuit(ks, oracle_path="fast")
+        assert fast == build_circuit(ks)
+        assert not hasattr(fast, "amps")
+        assert (fast.total_qubits, fast.r) == (6, 2)
+        assert exact_distribution(fast) == pytest.approx(
+            {"010": 1 / 3, "011": 2 / 3}, abs=1e-12
+        )
+
+    def test_fast_path_allocates_no_amplitude_array(self):
+        # n=19, k=8: a dense state would take 2^23 complex128 = 128 MB.
+        ks = random_keyset(np.random.default_rng(19), 19, 8)
+        tracemalloc.start()
+        try:
+            fast = run_circuit(ks, oracle_path="fast")
+            marginal = fast.data_marginal()
+            measure_data_register(
+                fast, 100_000, np.random.default_rng(0), marginal=marginal
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_unknown_path(self):
         with pytest.raises(InputError):
@@ -477,7 +506,7 @@ class TestRunCircuit:
         dist = exact_distribution(gate)
         assert dist == pytest.approx({a: 0.5, b: 0.5}, abs=1e-10)
         fast = run_circuit(ks, oracle_path="fast")
-        assert np.max(np.abs(gate.amps - fast.amps)) < 1e-10
+        assert np.max(np.abs(gate.amps - fast.to_statevector().amps)) < 1e-10
 
 
 class TestExactDistribution:
@@ -521,6 +550,21 @@ class TestMeasurement:
         a = measure_data_register(st, 512, np.random.default_rng(1234))
         b = measure_data_register(st, 512, np.random.default_rng(1234))
         assert a == b
+
+    @pytest.mark.parametrize("shots", [7, 8, 25])
+    def test_chunked_draws_match_one_call(self, monkeypatch, shots):
+        monkeypatch.setattr(simulator, "_SHOT_CHUNK", 8)
+        st = run_circuit(keyset("001", "011", "011", "110", "111"))
+        hist = measure_data_register(st, shots, np.random.default_rng(42))
+        probs = st.data_marginal()
+        probs /= probs.sum()
+        drawn = np.random.default_rng(42).choice(probs.size, size=shots, p=probs)
+        tallies = np.bincount(drawn, minlength=probs.size)
+        expected = {
+            format(int(x), "03b"): int(tallies[x]) for x in np.flatnonzero(tallies)
+        }
+        assert hist.counts == expected
+        assert sum(hist.counts.values()) == shots
 
     def test_rejects_zero_shots(self):
         with pytest.raises(InputError):
