@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import simulator
 from .analytics import (
     DEFAULT_WORK_BOUND,
     count_consistent_keysets,
@@ -85,16 +86,21 @@ def estimate_bit_sums(oracle: ClassicalOracle, trials_per_bit: int) -> np.ndarra
     """Estimate how many keys have each bit set, by repeated probing.
 
     For each position q the oracle is queried trials_per_bit times with
-    x = 2**q; the estimate is k times the observed frequency of 1.
-    Estimates stay real-valued; round separately via `rounded_bit_sums`.
+    x = 2**q, in batches of at most `simulator._SHOT_CHUNK` queries; the
+    estimate is k times the observed frequency of 1.  Estimates stay
+    real-valued; round separately via `rounded_bit_sums`.
     """
     if trials_per_bit < 1:
         raise InputError(f"trials_per_bit must be >= 1, got {trials_per_bit}")
     n, k = oracle.n, oracle.k
+    chunk = simulator._SHOT_CHUNK
     estimates = np.empty(n, dtype=np.float64)
     for q in range(n):
         x = SecretKey(1 << q, n)
-        ones = sum(oracle.query(x) for _ in range(trials_per_bit))
+        ones = 0
+        for start in range(0, trials_per_bit, chunk):
+            size = min(chunk, trials_per_bit - start)
+            ones += int(np.count_nonzero(oracle.query_batch(x, size)))
         estimates[q] = k * ones / trials_per_bit
     return estimates
 
@@ -123,7 +129,9 @@ def classical_guess_attack(
     queries.  `assume_distinct` restricts the candidate pool to
     duplicate-free multisets; by default it mirrors whether the true
     keys are distinct.  Success frequency over the runs converges to
-    1 / (pool size) when the truth is in the pool, else to 0.
+    1 / (pool size) when the truth is in the pool, else to 0.  Guesses
+    are drawn `simulator._SHOT_CHUNK` at a time; the last one is reported
+    as `recovered`.
     """
     if runs < 1:
         raise InputError(f"runs must be >= 1, got {runs}")
@@ -138,20 +146,20 @@ def classical_guess_attack(
     )
     pool = count.distinct_multisets() if assume_distinct else count.multisets
     truth = tuple(sorted(true_keys.values()))
-    draws = rng.integers(len(pool), size=runs) if pool else np.empty(0, dtype=int)
+    successes = 0
+    theory = Fraction(0)
+    sample = None
     if pool:
         try:
             truth_idx = pool.index(truth)
-            successes = int(np.count_nonzero(draws == truth_idx))
             theory = Fraction(1, len(pool))
         except ValueError:
-            successes = 0
-            theory = Fraction(0)
+            truth_idx = -1
+        chunk = simulator._SHOT_CHUNK
+        for start in range(0, runs, chunk):
+            draws = rng.integers(len(pool), size=min(chunk, runs - start))
+            successes += int(np.count_nonzero(draws == truth_idx))
         sample = pool[int(draws[-1])]
-    else:
-        successes = 0
-        theory = Fraction(0)
-        sample = None
     rate = successes / runs
     return ExperimentReport(
         strategy="uniform-guess-among-consistent-multisets",
@@ -192,7 +200,9 @@ def quantum_coupon_experiment(
 
     Each trial samples m measurements from the simulated circuit's
     exact data-register marginal and succeeds when every key was
-    observed.  Distinct keys required: the all-keys recovery analysis
+    observed.  Trials are drawn about `simulator._SHOT_CHUNK`
+    measurements at a time, so memory does not grow with `trials`.
+    Distinct keys required: the all-keys recovery analysis
     assumes k equiprobable outcomes, which duplicates break.
     """
     if not keys.all_distinct():
@@ -216,13 +226,14 @@ def quantum_coupon_experiment(
             f"key outcomes carry probability {total}, expected 1"
         )
     p = p / total
-    drawn = rng.choice(k, size=(trials, m), p=p)
-    if m == 1:
-        distinct = np.ones(trials, dtype=np.int64)
-    else:
-        ordered = np.sort(drawn, axis=1)
-        distinct = (np.diff(ordered, axis=1) != 0).sum(axis=1) + 1
-    return float(np.count_nonzero(distinct == k) / trials)
+    rows = max(1, simulator._SHOT_CHUNK // m)
+    full = 0
+    for start in range(0, trials, rows):
+        drawn = rng.choice(k, size=(min(rows, trials - start), m), p=p)
+        drawn.sort(axis=1)
+        distinct = (np.diff(drawn, axis=1) != 0).sum(axis=1) + 1
+        full += int(np.count_nonzero(distinct == k))
+    return float(full / trials)
 
 
 def run_single_key_baseline(keys: KeySet, seed: int) -> ExperimentReport:

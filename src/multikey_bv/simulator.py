@@ -6,6 +6,16 @@ are the control ancillas.  A circuit for k keys uses r = ceil(log2 k)
 control ancillas (r = 0 for k = 1), so the amplitude array has
 2**(n + 1 + r) entries.
 
+Amplitudes are real float64.  Every gate of the circuit (H, X, the
+uniform control preparation and the controlled XOR key unitaries) has
+real entries, so a state that starts real stays real, and each
+amplitude takes 8 bytes instead of the 16 of complex128.  The result is
+bit for bit the real part of the same gates applied in complex128: the
+imaginary parts stay +0.0, and numpy's complex add, subtract, multiply
+by a real scalar and abs then reduce to the real operations.  A
+`StateVector` built from given complex amplitudes stays complex, and
+the same kernels run on it.
+
 The circuit: Hadamards put the data register into a uniform
 superposition, the target ancilla is taken to (|0> - |1>)/sqrt(2) via X
 then H, and the control ancillas into (1/sqrt(k)) sum_j |j>.  Each key
@@ -57,13 +67,15 @@ QUBIT_CAP = 24
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Amplitude pairs per block of an in-place X gate.  lo, hi and the
-# scratch block hold 256 KB of complex128 each, so a block stays in a
-# core's L2 cache while the gate's three copies run over it.
+# scratch block hold 128 KB of float64 each (256 KB for a complex
+# state), so a block stays in a core's L2 cache while the gate's three
+# copies run over it.
 _BLOCK = 1 << 14
 
 # A Hadamard layer runs all its gates over one tile before moving to the
 # next.  For qubits below _TILE_BITS a tile is 2^16 contiguous amplitudes
-# (1 MB, within a core's L2 cache), seen as four axes of 4 qubits each.
+# (512 KB of float64, 1 MB for a complex state, within a core's L2
+# cache), seen as four axes of 4 qubits each.
 # numpy runs a gate at full speed only when the paired amplitudes form
 # contiguous runs of at least 2^12 (shorter runs go through its ufunc
 # buffers, 2-10x slower), so the tile is copied with the gate's qubit
@@ -75,9 +87,10 @@ _GROUP_SHAPE = (1 << _GROUP_BITS,) * (_TILE_BITS // _GROUP_BITS)
 _NATURAL_ORDER = tuple(reversed(range(len(_GROUP_SHAPE))))
 _MIN_RUN = _TILE >> _GROUP_BITS
 
-# Shots drawn per rng.choice call when sampling, so that memory stays
-# bounded however many shots are asked for.  The draws read the same
-# random doubles in the same order as one call over all shots.
+# Draws per rng call, for measurement shots here and for Monte Carlo
+# trials and oracle queries in `adversary`, so that memory stays bounded
+# however many are asked for.  Chunked draws read the same random stream
+# in the same order as one call over all of them.
 _SHOT_CHUNK = 1 << 20
 
 
@@ -122,7 +135,7 @@ class CircuitSpec:
 
     def to_statevector(self) -> "StateVector":
         """The closed-form final state as a dense statevector."""
-        view = np.zeros((1 << self.r, 2, 1 << self.n), dtype=np.complex128)
+        view = np.zeros((1 << self.r, 2, 1 << self.n))
         branches, data = np.arange(self.k), self.keys.values()
         view[branches, :, data] = np.array([1.0, -1.0]) / math.sqrt(2 * self.k)
         return StateVector(self.n, self.r, view.reshape(-1))
@@ -156,7 +169,12 @@ def build_circuit(keys: KeySet) -> CircuitSpec:
 
 
 class StateVector:
-    """Dense complex amplitudes over the full (n + 1 + r)-qubit register."""
+    """Dense amplitudes over the full (n + 1 + r)-qubit register.
+
+    A new state, |0..0>, is real float64, as is every state the circuit
+    reaches from it.  Given amplitudes keep their kind: a real array is
+    stored as float64 and any other as complex128.
+    """
 
     __slots__ = ("n", "r", "amps")
 
@@ -171,11 +189,13 @@ class StateVector:
         self.r = r
         dim = 1 << (n + 1 + r)
         if amps is None:
-            amps = np.zeros(dim, dtype=np.complex128)
+            amps = np.zeros(dim)
             amps[0] = 1.0
         else:
-            # The gate kernels work on reshaped views of one C-ordered array.
-            amps = np.ascontiguousarray(amps, dtype=np.complex128)
+            # The gate kernels work on reshaped views of one C-ordered
+            # array; real amplitudes stay real, any others are complex.
+            kind = np.float64 if np.isrealobj(amps) else np.complex128
+            amps = np.ascontiguousarray(amps, dtype=kind)
             if amps.shape != (dim,):
                 raise InputError(
                     f"amplitude array has shape {amps.shape}, expected ({dim},)"
@@ -613,10 +633,22 @@ class ClassicalOracle:
         return self.keys.n
 
     def query(self, x: SecretKey) -> int:
+        return int(self.query_batch(x, 1)[0])
+
+    def query_batch(self, x: SecretKey, size: int) -> np.ndarray:
+        """Answers to `size` independent queries with the same input x.
+
+        Charges `size` queries and draws the keys with one
+        `rng.integers(k, size=size)`, which reads the same stream as
+        `size` single draws.
+        """
         if x.n != self.keys.n:
             raise InputError(
                 f"input length {x.n} does not match key length {self.keys.n}"
             )
-        i = int(self.rng.integers(self.keys.k))
-        self.queries += 1
-        return dot_mod2(x, self.keys.keys[i])
+        if size < 1:
+            raise InputError(f"query batch size must be >= 1, got {size}")
+        answers = np.array([dot_mod2(x, key) for key in self.keys.keys])
+        picks = self.rng.integers(self.keys.k, size=size)
+        self.queries += size
+        return answers[picks]

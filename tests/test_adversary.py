@@ -1,6 +1,7 @@
 """Classical baseline strategies and the quantum coupon experiment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from multikey_bv import (
     InputError,
     KeySet,
     SecretKey,
+    bit_sum_profile,
     classical_bv_single_key,
     classical_guess_attack,
+    count_consistent_keysets,
+    dot_mod2,
     estimate_bit_sums,
     prob_all_keys,
     quantum_coupon_experiment,
 )
+from multikey_bv import simulator
 from multikey_bv.adversary import (
     rounded_bit_sums,
     run_bit_sum_estimation,
@@ -184,6 +189,79 @@ class TestCouponExperiment:
                 p = prob_all_keys(k, m).value
                 sigma = math.sqrt(max(p * (1 - p), 1e-12) / 20_000)
                 assert abs(rate - p) <= 3 * sigma + 1e-12
+
+
+class TestChunkedDraws:
+    """Chunked draws against unchunked reference loops on the same seed.
+
+    The chunk is patched small so that every strategy crosses several
+    chunk boundaries, including a last partial chunk.
+    """
+
+    @pytest.mark.parametrize(
+        "texts,m",
+        [
+            (("011", "101"), 3),
+            (("001", "010", "100"), 4),
+            (("001", "010", "100"), 12),
+            (("101",), 1),
+        ],
+    )
+    def test_coupon_rate_matches_per_trial_loop(self, monkeypatch, texts, m):
+        ks, trials = keyset(*texts), 25
+        monkeypatch.setattr(simulator, "_SHOT_CHUNK", 10)
+        rate = quantum_coupon_experiment(ks, m, trials, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        p = simulator.run_circuit(ks).data_marginal()[np.array(ks.values())]
+        p = p / p.sum()
+        full = sum(
+            len(set(rng.choice(ks.k, size=m, p=p).tolist())) == ks.k
+            for _ in range(trials)
+        )
+        assert rate == full / trials
+
+    @pytest.mark.parametrize("texts", [("0001", "0011", "1011", "1110"), ("00", "01")])
+    def test_guess_attack_matches_per_draw_loop(self, monkeypatch, texts):
+        ks, runs = keyset(*texts), 25
+        monkeypatch.setattr(simulator, "_SHOT_CHUNK", 7)
+        report = classical_guess_attack(ks, runs, np.random.default_rng(11))
+        pool = count_consistent_keysets(
+            bit_sum_profile(ks), ks.k, include_multisets=True
+        ).distinct_multisets()
+        truth = pool.index(tuple(sorted(ks.values())))
+        rng = np.random.default_rng(11)
+        draws = [int(rng.integers(len(pool))) for _ in range(runs)]
+        assert report.success_probability == draws.count(truth) / runs
+        assert report.recovered == [format(v, f"0{ks.n}b") for v in pool[draws[-1]]]
+
+    def test_bit_sums_match_per_query_loop(self, monkeypatch):
+        ks, trials = keyset("0001", "0011", "1011", "1110", "0110"), 25
+        monkeypatch.setattr(simulator, "_SHOT_CHUNK", 7)
+        oracle = ClassicalOracle(ks, np.random.default_rng(5))
+        estimates = estimate_bit_sums(oracle, trials)
+        rng = np.random.default_rng(5)
+        expected = []
+        for q in range(ks.n):
+            x = SecretKey(1 << q, ks.n)
+            ones = sum(
+                dot_mod2(x, ks.keys[int(rng.integers(ks.k))]) for _ in range(trials)
+            )
+            expected.append(ks.k * ones / trials)
+        assert estimates.tolist() == expected
+        assert oracle.queries == ks.n * trials
+
+    def test_coupon_memory_does_not_grow_with_trials(self):
+        # One draw of 10^6 x 12 int64 would take 92 MiB before sorting.
+        ks = keyset("0001", "0011", "1011", "1110")
+        tracemalloc.start()
+        try:
+            rate = quantum_coupon_experiment(ks, 12, 10**6, np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        p = prob_all_keys(4, 12).value
+        assert abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / 10**6)
 
 
 class TestReports:

@@ -409,6 +409,8 @@ class TestGoldenOutputs:
              "e6d1992b8ad0fb5c8176f8da5f0ba8a4237e3e5e1a9c39641a445a533da384b0"),
             ("adversary", "00101,01100,10011", ["--oracle-path", "fast", "--trials", "2000"],
              "bb6541b2055b4b5baf95ec4ab8fb1a7c83fa93cf4210c910ffe469e8dd156df4"),
+            ("adversary", "00101,01100,10011", ["--trials", "2000"],
+             "2f34bd49cb31e3841d6229de680f32183a4d10781b8f0add00d4a8e89f010525"),
         ],
     )
     def test_seeded_record_digest(self, capsys, command, keys, extra, digest):

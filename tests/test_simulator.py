@@ -493,6 +493,61 @@ class TestRunCircuit:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_gate_path_amplitudes_are_real(self):
+        ks = keyset("010", "011", "011")
+        assert run_circuit(ks).amps.dtype == np.float64
+        assert run_circuit(ks, oracle_path="fast").to_statevector().amps.dtype == np.float64
+        assert StateVector(1, 0, np.eye(4)[0]).amps.dtype == np.float64
+        assert StateVector(1, 0, np.eye(4, dtype=complex)[0]).amps.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "n,values",
+        [
+            (1, (1,)),
+            (1, (1, 1)),
+            (15, (0x1234,)),
+            (15, (0x7001, 0x0f0f, 0x7001)),
+            (16, (0xbeef, 0x0001)),
+            (16, (0x8000, 0x1357, 0x1357, 0xffff, 0x2468, 0x8000)),
+            (17, (0x1abcd, 0x00001, 0x10000, 0x1abcd, 0x0ff00)),
+            (17, (0x10001, 0x0a0a0, 0x10001)),
+        ],
+    )
+    def test_real_gate_path_bit_identical_to_complex(self, n, values):
+        # r from 0 to 3, k not a power of two, and duplicate keys.
+        ks = KeySet(tuple(SecretKey(v, n) for v in values))
+        spec = build_circuit(ks)
+        start = np.zeros(1 << spec.total_qubits, dtype=np.complex128)
+        start[0] = 1.0
+        complex_state = StateVector(spec.n, spec.r, start)
+        for is_h, gates in itertools.groupby(spec.gates, key=lambda g: g[0] == "h"):
+            if is_h:
+                complex_state.apply_hadamard(*(gate[1] for gate in gates))
+            else:
+                for gate in gates:
+                    simulator._apply_gate(complex_state, spec, gate)
+        real_state = run_circuit(ks)
+        assert complex_state.amps.dtype == np.complex128
+        assert real_state.amps.dtype == np.float64
+        assert np.array_equal(
+            bits(real_state.amps), bits(np.ascontiguousarray(complex_state.amps.real))
+        )
+        assert not bits(np.ascontiguousarray(complex_state.amps.imag)).any()
+        assert np.array_equal(
+            bits(real_state.data_marginal()), bits(complex_state.data_marginal())
+        )
+
+    def test_gate_path_memory(self):
+        # n=19, k=8: 2^23 float64 amplitudes are 64 MiB; complex128 took 140.
+        ks = random_keyset(np.random.default_rng(19), 19, 8)
+        tracemalloc.start()
+        try:
+            run_circuit(ks).data_marginal()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20
+
     def test_unknown_path(self):
         with pytest.raises(InputError):
             run_circuit(keyset("01"), oracle_path="magic")
@@ -630,3 +685,19 @@ class TestClassicalOracle:
         oracle = ClassicalOracle(keyset("01"), np.random.default_rng(0))
         with pytest.raises(InputError):
             oracle.query(SecretKey(1, 3))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 100])
+    def test_batch_matches_single_queries(self, k):
+        ks = random_keyset(np.random.default_rng(k), 7, k)
+        x = SecretKey(0b1011001, 7)
+        single = ClassicalOracle(ks, np.random.default_rng(4))
+        batched = ClassicalOracle(ks, np.random.default_rng(4))
+        answers = [single.query(x) for _ in range(50)]
+        batches = batched.query_batch(x, 20).tolist() + batched.query_batch(x, 30).tolist()
+        assert batches == answers
+        assert single.queries == batched.queries == 50
+
+    def test_batch_rejects_empty_size(self):
+        oracle = ClassicalOracle(keyset("01"), np.random.default_rng(0))
+        with pytest.raises(InputError):
+            oracle.query_batch(SecretKey(1, 2), 0)
