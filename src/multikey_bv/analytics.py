@@ -9,10 +9,12 @@ are refused instead of grinding through million-digit numbers.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import mul
 
 from .errors import CapacityError, InputError
 from .keyspace import BitSumProfile, KeySet, bit_sum_profile, multiplicity
@@ -29,21 +31,71 @@ def _check_exact_range(m: int, k: int) -> None:
         )
 
 
+def _check_cell(k: int, m: int) -> None:
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    if m < 0:
+        raise InputError(f"m must be >= 0, got {m}")
+    _check_exact_range(m, k)
+
+
+def _check_grid(ks: Sequence[int], ms: Sequence[int]) -> None:
+    """Raise the error of the first invalid (k, m) cell in k-major order.
+
+    Every valid k and m lies in [0, MAX_EXACT_ARG], so each scan stops
+    within MAX_EXACT_ARG + 2 entries of a range, however long the range.
+    """
+    if not ms:
+        return
+    bad_m = next((m for m in ms if not 0 <= m <= MAX_EXACT_ARG), None)
+    for k in ks:
+        if not 1 <= k <= MAX_EXACT_ARG:
+            _check_cell(k, ms[0])
+        if bad_m is not None:
+            _check_cell(k, bad_m)
+
+
+def _surjection_grid(
+    ks: Iterable[int], ms: Sequence[int]
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (k, m, surjections(m, k), k**m) for every cell, k-major.
+
+    Inclusion-exclusion: surjections(m, k) = sum_j (-1)^(k-j) C(k,j) j^m
+    over j = 0..k, which holds for m >= 1; m < k gives 0 directly.  Per
+    k the signed binomial row is built once, and the powers j^m are
+    raised once and then stepped to each later m by j^(m - prev), so
+    memory holds one row and one power list whatever the grid's size.
+    """
+    for k in ks:
+        row = powers = None
+        prev = 0
+        for m in ms:
+            if m < k:
+                yield k, m, 0, k**m
+                continue
+            if row is None:
+                row = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
+            if powers is None or m < prev:
+                powers = [j**m for j in range(k + 1)]
+            elif m > prev:
+                step = m - prev
+                for j in range(k + 1):
+                    powers[j] *= j**step
+            prev = m
+            yield k, m, sum(map(mul, row, powers)), powers[k]
+
+
 def surjection_count(m: int, k: int) -> int:
     """Number of surjections from an m-element set onto a k-element set.
 
-    Inclusion-exclusion: sum_{i=0}^{k-1} (-1)^i C(k,i) (k-i)^m.  Exact.
-    The m < k case is returned as 0 directly; the alternating sum only
-    equals the surjection count for m >= 1.
+    Exact, from the inclusion-exclusion sum of `recovery_grid`.
     """
     if m < 0:
         raise InputError(f"m must be >= 0, got {m}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     _check_exact_range(m, k)
-    if m < k:
-        return 0
-    return sum((-1) ** i * comb(k, i) * (k - i) ** m for i in range(k))
+    return next(_surjection_grid([k], [m]))[2]
 
 
 @dataclass(frozen=True)
@@ -60,16 +112,27 @@ class RecoveryProbability:
         return float(self.exact)
 
 
+def recovery_grid(
+    ks: Sequence[int], ms: Sequence[int]
+) -> Iterator[RecoveryProbability]:
+    """All-keys recovery probability surjections(m, k) / k**m for every
+    k in ks and m in ms, k-major.
+
+    The whole grid is checked before any cell is computed: an invalid
+    cell raises at the call, with the error the first invalid cell in
+    k-major order would give.  Cells then come one at a time, so pass
+    ranges for large grids.  `ms` is iterated once per k.
+    """
+    _check_grid(ks, ms)
+    return (
+        RecoveryProbability(k, m, Fraction(count, total))
+        for k, m, count, total in _surjection_grid(ks, ms)
+    )
+
+
 def prob_all_keys(k: int, m: int) -> RecoveryProbability:
     """All-keys recovery probability: surjections(m, k) / k**m."""
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    if m < 0:
-        raise InputError(f"m must be >= 0, got {m}")
-    _check_exact_range(m, k)
-    if m < k:
-        return RecoveryProbability(k, m, Fraction(0))
-    return RecoveryProbability(k, m, Fraction(surjection_count(m, k), k**m))
+    return next(recovery_grid([k], [m]))
 
 
 def prob_two_keys(m: int) -> Fraction:

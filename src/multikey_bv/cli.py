@@ -32,8 +32,8 @@ from .analytics import (
     classical_guess_bound,
     classical_guess_exact,
     count_consistent_keysets,
-    prob_all_keys,
     probability_record,
+    recovery_grid,
 )
 from .errors import CapacityError, InputError
 from .keyspace import KeySet, bit_sum_profile, multiplicity
@@ -63,16 +63,16 @@ def _parse_keys(args) -> KeySet:
     return keys
 
 
-def _parse_range(text: str, flag: str) -> list[int]:
-    """Accept '3' or an inclusive range '2:6'."""
+def _parse_range(text: str, flag: str) -> range:
+    """Accept '3' or an inclusive range '2:6'.  The range is not built:
+    `recovery_grid` checks its bounds before computing any cell."""
     try:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, sep, hi = text.partition(":")
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+        if hi < lo:
+            raise ValueError
+        return range(lo, hi + 1)
     except ValueError:
         raise InputError(f"{flag} expects an integer or 'lo:hi', got {text!r}")
 
@@ -200,23 +200,23 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
         if args.k is None or args.m is None:
             raise InputError("--k and --m must be given together for the recovery grid")
         grid = []
-        for k in _parse_range(args.k, "--k"):
-            for m in _parse_range(args.m, "--m"):
-                p = prob_all_keys(k, m)
-                rec = probability_record(
-                    "all-keys-recovery", {"k": k, "m": m}, p.exact
-                )
-                grid.append(rec)
-                rows.append(
-                    {
-                        "name": "all-keys-recovery",
-                        "k": k,
-                        "m": m,
-                        "num": rec["rational"]["num"],
-                        "den": rec["rational"]["den"],
-                        "double": rec["double"],
-                    }
-                )
+        ks = _parse_range(args.k, "--k")
+        ms = _parse_range(args.m, "--m")
+        for p in recovery_grid(ks, ms):
+            rec = probability_record(
+                "all-keys-recovery", {"k": p.k, "m": p.m}, p.exact
+            )
+            grid.append(rec)
+            rows.append(
+                {
+                    "name": "all-keys-recovery",
+                    "k": p.k,
+                    "m": p.m,
+                    "num": rec["rational"]["num"],
+                    "den": rec["rational"]["den"],
+                    "double": rec["double"],
+                }
+            )
         results["recovery_grid"] = grid
 
     if args.keys:

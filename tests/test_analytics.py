@@ -22,6 +22,8 @@ from multikey_bv import (
     prob_two_keys,
     surjection_count,
 )
+from multikey_bv import analytics
+from multikey_bv.analytics import MAX_EXACT_ARG, recovery_grid
 
 
 def surjections_by_enumeration(m: int, k: int) -> int:
@@ -31,6 +33,15 @@ def surjections_by_enumeration(m: int, k: int) -> int:
         if len(set(func)) == k:
             hits += 1
     return hits
+
+
+def recovery_by_stirling(k: int, m: int) -> Fraction:
+    """Independent route: k! S(m, k) / k**m, with the Stirling number
+    S(m, k) from the recurrence S(j, i) = i S(j-1, i) + S(j-1, i-1)."""
+    row = [1] + [0] * k  # S(0, 0..k)
+    for _ in range(m):
+        row = [0] + [i * row[i] + row[i - 1] for i in range(1, k + 1)]
+    return Fraction(factorial(k) * row[k], k**m)
 
 
 def ordered_hits_by_enumeration(values: tuple[int, ...], n: int) -> tuple[int, int]:
@@ -128,6 +139,63 @@ class TestProbAllKeys:
                 freq = np.count_nonzero(distinct == k) / trials
                 sigma = np.sqrt(max(p * (1 - p), 1e-12) / trials)
                 assert abs(freq - p) <= 3 * sigma + 1e-12, (k, m, freq, p)
+
+
+class TestRecoveryGrid:
+    def test_matches_stirling_small(self):
+        # every k <= 9 and m <= 14, including m < k, m = 0 and k = 1
+        cells = list(recovery_grid(range(1, 10), range(15)))
+        assert [(p.k, p.m) for p in cells] == [
+            (k, m) for k in range(1, 10) for m in range(15)
+        ]
+        for p in cells:
+            assert p.exact == recovery_by_stirling(p.k, p.m), (p.k, p.m)
+
+    def test_non_consecutive_and_unordered_ms(self):
+        for ms in ([3, 9, 20], [20, 9, 9, 3, 20]):
+            cells = list(recovery_grid([1, 2, 5, 9], ms))
+            assert [(p.k, p.m) for p in cells] == [
+                (k, m) for k in (1, 2, 5, 9) for m in ms
+            ]
+            for p in cells:
+                assert p.exact == recovery_by_stirling(p.k, p.m), (p.k, p.m)
+
+    def test_large_cell_matches_stirling(self):
+        (p,) = recovery_grid([300], [1700])
+        assert p.exact == recovery_by_stirling(300, 1700)
+
+    def test_prob_all_keys_and_surjection_count_agree(self):
+        for p in recovery_grid(range(1, 7), range(0, 12, 2)):
+            assert prob_all_keys(p.k, p.m) == p
+            assert p.exact == Fraction(surjection_count(p.m, p.k), p.k**p.m)
+
+    @pytest.mark.parametrize(
+        "ks,ms,error,message",
+        [
+            ([0, 1], [-1, 2], InputError, "k must be >= 1, got 0"),
+            ([1, 2], [-1, 2], InputError, "m must be >= 0, got -1"),
+            ([4097], [-3], InputError, "m must be >= 0, got -3"),
+            ([1, 4097], [0, 5000], CapacityError, r"\(m=5000, k=1\)"),
+            ([4097], [5000, 0], CapacityError, r"\(m=5000, k=4097\)"),
+            (range(5, 10**11), range(3), CapacityError, r"\(m=0, k=4097\)"),
+            (range(1, 3), range(2, 10**11), CapacityError, r"\(m=4097, k=1\)"),
+        ],
+    )
+    def test_first_invalid_cell_refused_at_call(
+        self, monkeypatch, ks, ms, error, message
+    ):
+        # the refusal comes before any cell is computed, even before the
+        # returned iterator is advanced
+        def no_cells(ks, ms):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(analytics, "_surjection_grid", no_cells)
+        with pytest.raises(error, match=message):
+            recovery_grid(ks, ms)
+
+    def test_empty_grid(self):
+        assert list(recovery_grid([1, MAX_EXACT_ARG + 1], [])) == []
+        assert list(recovery_grid([], [3])) == []
 
 
 class TestProbTwoKeys:

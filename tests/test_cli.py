@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from multikey_bv import cli, prob_all_keys
+from multikey_bv import analytics, cli, prob_all_keys
 from multikey_bv.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, main
 
 
@@ -237,6 +237,34 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "--k", "2", "--m", "x", "--seed", "1")
         assert code == EXIT_INPUT
 
+    def test_huge_range_refused_without_building_it(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "--k", "1:100000000000", "--m", "3", "--seed", "1"
+        )
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err == (
+            "capacity error: (m=3, k=4097) exceeds the supported "
+            "exact-arithmetic range (both must be <= 4096)\n"
+        )
+
+    def test_grid_refused_before_any_cell(self, capsys, monkeypatch):
+        # k=4090..4096 are valid cells; the whole grid is still refused
+        # with the first invalid cell's error before any cell is computed
+        def no_cells(ks, ms):
+            raise AssertionError("a cell was computed")
+
+        monkeypatch.setattr(analytics, "_surjection_grid", no_cells)
+        code, out, err = run(
+            capsys, "analyze", "--k", "4090:4097", "--m", "4096", "--seed", "1"
+        )
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err == (
+            "capacity error: (m=4096, k=4097) exceeds the supported "
+            "exact-arithmetic range (both must be <= 4096)\n"
+        )
+
 
 class TestAdversary:
     def test_multi_key_comparison(self, capsys):
@@ -420,6 +448,25 @@ class TestGoldenOutputs:
         )
         record = without_wall_times(record)
         assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
+
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("json", "9e98706630eeafe569f5fb44139a52c063762259f6e2710494aab6414dc4fd56"),
+            ("csv", "f9535f04d4ee3f410e2c47f400dcc61103a3bb5f74e02cf77dfa108a08d13f7b"),
+            ("text", "a955c5820c18f2367bff8be9d59a74bc68e3972e63beb71d4faea055b860adf0"),
+        ],
+    )
+    def test_seeded_recovery_grid_digest(self, capsys, fmt, digest):
+        code, out, _ = run(
+            capsys, "analyze", "--k", "296:300", "--m", "1690:1700",
+            "--seed", "7", "--format", fmt,
+        )
+        assert code == EXIT_OK
+        if fmt == "json":
+            out = json.dumps(without_wall_times(json.loads(out)))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def without_wall_times(value):
