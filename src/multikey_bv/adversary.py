@@ -24,7 +24,7 @@ from .analytics import (
 )
 from .errors import InputError
 from .keyspace import BitSumProfile, KeySet, SecretKey, bit_sum_profile
-from .simulator import ClassicalOracle, run_circuit
+from .simulator import ClassicalOracle, exact_distribution, run_circuit
 
 
 @dataclass
@@ -217,9 +217,8 @@ def quantum_coupon_experiment(
     k = keys.k
     if m < k:
         return 0.0
-    state = run_circuit(keys, oracle_path=oracle_path)
-    marginal = state.data_marginal()
-    p = marginal[np.array(keys.values())]
+    dist = exact_distribution(run_circuit(keys, oracle_path=oracle_path))
+    p = np.array([dist[str(key)] for key in keys])
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise InputError(
@@ -289,11 +288,14 @@ def run_coupon_experiment(
     seed: int,
     oracle_path: str = "gate",
 ) -> ExperimentReport:
-    """Quantum-side all-keys recovery rate over repeated circuit runs."""
+    """Quantum-side all-keys recovery rate over repeated circuit runs.
+
+    The exact theory comes first: it refuses an out-of-range m at once.
+    """
     t0 = time.perf_counter()
+    theory = prob_all_keys(keys.k, m)
     rng = np.random.default_rng(seed)
     rate = quantum_coupon_experiment(keys, m, trials, rng, oracle_path)
-    theory = prob_all_keys(keys.k, m)
     return ExperimentReport(
         strategy="quantum-repeated-measurement",
         queries=m * trials,

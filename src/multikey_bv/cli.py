@@ -101,7 +101,6 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
     keys = _parse_keys(args)
     seed = _resolve_seed(args)
     if args.dump_state:
-        # build_circuit refuses a circuit over the qubit cap first.
         total = build_circuit(keys).total_qubits
         if total > STATE_DUMP_QUBIT_CAP:
             raise CapacityError(
@@ -152,12 +151,8 @@ def cmd_sample(args) -> tuple[dict, list[dict]]:
     seed = _resolve_seed(args)
     if args.shots < 1:
         raise InputError(f"shots must be >= 1, got {args.shots}")
-    state = run_circuit(keys, oracle_path=args.oracle_path)
-    marginal = state.data_marginal()
-    dist = exact_distribution(state, marginal=marginal)
-    hist = measure_data_register(
-        state, args.shots, np.random.default_rng(seed), marginal=marginal
-    )
+    dist = exact_distribution(run_circuit(keys, oracle_path=args.oracle_path))
+    hist = measure_data_register(dist, args.shots, np.random.default_rng(seed))
     chi = chi_square_vs_exact(hist, dist)
     record = _base_record(
         "sample",
@@ -305,6 +300,9 @@ def cmd_adversary(args) -> tuple[dict, list[dict]]:
     seed = _resolve_seed(args)
     k = keys.k
     m = args.m_int if args.m_int is not None else 3 * k
+    # recovery_grid checks its cells at the call, so an m outside the
+    # coupon theory's exact range is refused before any strategy runs.
+    recovery_grid([k], [m])
     streams = np.random.SeedSequence(seed).spawn(3)
     stream_seeds = [int(s.generate_state(1)[0]) for s in streams]
 

@@ -45,10 +45,15 @@ amplitudes of its branch one data tile at a time, through a low-bit
 parity mask or its complement.  The gates give results bit-identical to
 the textbook pair formula applied one gate at a time, and no gate
 writes an amplitude the circuit leaves at zero.  The fast path
-(`oracle_path="fast"`) returns the `CircuitSpec`, which answers from the
+(`oracle_path="fast"`) returns the `CircuitSpec`, which stands for the
 closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i> without gates or
 amplitudes; its only nonzero amplitudes are +1/sqrt(2k) at (control i,
 target 0, data s_i) and -1/sqrt(2k) at (control i, target 1, data s_i).
+
+`exact_distribution` is the one route from either final state to
+outcome probabilities; for a spec it reads the key multiset, with no 2^n
+array.  `QUBIT_CAP` is checked only where amplitudes are allocated, in
+`StateVector`, so the fast path has no qubit cap.
 """
 
 from __future__ import annotations
@@ -93,6 +98,9 @@ _MIN_RUN = _TILE >> _GROUP_BITS
 # in the same order as one call over all of them.
 _SHOT_CHUNK = 1 << 20
 
+# Dense-marginal entries at or below this are rounding noise, not outcomes.
+_PROB_TOL = 1e-12
+
 
 def control_width(k: int) -> int:
     """Number of control ancillas needed to address k unitaries."""
@@ -122,23 +130,18 @@ class CircuitSpec:
     def total_qubits(self) -> int:
         return self.n + 1 + self.r
 
-    def data_marginal(self) -> np.ndarray:
-        """Data-register marginal of the closed-form state, without amplitudes.
-
-        Key t gets the square 1/(2k) added 2 b_t times in turn, as the
-        dense row sum adds it, so this is bit-identical to the dense one.
-        """
-        probs = np.zeros(1 << self.n)
-        amp = 1.0 / math.sqrt(2 * self.k)
-        np.add.at(probs, np.repeat(self.keys.values(), 2), amp * amp)
-        return probs
-
     def to_statevector(self) -> "StateVector":
-        """The closed-form final state as a dense statevector."""
-        view = np.zeros((1 << self.r, 2, 1 << self.n))
+        """The closed-form final state as a dense statevector.
+
+        The state is created, and so checked against the qubit cap,
+        before any amplitude is written.
+        """
+        state = StateVector(self.n, self.r)
+        state.amps[0] = 0.0
+        view = state.amps.reshape(1 << self.r, 2, 1 << self.n)
         branches, data = np.arange(self.k), self.keys.values()
         view[branches, :, data] = np.array([1.0, -1.0]) / math.sqrt(2 * self.k)
-        return StateVector(self.n, self.r, view.reshape(-1))
+        return state
 
 
 def build_circuit(keys: KeySet) -> CircuitSpec:
@@ -149,12 +152,6 @@ def build_circuit(keys: KeySet) -> CircuitSpec:
     """
     n, k = keys.n, keys.k
     r = control_width(k)
-    total = n + 1 + r
-    if total > QUBIT_CAP:
-        raise CapacityError(
-            f"circuit needs {total} qubits ({n} data + 1 target + {r} control), "
-            f"cap is {QUBIT_CAP}"
-        )
     target = n
     gates: list[tuple] = [("h", q) for q in range(n)]
     gates += [("x", target), ("h", target)]
@@ -183,7 +180,8 @@ class StateVector:
             raise InputError(f"invalid register sizes n={n}, r={r}")
         if n + 1 + r > QUBIT_CAP:
             raise CapacityError(
-                f"{n + 1 + r} qubits exceed the cap of {QUBIT_CAP}"
+                f"circuit needs {n + 1 + r} qubits ({n} data + 1 target + "
+                f"{r} control), cap is {QUBIT_CAP}"
             )
         self.n = n
         self.r = r
@@ -474,9 +472,9 @@ def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | Circui
     """Return the circuit's final state.
 
     The gate path simulates the circuit gate by gate into a dense
-    `StateVector`; the fast path returns the `CircuitSpec`, which answers
-    from the closed-form final state without allocating it.  Both give
-    the data marginal b_t / k for each key t occurring b_t times.
+    `StateVector`; the fast path returns the `CircuitSpec`, which stands
+    for the closed-form final state without allocating it.  For both,
+    `exact_distribution` gives b_t / k for each key t occurring b_t times.
     """
     spec = build_circuit(keys)
     if oracle_path == "gate":
@@ -496,9 +494,7 @@ def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | Circui
 
 def _apply_gate(state: StateVector, spec: CircuitSpec, gate: tuple) -> None:
     op = gate[0]
-    if op == "h":
-        state.apply_hadamard(gate[1])
-    elif op == "x":
+    if op == "x":
         state.apply_x(gate[1])
     elif op == "prepare_uniform":
         state.prepare_uniform(gate[1])
@@ -509,23 +505,28 @@ def _apply_gate(state: StateVector, spec: CircuitSpec, gate: tuple) -> None:
         raise InputError(f"unknown gate {gate!r}")
 
 
-def exact_distribution(
-    state: StateVector | CircuitSpec,
-    tol: float = 1e-12,
-    *,
-    marginal: np.ndarray | None = None,
-) -> dict[str, float]:
-    """Marginal probability of each data-register outcome, MSB-first keys.
+def exact_distribution(state: StateVector | CircuitSpec) -> dict[str, float]:
+    """Probability of each data-register outcome, MSB-first keys, ascending.
 
-    Entries below `tol` are dropped; the remainder sums to 1 within
-    numerical precision.  `marginal`, when given, is the state's
-    `data_marginal()`, already computed by the caller.
+    A `StateVector` gives the outcomes of its `data_marginal()` above
+    `_PROB_TOL`; the remainder sums to 1 within numerical precision.  A
+    `CircuitSpec` gives its keys only: key t gets the square 1/(2k) added
+    2 b_t times in turn, the additions the dense row sum makes, so each
+    value is bit-identical to the dense marginal's and no 2^n array is
+    allocated.
     """
-    probs = state.data_marginal() if marginal is None else marginal
     n = state.n
+    if isinstance(state, CircuitSpec):
+        amp = 1.0 / math.sqrt(2 * state.k)
+        square = amp * amp
+        sums: dict[int, float] = {}
+        for value in state.keys.values():
+            sums[value] = sums.get(value, 0.0) + square + square
+        return {format(x, f"0{n}b"): sums[x] for x in sorted(sums)}
+    probs = state.data_marginal()
     return {
         format(int(x), f"0{n}b"): float(probs[x])
-        for x in np.flatnonzero(probs > tol)
+        for x in np.flatnonzero(probs > _PROB_TOL)
     }
 
 
@@ -555,31 +556,25 @@ class Histogram:
 
 
 def measure_data_register(
-    state: StateVector | CircuitSpec,
-    shots: int,
-    rng: np.random.Generator,
-    *,
-    marginal: np.ndarray | None = None,
+    exact: dict[str, float], shots: int, rng: np.random.Generator
 ) -> Histogram:
-    """Draw i.i.d. samples from the exact data-register marginal.
+    """Draw i.i.d. samples from an `exact_distribution` result.
 
-    Shots are drawn `_SHOT_CHUNK` at a time and tallied per chunk.
-    `marginal`, when given, is the state's `data_marginal()`, already
-    computed by the caller; it is not modified.
+    The outcomes are drawn in ascending order, `_SHOT_CHUNK` shots at a
+    time, and tallied per chunk.
     """
     if shots < 1:
         raise InputError(f"shots must be >= 1, got {shots}")
-    probs = state.data_marginal() if marginal is None else marginal
-    probs = np.clip(probs, 0.0, None)
+    outcomes = sorted(exact)
+    probs = np.array([exact[outcome] for outcome in outcomes])
     probs /= probs.sum()
-    tallies = np.zeros(probs.size, dtype=np.int64)
+    tallies = np.zeros(len(outcomes), dtype=np.int64)
     for start in range(0, shots, _SHOT_CHUNK):
         size = min(_SHOT_CHUNK, shots - start)
-        drawn = rng.choice(probs.size, size=size, p=probs)
-        tallies += np.bincount(drawn, minlength=probs.size)
-    n = state.n
+        drawn = rng.choice(len(outcomes), size=size, p=probs)
+        tallies += np.bincount(drawn, minlength=len(outcomes))
     counts = {
-        format(int(x), f"0{n}b"): int(tallies[x]) for x in np.flatnonzero(tallies)
+        outcome: int(tally) for outcome, tally in zip(outcomes, tallies) if tally
     }
     return Histogram(counts=counts, shots=shots)
 

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from multikey_bv import analytics, cli, prob_all_keys
+from multikey_bv import adversary, analytics, cli, prob_all_keys
 from multikey_bv.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, main
 
 
@@ -85,7 +87,7 @@ class TestSimulate:
             "--dump-state",
         )
         assert code == EXIT_CAPACITY
-        assert "circuit needs 32 qubits" in err
+        assert "statevector dump limited to 12 qubits, circuit has 32" in err
 
     def test_n_mismatch_is_input_error(self, capsys):
         code, _, err = run(
@@ -104,6 +106,53 @@ class TestSimulate:
         )
         assert code == EXIT_CAPACITY
         assert "qubits" in err
+
+
+@pytest.fixture(scope="module")
+def wide_keys() -> str:
+    """10^4 distinct seeded 64-bit keys: a 79-qubit circuit."""
+    values = np.random.default_rng(64).integers(
+        1 << 64, size=10_000, dtype=np.uint64
+    ).tolist()
+    assert len(set(values)) == 10_000
+    return ",".join(format(v, "064b") for v in values)
+
+
+class TestBeyondQubitCap:
+    @pytest.mark.parametrize("command", ["simulate", "sample"])
+    def test_fast_path_answers_in_bounded_memory(self, capsys, wide_keys, command):
+        # A small run first, so that module imports (scipy for the
+        # chi-square) are not traced.
+        run(capsys, command, "--keys", "01,10", "--seed", "1", "--oracle-path", "fast")
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, command, "--keys", wide_keys, "--seed", "1",
+                "--oracle-path", "fast",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, err
+        assert peak < 32 * 2**20
+        results = json.loads(out)["results"]
+        if command == "simulate":
+            assert results["total_qubits"] == 79
+            rows = results["distribution"]
+            assert [row["outcome"] for row in rows] == sorted(wide_keys.split(","))
+            assert all(row["probability"] == pytest.approx(1e-4) for row in rows)
+        else:
+            assert sum(row["count"] for row in results["histogram"]) == 1024
+            assert results["chi_square"]["dof"] == 9_999
+
+    @pytest.mark.parametrize("command", ["simulate", "sample"])
+    def test_gate_path_refused(self, capsys, wide_keys, command):
+        code, _, err = run(capsys, command, "--keys", wide_keys, "--seed", "1")
+        assert code == EXIT_CAPACITY
+        assert (
+            "circuit needs 79 qubits (64 data + 1 target + 14 control), cap is 24"
+            in err
+        )
 
 
 class TestSample:
@@ -286,6 +335,29 @@ class TestAdversary:
         assert comp["classical_success"] < 0.2
         for rep in record["results"]["reports"]:
             assert rep["assumes_k_known"] is True
+
+    @pytest.mark.parametrize(
+        "m,code,message",
+        [
+            ("5000", EXIT_CAPACITY, "(m=5000, k=2)"),
+            ("300000000", EXIT_CAPACITY, "(m=300000000, k=2)"),
+            ("-1", EXIT_INPUT, "m must be >= 0"),
+        ],
+    )
+    def test_bad_m_refused_before_any_strategy(
+        self, capsys, monkeypatch, m, code, message
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a strategy ran")
+
+        monkeypatch.setattr(adversary, "run_circuit", fail)
+        monkeypatch.setattr(adversary, "estimate_bit_sums", fail)
+        result, _, err = run(
+            capsys, "adversary", "--keys", "01,10", "--m", m, "--trials", "1",
+            "--seed", "1",
+        )
+        assert result == code
+        assert message in err
 
     def test_single_key_both_certain(self, capsys):
         record = run_json(

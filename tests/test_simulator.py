@@ -105,7 +105,10 @@ class TestGates:
         from multikey_bv.simulator import _apply_gate
 
         for gate in spec.gates:
-            _apply_gate(st, spec, gate)
+            if gate[0] == "h":
+                st.apply_hadamard(gate[1])
+            else:
+                _apply_gate(st, spec, gate)
             assert abs(st.norm() - 1.0) < 1e-10
 
     def test_index_out_of_range(self):
@@ -373,7 +376,7 @@ class TestBuildCircuit:
     def test_qubit_cap(self):
         ks = KeySet.from_strings(["0" * 23 + "1"])
         with pytest.raises(CapacityError, match="qubits"):
-            build_circuit(ks)
+            run_circuit(ks, "gate")
 
 
 class TestRunCircuit:
@@ -484,14 +487,21 @@ class TestRunCircuit:
         tracemalloc.start()
         try:
             fast = run_circuit(ks, oracle_path="fast")
-            marginal = fast.data_marginal()
             measure_data_register(
-                fast, 100_000, np.random.default_rng(0), marginal=marginal
+                exact_distribution(fast), 100_000, np.random.default_rng(0)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_fast_path_beyond_cap_refuses_only_the_dense_state(self):
+        low, high = "0" * 23 + "1", "1" * 24
+        spec = run_circuit(keyset(low, high), oracle_path="fast")
+        assert spec.total_qubits == 26
+        assert exact_distribution(spec) == {low: 0.5, high: 0.5}
+        with pytest.raises(CapacityError, match="circuit needs 26 qubits"):
+            spec.to_statevector()
 
     def test_gate_path_amplitudes_are_real(self):
         ks = keyset("010", "011", "011")
@@ -582,19 +592,25 @@ class TestExactDistribution:
 class TestMeasurement:
     def test_deterministic_outcome(self):
         st = run_circuit(keyset("101"))
-        hist = measure_data_register(st, 100, np.random.default_rng(0))
+        hist = measure_data_register(
+            exact_distribution(st), 100, np.random.default_rng(0)
+        )
         assert hist.counts == {"101": 100}
 
     def test_conservation(self):
         st = run_circuit(keyset("011", "101"))
         for shots in (1, 7, 1024):
-            hist = measure_data_register(st, shots, np.random.default_rng(1))
+            hist = measure_data_register(
+                exact_distribution(st), shots, np.random.default_rng(1)
+            )
             assert sum(hist.counts.values()) == shots
             assert hist.shots == shots
 
     def test_two_key_histogram_within_three_sigma(self):
         st = run_circuit(keyset("011", "101"))
-        hist = measure_data_register(st, 1024, np.random.default_rng(99))
+        hist = measure_data_register(
+            exact_distribution(st), 1024, np.random.default_rng(99)
+        )
         sigma = math.sqrt(0.25 / 1024)
         for outcome in ("011", "101"):
             p_hat = hist.counts.get(outcome, 0) / 1024
@@ -602,15 +618,21 @@ class TestMeasurement:
 
     def test_seeded_determinism(self):
         st = run_circuit(keyset("0011", "0101", "1001", "1111"))
-        a = measure_data_register(st, 512, np.random.default_rng(1234))
-        b = measure_data_register(st, 512, np.random.default_rng(1234))
+        a = measure_data_register(
+            exact_distribution(st), 512, np.random.default_rng(1234)
+        )
+        b = measure_data_register(
+            exact_distribution(st), 512, np.random.default_rng(1234)
+        )
         assert a == b
 
     @pytest.mark.parametrize("shots", [7, 8, 25])
     def test_chunked_draws_match_one_call(self, monkeypatch, shots):
         monkeypatch.setattr(simulator, "_SHOT_CHUNK", 8)
         st = run_circuit(keyset("001", "011", "011", "110", "111"))
-        hist = measure_data_register(st, shots, np.random.default_rng(42))
+        hist = measure_data_register(
+            exact_distribution(st), shots, np.random.default_rng(42)
+        )
         probs = st.data_marginal()
         probs /= probs.sum()
         drawn = np.random.default_rng(42).choice(probs.size, size=shots, p=probs)
@@ -623,11 +645,15 @@ class TestMeasurement:
 
     def test_rejects_zero_shots(self):
         with pytest.raises(InputError):
-            measure_data_register(run_circuit(keyset("01")), 0, np.random.default_rng(0))
+            measure_data_register(
+                exact_distribution(run_circuit(keyset("01"))), 0, np.random.default_rng(0)
+            )
 
     def test_serialization_records(self):
         st = run_circuit(keyset("011", "101"))
-        hist = measure_data_register(st, 64, np.random.default_rng(5))
+        hist = measure_data_register(
+            exact_distribution(st), 64, np.random.default_rng(5)
+        )
         records = hist.to_records(exact=exact_distribution(st))
         assert [r["outcome"] for r in records] == sorted(r["outcome"] for r in records)
         for rec in records:
@@ -637,19 +663,25 @@ class TestMeasurement:
 class TestChiSquare:
     def test_reasonable_fit(self):
         st = run_circuit(keyset("011", "101"))
-        hist = measure_data_register(st, 1024, np.random.default_rng(3))
+        hist = measure_data_register(
+            exact_distribution(st), 1024, np.random.default_rng(3)
+        )
         chi = chi_square_vs_exact(hist, exact_distribution(st))
         assert chi["dof"] == 1
         assert chi["p_value"] > 0.001
 
     def test_single_shot_omitted(self):
         st = run_circuit(keyset("011", "101"))
-        hist = measure_data_register(st, 1, np.random.default_rng(3))
+        hist = measure_data_register(
+            exact_distribution(st), 1, np.random.default_rng(3)
+        )
         assert chi_square_vs_exact(hist, exact_distribution(st)) is None
 
     def test_single_outcome_omitted(self):
         st = run_circuit(keyset("101"))
-        hist = measure_data_register(st, 100, np.random.default_rng(3))
+        hist = measure_data_register(
+            exact_distribution(st), 100, np.random.default_rng(3)
+        )
         assert chi_square_vs_exact(hist, exact_distribution(st)) is None
 
 
