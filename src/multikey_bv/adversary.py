@@ -23,7 +23,13 @@ from .analytics import (
     prob_all_keys,
 )
 from .errors import InputError
-from .keyspace import BitSumProfile, KeySet, SecretKey, bit_sum_profile
+from .keyspace import (
+    BitSumProfile,
+    KeySet,
+    SecretKey,
+    bit_sum_profile,
+    format_key,
+)
 from .simulator import ClassicalOracle, exact_distribution, run_circuit
 
 
@@ -170,7 +176,7 @@ def classical_guess_attack(
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
         recovered=(
-            [format(v, f"0{n}b") for v in sample] if sample is not None else None
+            [format_key(v, n) for v in sample] if sample is not None else None
         ),
         notes=(
             "profile assumed exact (infinite-query limit); "
@@ -200,8 +206,10 @@ def quantum_coupon_experiment(
 
     Each trial samples m measurements from the simulated circuit's
     exact data-register marginal and succeeds when every key was
-    observed.  Trials are drawn about `simulator._SHOT_CHUNK`
-    measurements at a time, so memory does not grow with `trials`.
+    observed.  Measurements are drawn about `simulator._SHOT_CHUNK` at
+    a time, whole trials at once when m is below it and in column
+    chunks of one trial otherwise, into a per-trial seen bitmap, so
+    memory grows with neither `trials` nor m.
     Distinct keys required: the all-keys recovery analysis
     assumes k equiprobable outcomes, which duplicates break.
     """
@@ -225,13 +233,16 @@ def quantum_coupon_experiment(
             f"key outcomes carry probability {total}, expected 1"
         )
     p = p / total
-    rows = max(1, simulator._SHOT_CHUNK // m)
+    chunk = simulator._SHOT_CHUNK
+    rows, cols = max(1, chunk // m), min(m, chunk)
     full = 0
     for start in range(0, trials, rows):
-        drawn = rng.choice(k, size=(min(rows, trials - start), m), p=p)
-        drawn.sort(axis=1)
-        distinct = (np.diff(drawn, axis=1) != 0).sum(axis=1) + 1
-        full += int(np.count_nonzero(distinct == k))
+        seen = np.zeros((min(rows, trials - start), k), dtype=bool)
+        trial = np.arange(len(seen))[:, None]
+        for done in range(0, m, cols):
+            drawn = rng.choice(k, size=(len(seen), min(cols, m - done)), p=p)
+            seen[trial, drawn] = True
+        full += int(np.count_nonzero(seen.all(axis=1)))
     return float(full / trials)
 
 

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, log10, prod
 from operator import mul
 
 from .errors import CapacityError, InputError
@@ -204,8 +204,11 @@ def count_consistent_keysets(
     """
     ordered = _ordered_count(profile, k)
     if ordered > work_bound:
+        # A count of thousands of digits is stated by size: str() stops
+        # at 4300 digits, and the message stays one short line.
+        size = ordered if ordered < 10**20 else f"about 10^{int(log10(ordered))}"
         raise CapacityError(
-            f"enumeration needs {ordered} ordered assignments, "
+            f"enumeration needs {size} ordered assignments, "
             f"work bound is {work_bound}"
         )
     level = {(0,) * k}

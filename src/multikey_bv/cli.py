@@ -36,7 +36,7 @@ from .analytics import (
     recovery_grid,
 )
 from .errors import CapacityError, InputError
-from .keyspace import KeySet, bit_sum_profile, multiplicity
+from .keyspace import KeySet, bit_sum_profile, format_key, multiplicity
 from .simulator import (
     build_circuit,
     chi_square_vs_exact,
@@ -57,10 +57,7 @@ def _parse_keys(args) -> KeySet:
     if not args.keys:
         raise InputError("--keys is required for this command")
     texts = [t.strip() for t in args.keys.split(",") if t.strip()]
-    keys = KeySet.from_strings(texts, n=args.n)
-    if args.n is not None and keys.n != args.n:
-        raise InputError(f"keys have length {keys.n}, --n says {args.n}")
-    return keys
+    return KeySet.from_strings(texts, n=args.n)
 
 
 def _parse_range(text: str, flag: str) -> range:
@@ -202,16 +199,7 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
                 "all-keys-recovery", {"k": p.k, "m": p.m}, p.exact
             )
             grid.append(rec)
-            rows.append(
-                {
-                    "name": "all-keys-recovery",
-                    "k": p.k,
-                    "m": p.m,
-                    "num": rec["rational"]["num"],
-                    "den": rec["rational"]["den"],
-                    "double": rec["double"],
-                }
-            )
+            rows.append(_rational_row("all-keys-recovery", p.k, p.m, rec))
         results["recovery_grid"] = grid
 
     if args.keys:
@@ -234,6 +222,10 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
             if keys.all_distinct()
             else count.multiset_count
         )
+        guess_bound = probability_record(
+            "profile-guess-upper-bound", {"k": keys.k}, bound
+        )
+        guess_exact = probability_record("profile-guess-exact", {"k": keys.k}, exact)
         uniform_pick = probability_record(
             "uniform-pick-among-combinations",
             {"combinations": pool_size},
@@ -249,17 +241,13 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
             "ordered_count": count.ordered_count,
             "multiset_count": count.multiset_count,
             "distinct_multiset_count": count.distinct_multiset_count,
-            "guess_upper_bound": probability_record(
-                "profile-guess-upper-bound", {"k": keys.k}, bound
-            ),
-            "guess_exact": probability_record(
-                "profile-guess-exact", {"k": keys.k}, exact
-            ),
+            "guess_upper_bound": guess_bound,
+            "guess_exact": guess_exact,
             "uniform_multiset_model": uniform_pick,
         }
         if args.enumerate:
             results["key_analysis"]["multisets"] = [
-                [format(v, f"0{keys.n}b") for v in ms] for ms in count.multisets
+                [format_key(v, keys.n) for v in ms] for ms in count.multisets
             ]
         for q, c in enumerate(profile.counts):
             rows.append(
@@ -272,20 +260,8 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
                     "double": float(c),
                 }
             )
-        for name, frac in (
-            ("guess-upper-bound", bound),
-            ("guess-exact", exact),
-        ):
-            rows.append(
-                {
-                    "name": name,
-                    "k": keys.k,
-                    "m": None,
-                    "num": str(frac.numerator),
-                    "den": str(frac.denominator),
-                    "double": float(frac),
-                }
-            )
+        rows.append(_rational_row("guess-upper-bound", keys.k, None, guess_bound))
+        rows.append(_rational_row("guess-exact", keys.k, None, guess_exact))
 
     if not results:
         raise InputError("analyze needs --keys and/or a --k/--m grid")
@@ -293,6 +269,18 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
     record = _base_record("analyze", config, seed)
     record["results"] = results
     return record, rows
+
+
+def _rational_row(name: str, k: int, m: int | None, rec: dict) -> dict:
+    """A CSV/text row of the rational in a `probability_record` dict."""
+    return {
+        "name": name,
+        "k": k,
+        "m": m,
+        "num": rec["rational"]["num"],
+        "den": rec["rational"]["den"],
+        "double": rec["double"],
+    }
 
 
 def cmd_adversary(args) -> tuple[dict, list[dict]]:

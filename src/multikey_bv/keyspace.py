@@ -3,7 +3,7 @@
 One convention everywhere: bit q of a key is the coefficient of 2**q
 (little-endian indexing), while textual I/O is most-significant-bit
 first.  Conversion between the two lives only in `parse_key` and
-`SecretKey.__str__`; every other module works on integer values.
+`format_key`; every other module works on integer values.
 """
 
 from __future__ import annotations
@@ -40,7 +40,12 @@ class SecretKey:
         return (self.value >> q) & 1
 
     def __str__(self) -> str:
-        return format(self.value, f"0{self.n}b")
+        return format_key(self.value, self.n)
+
+
+def format_key(value: int, n: int) -> str:
+    """Render an n-bit key value MSB-first, e.g. format_key(1, 4) == "0001"."""
+    return format(value, f"0{n}b")
 
 
 def parse_key(text: str, n: int) -> SecretKey:

@@ -38,13 +38,13 @@ Two oracle paths are exposed and must agree.  The gate-by-gate path
 one that simulates the circuit.  It applies each run of consecutive
 Hadamards as one layer: the layer runs all its gates over one
 cache-sized tile of amplitudes before moving to the next, and skips
-tiles whose bits are all zero, which H leaves unchanged.  X gates swap
-cache-sized blocks of amplitude pairs in place and skip pairs of
-all-zero blocks.  Each controlled key unitary swaps the odd-parity
-amplitudes of its branch one data tile at a time, through a low-bit
-parity mask or its complement.  The gates give results bit-identical to
-the textbook pair formula applied one gate at a time, and no gate
-writes an amplitude the circuit leaves at zero.  The fast path
+tiles whose bits are all zero, which H leaves unchanged.  The X gate
+swaps amplitude pairs through the same tiled layer, with the same skip.
+Each controlled key unitary swaps the odd-parity amplitudes of its
+branch one data tile at a time, through a low-bit parity mask or its
+complement.  The gates give results bit-identical to the textbook pair
+formula applied one gate at a time, and no gate writes an amplitude the
+circuit leaves at zero.  The fast path
 (`oracle_path="fast"`) returns the `CircuitSpec`, which stands for the
 closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i> without gates or
 amplitudes; its only nonzero amplitudes are +1/sqrt(2k) at (control i,
@@ -65,20 +65,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .keyspace import KeySet, SecretKey, dot_mod2
+from .keyspace import KeySet, SecretKey, dot_mod2, format_key
 
 QUBIT_CAP = 24
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Amplitude pairs per block of an in-place X gate.  lo, hi and the
-# scratch block hold 128 KB of float64 each (256 KB for a complex
-# state), so a block stays in a core's L2 cache while the gate's three
-# copies run over it.
-_BLOCK = 1 << 14
-
-# A Hadamard layer runs all its gates over one tile before moving to the
-# next.  For qubits below _TILE_BITS a tile is 2^16 contiguous amplitudes
+# A gate layer (a run of Hadamards, or the X) runs all its gates over one
+# tile before moving to the next.  For qubits below _TILE_BITS a tile is 2^16 contiguous amplitudes
 # (512 KB of float64, 1 MB for a complex state, within a core's L2
 # cache), seen as four axes of 4 qubits each.
 # numpy runs a gate at full speed only when the paired amplitudes form
@@ -217,47 +211,22 @@ class StateVector:
                 f"qubit {qubit} out of range for {self.total_qubits}-qubit register"
             )
 
-    def _pair_blocks(self, qubit: int):
-        """Yield (lo, hi, tmp) over blocks of at most `_BLOCK` amplitude pairs.
-
-        lo[j] and hi[j] are views of two amplitudes that differ only in
-        `qubit` (0 in lo, 1 in hi); tmp is one block-shaped scratch array
-        reused for every block.  Blocks cover every pair exactly once, so
-        a gate applied block by block updates the whole array in place.
-        """
-        self._check_qubit(qubit)
-        stride = 1 << qubit
-        view = self.amps.reshape(-1, 2, stride)
-        # Below _BLOCK a block is several whole rows; from _BLOCK on it is
-        # one column slice of a single row.
-        rows, cols = max(1, _BLOCK // stride), min(stride, _BLOCK)
-        scratch = np.empty((min(rows, view.shape[0]), cols), self.amps.dtype)
-        for r in range(0, view.shape[0], rows):
-            for c in range(0, stride, cols):
-                block = view[r:r + rows, :, c:c + cols]
-                yield block[:, 0], block[:, 1], scratch
-
     def apply_hadamard(self, *qubits: int) -> "StateVector":
         """Apply H to each listed qubit, in the given order, in one call.
 
         All qubits are checked before any amplitude changes.  The result
         is bit-identical to one-qubit calls in sequence: see
-        `_hadamard_layer`.
+        `_gate_layer`.
         """
         for qubit in qubits:
             self._check_qubit(qubit)
-        _hadamard_layer(self.amps, qubits)
+        _gate_layer(self.amps, qubits, _hadamard_row_bit)
         return self
 
     def apply_x(self, qubit: int) -> "StateVector":
-        for lo, hi, tmp in self._pair_blocks(qubit):
-            # Swapping two all-zero halves changes no bit; skipping them
-            # leaves rows of a register still in |0..0> unwritten.
-            if _is_zero(lo) and _is_zero(hi):
-                continue
-            tmp[...] = lo
-            lo[...] = hi
-            hi[...] = tmp
+        """Apply X to one qubit, through the same tiled layer as H."""
+        self._check_qubit(qubit)
+        _gate_layer(self.amps, (qubit,), _x_row_bit)
         return self
 
     def apply_controlled_key_unitary(self, i: int, key: SecretKey) -> "StateVector":
@@ -364,7 +333,7 @@ class StateVector:
         return f"StateVector(n={self.n}, r={self.r}, dim={self.dim})"
 
 
-def _hadamard_row_bit(block: np.ndarray, bit: int, diff: np.ndarray) -> None:
+def _hadamard_row_bit(block: np.ndarray, bit: int, scratch: np.ndarray) -> None:
     """H on bit `bit` of the row index of the 2-D view `block`, in place.
 
     The ufuncs of ((lo + hi) * s, (lo - hi) * s) on the same operands, so
@@ -372,11 +341,21 @@ def _hadamard_row_bit(block: np.ndarray, bit: int, diff: np.ndarray) -> None:
     """
     pairs = block.reshape(-1, 2, 1 << bit, block.shape[-1])
     lo, hi = pairs[:, 0], pairs[:, 1]
-    diff = diff[:lo.size].reshape(lo.shape)
+    diff = scratch[:lo.size].reshape(lo.shape)
     np.subtract(lo, hi, out=diff)
     lo += hi
     lo *= _INV_SQRT2
     np.multiply(diff, _INV_SQRT2, out=hi)
+
+
+def _x_row_bit(block: np.ndarray, bit: int, scratch: np.ndarray) -> None:
+    """X on bit `bit` of the row index of the 2-D view `block`, in place."""
+    pairs = block.reshape(-1, 2, 1 << bit, block.shape[-1])
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    tmp = scratch[:lo.size].reshape(lo.shape)
+    np.copyto(tmp, lo)
+    np.copyto(lo, hi)
+    np.copyto(hi, tmp)
 
 
 def _is_zero(tile: np.ndarray) -> bool:
@@ -387,36 +366,37 @@ def _is_zero(tile: np.ndarray) -> bool:
     return tile.item(0) == 0 and not tile.view(np.uint64).any()
 
 
-def _hadamard_layer(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
-    """Apply H to each qubit in turn, one tile of amplitudes at a time.
+def _gate_layer(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
+    """Apply one single-qubit gate to each qubit in turn, a tile at a time.
 
-    Every amplitude goes through the pair formula once per listed qubit,
-    in list order, exactly as in one-qubit calls; only the order in which
-    tiles are visited changes, so the result is bit-identical.  Tiles
-    whose bits are all zero, such as the rows of a register still in
-    |0..0>, are skipped: H maps them to themselves bit for bit.  A state
+    `kernel` is `_hadamard_row_bit` or `_x_row_bit`.  Every amplitude
+    goes through the gate's pair formula once per listed qubit, in list
+    order, exactly as in one-qubit calls; only the order in which tiles
+    are visited changes, so the result is bit-identical.  Tiles whose
+    bits are all zero, such as the rows of a register still in |0..0>,
+    are skipped: both gates map them to themselves bit for bit.  A state
     of at most one tile is transformed whole, without the zero check.
     """
     if amps.size <= _TILE:
-        column, diff = amps.reshape(-1, 1), np.empty(amps.size // 2, amps.dtype)
+        column, scratch = amps.reshape(-1, 1), np.empty(amps.size // 2, amps.dtype)
         for qubit in qubits:
-            _hadamard_row_bit(column, qubit, diff)
+            kernel(column, qubit, scratch)
         return
     for low, run in itertools.groupby(qubits, key=lambda q: q < _TILE_BITS):
         if low:
-            _low_qubit_pass(amps, tuple(run))
+            _low_qubit_pass(amps, tuple(run), kernel)
         else:
-            _high_qubit_pass(amps, tuple(run))
+            _high_qubit_pass(amps, tuple(run), kernel)
 
 
-def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
-    """H on qubits below _TILE_BITS over contiguous tiles of _TILE amplitudes.
+def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
+    """The gate on qubits below _TILE_BITS, over tiles of _TILE amplitudes.
 
     The tile is regrouped, alternately into `spare` and back in place, so
     that each gate's qubit group is the outermost axis, and ends in its
     natural order.
     """
-    diff = np.empty(_TILE // 2, amps.dtype)
+    scratch = np.empty(_TILE // 2, amps.dtype)
     spare = np.empty(_TILE, amps.dtype)
     for tile in amps.reshape(-1, _TILE):
         if _is_zero(tile):
@@ -427,7 +407,7 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
             if order[0] != group:
                 new = (group,) + tuple(g for g in _NATURAL_ORDER if g != group)
                 buf, order = _regroup(buf, order, new, spare if buf is tile else tile)
-            _hadamard_row_bit(buf.reshape(_GROUP_SHAPE[0], -1), bit, diff)
+            kernel(buf.reshape(_GROUP_SHAPE[0], -1), bit, scratch)
         if order != _NATURAL_ORDER:
             buf, order = _regroup(
                 buf, order, _NATURAL_ORDER, spare if buf is tile else tile
@@ -447,8 +427,8 @@ def _regroup(
     return dst, new
 
 
-def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
-    """H on qubits from _TILE_BITS up, as row bits over column chunks.
+def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
+    """The gate on qubits from _TILE_BITS up, as row bits over column chunks.
 
     Rows are indexed by the bits from the lowest to the highest listed
     qubit; a tile is every such row over one chunk of at least _MIN_RUN
@@ -458,14 +438,14 @@ def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
     view = amps.reshape(-1, 1 << (top - low), 1 << low)
     height = view.shape[1]
     width = max(_TILE // height, _MIN_RUN)
-    diff = np.empty(height * width // 2, amps.dtype)
+    scratch = np.empty(height * width // 2, amps.dtype)
     for rows in view:
         for start in range(0, rows.shape[1], width):
             tile = rows[:, start:start + width]
             if _is_zero(tile):
                 continue
             for qubit in qubits:
-                _hadamard_row_bit(tile, qubit - low, diff)
+                kernel(tile, qubit - low, scratch)
 
 
 def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | CircuitSpec:
@@ -522,10 +502,10 @@ def exact_distribution(state: StateVector | CircuitSpec) -> dict[str, float]:
         sums: dict[int, float] = {}
         for value in state.keys.values():
             sums[value] = sums.get(value, 0.0) + square + square
-        return {format(x, f"0{n}b"): sums[x] for x in sorted(sums)}
+        return {format_key(x, n): sums[x] for x in sorted(sums)}
     probs = state.data_marginal()
     return {
-        format(int(x), f"0{n}b"): float(probs[x])
+        format_key(int(x), n): float(probs[x])
         for x in np.flatnonzero(probs > _PROB_TOL)
     }
 
@@ -537,22 +517,18 @@ class Histogram:
     counts: dict[str, int]
     shots: int
 
-    def to_records(self, exact: dict[str, float] | None = None) -> list[dict]:
-        """Stable per-outcome records: outcome, count, probability."""
-        outcomes = set(self.counts)
-        if exact:
-            outcomes |= set(exact)
-        records = []
-        for outcome in sorted(outcomes):
-            rec = {
+    def to_records(self, exact: dict[str, float]) -> list[dict]:
+        """Stable per-outcome records over observed and exact outcomes:
+        outcome, count, probability, exact probability."""
+        return [
+            {
                 "outcome": outcome,
                 "count": self.counts.get(outcome, 0),
                 "probability": self.counts.get(outcome, 0) / self.shots,
+                "exact_probability": exact.get(outcome, 0.0),
             }
-            if exact is not None:
-                rec["exact_probability"] = exact.get(outcome, 0.0)
-            records.append(rec)
-        return records
+            for outcome in sorted(set(self.counts) | set(exact))
+        ]
 
 
 def measure_data_register(

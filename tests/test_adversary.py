@@ -263,6 +263,18 @@ class TestChunkedDraws:
         p = prob_all_keys(4, 12).value
         assert abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / 10**6)
 
+    def test_coupon_memory_does_not_grow_with_m(self):
+        # One trial of 2^23 draws would take 64 MiB of int64 at once.
+        ks = keyset("011", "101", "110")
+        tracemalloc.start()
+        try:
+            rate = quantum_coupon_experiment(ks, 1 << 23, 1, np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert rate == 1.0
+
 
 class TestReports:
     def test_single_key_report(self):

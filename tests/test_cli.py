@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -315,6 +316,34 @@ class TestAnalyze:
         )
 
 
+# Key sets whose ordered assignment count prod_q C(k, r_q) has thousands
+# of digits: about 5,700, about 14,800 and 1,506.
+HUGE_COUNT_KEYS = {
+    "600-random-32-bit": ",".join(
+        format(v, "032b") for v in random.Random(7).sample(range(1 << 32), 600)
+    ),
+    "all-4096-12-bit": ",".join(format(v, "012b") for v in range(4096)),
+    "two-5000-bit": "1" * 5000 + "," + "0" * 5000,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(HUGE_COUNT_KEYS))
+@pytest.mark.parametrize(
+    "command",
+    [("analyze",), ("adversary", "--m", "4096", "--trials", "1", "--shots", "1")],
+    ids=["analyze", "adversary"],
+)
+def test_huge_consistent_count_refused_in_one_line(capsys, command, shape):
+    code, out, err = run(
+        capsys, *command, "--keys", HUGE_COUNT_KEYS[shape], "--seed", "7"
+    )
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) < 200, err[:200]
+    assert err.startswith("capacity error: enumeration needs about 10^")
+    assert "work bound" in err
+
+
 class TestAdversary:
     def test_multi_key_comparison(self, capsys):
         record = run_json(
@@ -533,6 +562,24 @@ class TestGoldenOutputs:
     def test_seeded_recovery_grid_digest(self, capsys, fmt, digest):
         code, out, _ = run(
             capsys, "analyze", "--k", "296:300", "--m", "1690:1700",
+            "--seed", "7", "--format", fmt,
+        )
+        assert code == EXIT_OK
+        if fmt == "json":
+            out = json.dumps(without_wall_times(json.loads(out)))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("json", "d528736157a7189e3bec15436cb29d78666f4d82e4675849b5a512468dbb6e01"),
+            ("csv", "a9a33bdd0a6038337a0975040796cbcc3fe06d811adb3e723b7484323e74e473"),
+            ("text", "6f26ba15449671abf8702fa1b19623ea5c6e43cc9f6590bccaf8e5a147aba594"),
+        ],
+    )
+    def test_seeded_key_analysis_digest(self, capsys, fmt, digest):
+        code, out, _ = run(
+            capsys, "analyze", "--keys", "0001,0011,1011,1110", "--enumerate",
             "--seed", "7", "--format", fmt,
         )
         assert code == EXIT_OK

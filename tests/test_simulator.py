@@ -117,12 +117,12 @@ class TestGates:
             st.apply_hadamard(3)
 
     def test_blocked_gates_bit_identical_to_pair_formula(self):
-        from multikey_bv.simulator import _BLOCK
+        from multikey_bv.simulator import _TILE_BITS
 
         total = 19
-        # Low qubits pack several rows into a block, high qubits split a
-        # row into several blocks; both layouts must be exercised.
-        assert 1 < _BLOCK <= 1 << (total - 2)
+        # Qubits below _TILE_BITS run the low-qubit pass over several
+        # tiles, the others the high-qubit pass; both must be exercised.
+        assert _TILE_BITS < total - 1
         rng = np.random.default_rng(19)
         amps = rng.normal(size=1 << total) + 1j * rng.normal(size=1 << total)
         amps /= np.linalg.norm(amps)
@@ -139,19 +139,24 @@ class TestGates:
             assert np.array_equal(st.amps, swapped), f"X on qubit {q}"
 
     def test_x_on_zero_and_negative_zero_blocks_matches_plain_swap(self):
-        from multikey_bv.simulator import _BLOCK
+        from multikey_bv.simulator import _MIN_RUN, _TILE, _TILE_BITS
 
         total = 19
         zero, neg = complex(0.0, 0.0), complex(-0.0, -0.0)
         for q in range(total):
             amps = random_state(total, q)
-            # (block groups, rows, half, column chunks, columns): one
-            # (group, chunk) pair is one block pair of apply_x.
-            rows, cols = max(1, _BLOCK >> q), min(1 << q, _BLOCK)
+            # (tile groups, rows, half, column chunks, columns): one
+            # (group, chunk) pair is one tile of the layer apply_x runs.
+            if q < _TILE_BITS:
+                # Low-qubit pass: _TILE contiguous amplitudes.
+                rows, cols = _TILE >> (q + 1), 1 << q
+            else:
+                # High-qubit pass: both halves over one column chunk.
+                rows, cols = 1, max(_TILE // 2, _MIN_RUN)
             blocks = amps.reshape(-1, rows, 2, (1 << q) // cols, cols)
             count = blocks.shape[0] * blocks.shape[3]
             assert count >= 4
-            # By block pair: both halves zero (skipped), lo zero with hi
+            # By tile: both halves zero (skipped), lo zero with hi
             # -0.0, lo zero but one -0.0 with hi zero, both nonzero.
             for m in range(count):
                 g, c = divmod(m, blocks.shape[3])
