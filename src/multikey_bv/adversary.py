@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,14 +38,15 @@ class ExperimentReport:
     """Outcome of one strategy run, ready for CLI serialization.
 
     `queries` is exactly the number of oracle interactions charged: one
-    per classical query, one per quantum circuit execution.
+    per classical query, one per quantum circuit execution.  Every
+    strategy assumes k is known, so `assumes_k_known` is a constant.
     """
 
+    assumes_k_known: ClassVar[bool] = True
     strategy: str
     queries: int
     success_probability: float | None
     claims_certainty: bool
-    assumes_k_known: bool
     seed: int | None
     wall_time_s: float
     recovered: list[str] | None = None
@@ -123,74 +124,57 @@ def classical_guess_attack(
     true_keys: KeySet,
     runs: int,
     rng: np.random.Generator,
-    profile: BitSumProfile | None = None,
-    assume_distinct: bool | None = None,
     work_bound: int = DEFAULT_WORK_BOUND,
     seed: int | None = None,
 ) -> ExperimentReport:
     """Guess the key multiset uniformly among profile-consistent ones.
 
-    The profile defaults to the true keys' own (the infinite-query
-    limit of bit-sum estimation), so the attack is charged zero oracle
-    queries.  `assume_distinct` restricts the candidate pool to
-    duplicate-free multisets; by default it mirrors whether the true
-    keys are distinct.  Success frequency over the runs converges to
-    1 / (pool size) when the truth is in the pool, else to 0.  Guesses
-    are drawn `simulator._SHOT_CHUNK` at a time; the last one is reported
-    as `recovered`.
+    The profile is the true keys' own (the infinite-query limit of
+    bit-sum estimation), so the attack is charged zero oracle queries.
+    The candidate pool is duplicate-free exactly when the true keys
+    are, so it always holds the truth, and the success frequency over
+    the runs converges to 1 / (pool size).  Guesses are drawn
+    `simulator._SHOT_CHUNK` at a time; the last one is reported as
+    `recovered`.
     """
     if runs < 1:
         raise InputError(f"runs must be >= 1, got {runs}")
     t0 = time.perf_counter()
-    k, n = true_keys.k, true_keys.n
-    if profile is None:
-        profile = bit_sum_profile(true_keys)
-    if assume_distinct is None:
-        assume_distinct = true_keys.all_distinct()
+    distinct = true_keys.all_distinct()
     count = count_consistent_keysets(
-        profile, k, include_multisets=True, work_bound=work_bound
+        bit_sum_profile(true_keys),
+        true_keys.k,
+        include_multisets=True,
+        work_bound=work_bound,
     )
-    pool = count.distinct_multisets() if assume_distinct else count.multisets
-    truth = tuple(sorted(true_keys.values()))
+    pool = count.distinct_multisets() if distinct else count.multisets
+    truth_idx = pool.index(tuple(sorted(true_keys.values())))
     successes = 0
-    theory = Fraction(0)
-    sample = None
-    if pool:
-        try:
-            truth_idx = pool.index(truth)
-            theory = Fraction(1, len(pool))
-        except ValueError:
-            truth_idx = -1
-        chunk = simulator._SHOT_CHUNK
-        for start in range(0, runs, chunk):
-            draws = rng.integers(len(pool), size=min(chunk, runs - start))
-            successes += int(np.count_nonzero(draws == truth_idx))
-        sample = pool[int(draws[-1])]
-    rate = successes / runs
+    chunk = simulator._SHOT_CHUNK
+    for start in range(0, runs, chunk):
+        draws = rng.integers(len(pool), size=min(chunk, runs - start))
+        successes += int(np.count_nonzero(draws == truth_idx))
     return ExperimentReport(
         strategy="uniform-guess-among-consistent-multisets",
         queries=0,
-        success_probability=rate,
+        success_probability=successes / runs,
         claims_certainty=False,
-        assumes_k_known=True,
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
-        recovered=(
-            [format_key(v, n) for v in sample] if sample is not None else None
-        ),
+        recovered=[format_key(v, true_keys.n) for v in pool[int(draws[-1])]],
         notes=(
             "profile assumed exact (infinite-query limit); "
             + (
                 "candidates restricted to distinct-key multisets"
-                if assume_distinct
+                if distinct
                 else "candidates include duplicate-key multisets"
             )
         ),
         details={
             "runs": runs,
             "candidate_pool_size": len(pool),
-            "theory_success_probability": float(theory),
-            "assume_distinct": assume_distinct,
+            "theory_success_probability": 1 / len(pool),
+            "assume_distinct": distinct,
         },
     )
 
@@ -256,7 +240,6 @@ def run_single_key_baseline(keys: KeySet, seed: int) -> ExperimentReport:
         queries=oracle.queries,
         success_probability=1.0,
         claims_certainty=True,
-        assumes_k_known=True,
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
         recovered=[str(recovered)],
@@ -278,7 +261,6 @@ def run_bit_sum_estimation(
         queries=oracle.queries,
         success_probability=None,
         claims_certainty=False,
-        assumes_k_known=True,
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
         success=rounded.counts == true_profile.counts,
@@ -312,7 +294,6 @@ def run_coupon_experiment(
         queries=m * trials,
         success_probability=rate,
         claims_certainty=False,
-        assumes_k_known=True,
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
         notes="one oracle query per circuit execution",

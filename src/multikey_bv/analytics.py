@@ -177,7 +177,12 @@ def _ordered_count(profile: BitSumProfile, k: int) -> int:
     """prod_q C(k, r_q): the ordered column assignments matching a profile."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    _check_exact_range(0, k)
+    # The fold sorts a k-row tuple per ordered assignment, so k is
+    # capped even where the count itself is small.
+    if k > MAX_EXACT_ARG:
+        raise CapacityError(
+            f"key analysis supports at most {MAX_EXACT_ARG} keys, got k={k}"
+        )
     for q, r in enumerate(profile.counts):
         if r > k:
             raise InputError(
@@ -200,8 +205,12 @@ def count_consistent_keysets(
     duplicates before the next position.  Rows are interchangeable, so
     merging early yields exactly the multisets of the full ordered
     walk.  Refuses instances whose ordered assignment count
-    prod_q C(k, r_q), which bounds the fold's work, exceeds `work_bound`.
+    prod_q C(k, r_q), which bounds the fold's work, exceeds `work_bound`;
+    every such count is at least 1, so a `work_bound` below 1 is an
+    input error.
     """
+    if work_bound < 1:
+        raise InputError(f"work bound must be >= 1, got {work_bound}")
     ordered = _ordered_count(profile, k)
     if ordered > work_bound:
         # A count of thousands of digits is stated by size: str() stops
@@ -214,11 +223,15 @@ def count_consistent_keysets(
     level = {(0,) * k}
     for q, r in enumerate(profile.counts):
         bit = 1 << q
-        level = {
-            tuple(sorted(v | bit if i in rows else v for i, v in enumerate(ms)))
-            for ms in level
-            for rows in itertools.combinations(range(k), r)
-        }
+        children = set()
+        for ms in level:
+            for rows in itertools.combinations(range(k), r):
+                child = list(ms)
+                for i in rows:
+                    child[i] |= bit
+                child.sort()
+                children.add(tuple(child))
+        level = children
     distinct_free = sum(1 for ms in level if len(set(ms)) == len(ms))
     return ConsistencyCount(
         profile=profile,

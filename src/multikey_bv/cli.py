@@ -3,7 +3,8 @@
 Every run emits a single record (JSON by default) that echoes the full
 configuration, the seed, and the library version, so reruns with the
 same seed are byte-identical apart from the wall-time field.  CSV is a
-flat projection of the main table; text is a human-readable rendering.
+flat projection of the main table, which every command fills with at
+least one row; text is a human-readable rendering.
 """
 
 from __future__ import annotations
@@ -352,8 +353,6 @@ def cmd_adversary(args) -> tuple[dict, list[dict]]:
 
 
 def _render_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
@@ -367,18 +366,13 @@ def _render_text(record: dict, rows: list[dict]) -> str:
         f"command: {record['command']}   seed: {record['seed']}   "
         f"version: {record['version']}"
     ]
-    if rows:
-        headers = list(rows[0].keys())
-        widths = [
-            max(len(h), *(len(_cell(r.get(h))) for r in rows)) for h in headers
-        ]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-        for r in rows:
-            lines.append(
-                "  ".join(_cell(r.get(h)).ljust(w) for h, w in zip(headers, widths))
-            )
-    else:
-        lines.append(json.dumps(record.get("results", {}), indent=2))
+    headers = list(rows[0].keys())
+    widths = [max(len(h), *(len(_cell(r.get(h))) for r in rows)) for h in headers]
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    for r in rows:
+        lines.append(
+            "  ".join(_cell(r.get(h)).ljust(w) for h, w in zip(headers, widths))
+        )
     notice = record.get("results", {}).get("notice")
     if notice:
         lines.append(f"notice: {notice}")

@@ -561,9 +561,12 @@ def chi_square_vs_exact(
     """Goodness-of-fit statistic of a histogram against exact probabilities.
 
     Returns None (to be reported with a notice) when the sample is a
-    single shot or the support leaves no degrees of freedom.
+    single shot or the support leaves no degrees of freedom.  The
+    p-value is the chi-square survival function `chdtrc(dof, stat)`,
+    which `scipy.stats.chi2.sf` also evaluates; `scipy.special` imports
+    in a fraction of the time `scipy.stats` takes.
     """
-    from scipy.stats import chi2
+    from scipy.special import chdtrc
 
     support = sorted(exact)
     dof = len(support) - 1
@@ -582,7 +585,7 @@ def chi_square_vs_exact(
     return {
         "statistic": stat,
         "dof": dof,
-        "p_value": float(chi2.sf(stat, dof)),
+        "p_value": float(chdtrc(dof, stat)),
     }
 
 

@@ -2,12 +2,12 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from multikey_bv import (
-    BitSumProfile,
     ClassicalOracle,
     InputError,
     KeySet,
@@ -23,6 +23,7 @@ from multikey_bv import (
 )
 from multikey_bv import simulator
 from multikey_bv.adversary import (
+    ExperimentReport,
     rounded_bit_sums,
     run_bit_sum_estimation,
     run_coupon_experiment,
@@ -123,17 +124,14 @@ class TestGuessAttack:
         assert report.details["candidate_pool_size"] == 1
         assert report.success_probability == 1.0
 
-    def test_impossible_profile_never_succeeds(self):
-        ks = keyset("00", "01")
-        report = classical_guess_attack(
-            ks,
-            runs=500,
-            rng=np.random.default_rng(2),
-            profile=BitSumProfile((0, 0)),
-            assume_distinct=False,
-        )
-        assert report.success_probability == 0.0
-        assert report.details["theory_success_probability"] == 0.0
+    def test_theory_is_one_over_pool(self):
+        for texts in (("0001", "0011", "1011", "1110"), ("010", "011", "011", "101")):
+            report = classical_guess_attack(
+                keyset(*texts), runs=10, rng=np.random.default_rng(5)
+            )
+            pool = report.details["candidate_pool_size"]
+            theory = report.details["theory_success_probability"]
+            assert theory == float(Fraction(1, pool))
 
     def test_degenerate_truth_uses_full_pool(self):
         ks = keyset("010", "011", "011", "101")
@@ -154,6 +152,21 @@ class TestGuessAttack:
             assert report.claims_certainty is False
             if report.details["candidate_pool_size"] >= 2:
                 assert report.details["theory_success_probability"] < 1
+
+
+def test_assumes_k_known_is_a_constant_kept_in_record_order():
+    report = run_single_key_baseline(keyset("0110"), seed=3)
+    record = report.to_record()
+    keys = list(record)
+    assert record["assumes_k_known"] is True
+    assert keys.index("assumes_k_known") == keys.index("claims_certainty") + 1
+    assert keys.index("seed") == keys.index("assumes_k_known") + 1
+    with pytest.raises(TypeError):
+        ExperimentReport(
+            strategy="s", queries=0, success_probability=None,
+            claims_certainty=False, assumes_k_known=False, seed=None,
+            wall_time_s=0.0,
+        )
 
 
 class TestCouponExperiment:

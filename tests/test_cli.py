@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -10,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import multikey_bv
 from multikey_bv import adversary, analytics, cli, prob_all_keys
 from multikey_bv.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, main
 
@@ -229,6 +233,27 @@ class TestSample:
             assert "shots must be >= 1, got 0" in err
 
 
+def test_sample_does_not_import_scipy_stats():
+    # The chi-square p-value needs only scipy.special, which imports in
+    # a fraction of the time scipy.stats takes.
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from multikey_bv import cli\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = cli.main(['sample', '--keys', '011,101', '--seed', '1'])\n"
+        "assert code == 0, code\n"
+        "assert json.loads(buf.getvalue())['results']['chi_square'] is not None\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(multikey_bv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestAnalyze:
     def test_grid(self, capsys):
         record = run_json(
@@ -342,6 +367,34 @@ def test_huge_consistent_count_refused_in_one_line(capsys, command, shape):
     assert err.count("\n") == 1 and len(err) < 200, err[:200]
     assert err.startswith("capacity error: enumeration needs about 10^")
     assert "work bound" in err
+
+
+def test_key_analysis_above_exact_range_names_only_k(capsys):
+    # Ordered count 1, so only the key-count limit refuses it.
+    code, out, err = run(
+        capsys, "analyze", "--keys", ",".join(["0000000000000"] * 5000),
+        "--seed", "1",
+    )
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert err == (
+        "capacity error: key analysis supports at most 4096 keys, got k=5000\n"
+    )
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [("analyze",), ("adversary", "--trials", "10", "--shots", "10")],
+    ids=["analyze", "adversary"],
+)
+def test_work_bound_below_one_is_input_error(capsys, command, bound):
+    code, out, err = run(
+        capsys, *command, "--keys", "01,10", "--work-bound", bound, "--seed", "1"
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: work bound must be >= 1, got {bound}\n"
 
 
 class TestAdversary:

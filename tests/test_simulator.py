@@ -689,6 +689,26 @@ class TestChiSquare:
         )
         assert chi_square_vs_exact(hist, exact_distribution(st)) is None
 
+    @pytest.mark.parametrize("dof", [1, 2, 3, 9999])
+    def test_p_value_bit_identical_to_chi2_sf(self, dof):
+        from scipy.stats import chi2
+
+        support = [format(i, "014b") for i in range(dof + 1)]
+        exact = {outcome: 1 / len(support) for outcome in support}
+        p_values = []
+        # One shot per outcome, plus `extra` more on the first: the
+        # statistic runs from 0 to far past where the p-value is 0.0.
+        for extra in (0, 1, 3, 10, 100, 10**4, 10**6, 10**9):
+            counts = dict.fromkeys(support, 1)
+            counts[support[0]] += extra
+            hist = simulator.Histogram(counts=counts, shots=len(support) + extra)
+            chi = chi_square_vs_exact(hist, exact)
+            expected = float(chi2.sf(chi["statistic"], dof))
+            assert chi["p_value"] == expected, (extra, chi)
+            p_values.append(chi["p_value"])
+        assert max(p_values) > 0.99
+        assert min(p_values) == 0.0
+
 
 class TestClassicalOracle:
     def test_single_key_deterministic(self):
