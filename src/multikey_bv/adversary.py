@@ -179,6 +179,16 @@ def classical_guess_attack(
     )
 
 
+def _require_distinct(keys: KeySet) -> None:
+    """Refuse duplicate keys: the all-keys recovery analysis assumes k
+    equiprobable outcomes, which duplicates break."""
+    if not keys.all_distinct():
+        raise InputError(
+            "coupon experiment assumes k equiprobable distinct keys; "
+            "duplicate keys bias the per-key probabilities"
+        )
+
+
 def quantum_coupon_experiment(
     keys: KeySet,
     m: int,
@@ -194,14 +204,9 @@ def quantum_coupon_experiment(
     a time, whole trials at once when m is below it and in column
     chunks of one trial otherwise, into a per-trial seen bitmap, so
     memory grows with neither `trials` nor m.
-    Distinct keys required: the all-keys recovery analysis
-    assumes k equiprobable outcomes, which duplicates break.
+    Distinct keys required: see `_require_distinct`.
     """
-    if not keys.all_distinct():
-        raise InputError(
-            "coupon experiment assumes k equiprobable distinct keys; "
-            "duplicate keys bias the per-key probabilities"
-        )
+    _require_distinct(keys)
     if m < 0:
         raise InputError(f"m must be >= 0, got {m}")
     if trials < 1:

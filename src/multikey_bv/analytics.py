@@ -23,22 +23,6 @@ MAX_EXACT_ARG = 4096
 DEFAULT_WORK_BOUND = 10_000_000
 
 
-def _check_exact_range(m: int, k: int) -> None:
-    if m > MAX_EXACT_ARG or k > MAX_EXACT_ARG:
-        raise CapacityError(
-            f"(m={m}, k={k}) exceeds the supported exact-arithmetic range "
-            f"(both must be <= {MAX_EXACT_ARG})"
-        )
-
-
-def _check_cell(k: int, m: int) -> None:
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    if m < 0:
-        raise InputError(f"m must be >= 0, got {m}")
-    _check_exact_range(m, k)
-
-
 def _check_grid(ks: Sequence[int], ms: Sequence[int]) -> None:
     """Raise the error of the first invalid (k, m) cell in k-major order.
 
@@ -49,10 +33,18 @@ def _check_grid(ks: Sequence[int], ms: Sequence[int]) -> None:
         return
     bad_m = next((m for m in ms if not 0 <= m <= MAX_EXACT_ARG), None)
     for k in ks:
-        if not 1 <= k <= MAX_EXACT_ARG:
-            _check_cell(k, ms[0])
-        if bad_m is not None:
-            _check_cell(k, bad_m)
+        # A bad k spoils its whole row, so its first cell is the first bad one.
+        m = bad_m if 1 <= k <= MAX_EXACT_ARG else ms[0]
+        if m is None:
+            continue
+        if k < 1:
+            raise InputError(f"k must be >= 1, got {k}")
+        if m < 0:
+            raise InputError(f"m must be >= 0, got {m}")
+        raise CapacityError(
+            f"(m={m}, k={k}) exceeds the supported exact-arithmetic range "
+            f"(both must be <= {MAX_EXACT_ARG})"
+        )
 
 
 def _surjection_grid(
@@ -90,11 +82,7 @@ def surjection_count(m: int, k: int) -> int:
 
     Exact, from the inclusion-exclusion sum of `recovery_grid`.
     """
-    if m < 0:
-        raise InputError(f"m must be >= 0, got {m}")
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    _check_exact_range(m, k)
+    _check_grid([k], [m])
     return next(_surjection_grid([k], [m]))[2]
 
 
@@ -177,12 +165,6 @@ def _ordered_count(profile: BitSumProfile, k: int) -> int:
     """prod_q C(k, r_q): the ordered column assignments matching a profile."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    # The fold sorts a k-row tuple per ordered assignment, so k is
-    # capped even where the count itself is small.
-    if k > MAX_EXACT_ARG:
-        raise CapacityError(
-            f"key analysis supports at most {MAX_EXACT_ARG} keys, got k={k}"
-        )
     for q, r in enumerate(profile.counts):
         if r > k:
             raise InputError(
@@ -211,6 +193,12 @@ def count_consistent_keysets(
     """
     if work_bound < 1:
         raise InputError(f"work bound must be >= 1, got {work_bound}")
+    # The fold sorts a k-row tuple per ordered assignment, so k is
+    # capped even where the count itself is small.
+    if k > MAX_EXACT_ARG:
+        raise CapacityError(
+            f"key analysis supports at most {MAX_EXACT_ARG} keys, got k={k}"
+        )
     ordered = _ordered_count(profile, k)
     if ordered > work_bound:
         # A count of thousands of digits is stated by size: str() stops

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .adversary import (
+    _require_distinct,
     classical_guess_attack,
     run_bit_sum_estimation,
     run_coupon_experiment,
@@ -289,9 +290,14 @@ def cmd_adversary(args) -> tuple[dict, list[dict]]:
     seed = _resolve_seed(args)
     k = keys.k
     m = args.m_int if args.m_int is not None else 3 * k
-    # recovery_grid checks its cells at the call, so an m outside the
-    # coupon theory's exact range is refused before any strategy runs.
+    # Every refusal comes before the bit-sum estimate, the guess attack's
+    # enumeration and any circuit run.  recovery_grid checks its cells at
+    # the call, so an m outside the coupon theory's exact range is refused
+    # here, with duplicate keys and --shots.
     recovery_grid([k], [m])
+    _require_distinct(keys)
+    if k > 1 and args.shots < 1:
+        raise InputError(f"shots must be >= 1, got {args.shots}")
     streams = np.random.SeedSequence(seed).spawn(3)
     stream_seeds = [int(s.generate_state(1)[0]) for s in streams]
 
@@ -299,18 +305,21 @@ def cmd_adversary(args) -> tuple[dict, list[dict]]:
     if k == 1:
         reports.append(run_single_key_baseline(keys, stream_seeds[0]))
     else:
+        # The guess attack refuses --trials and the work bound before it
+        # enumerates, so it runs ahead of the n * --shots oracle queries.
+        # Each strategy has its own seed stream, so the order of the runs
+        # leaves every report unchanged.
+        guess = classical_guess_attack(
+            keys,
+            runs=args.trials,
+            rng=np.random.default_rng(stream_seeds[1]),
+            work_bound=args.work_bound,
+            seed=stream_seeds[1],
+        )
         reports.append(
             run_bit_sum_estimation(keys, args.shots, stream_seeds[0])
         )
-        reports.append(
-            classical_guess_attack(
-                keys,
-                runs=args.trials,
-                rng=np.random.default_rng(stream_seeds[1]),
-                work_bound=args.work_bound,
-                seed=stream_seeds[1],
-            )
-        )
+        reports.append(guess)
     reports.append(
         run_coupon_experiment(
             keys, m, args.trials, stream_seeds[2], args.oracle_path
@@ -395,8 +404,11 @@ def _cell(value) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc.strerror}") from None
         print(f"wrote {out_path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -463,20 +475,20 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         record, rows = args.func(args)
+        record["wall_time_s"] = time.perf_counter() - t0
+        if args.format == "json":
+            text = json.dumps(record, indent=2) + "\n"
+        elif args.format == "csv":
+            text = _render_csv(rows)
+        else:
+            text = _render_text(record, rows)
+        _emit(text, args.out)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    record["wall_time_s"] = time.perf_counter() - t0
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _render_csv(rows)
-    else:
-        text = _render_text(record, rows)
-    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -59,7 +59,8 @@ def parse_key(text: str, n: int) -> SecretKey:
             raise InputError(
                 f"key {text!r}: non-binary character {ch!r} at position {pos}"
             )
-    return SecretKey(int(text, 2), n)
+    # int() refuses "", so the empty key reaches SecretKey's n >= 1 check.
+    return SecretKey(int(text or "0", 2), n)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 profile-consistent enumeration, guessing bounds."""
 
 import itertools
+import re
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -102,6 +103,22 @@ class TestSurjectionCount:
     def test_refuses_oversized(self):
         with pytest.raises(CapacityError):
             surjection_count(10**6, 2)
+
+    @pytest.mark.parametrize(
+        "k,m",
+        [(0, 3), (2, -1), (0, -1), (-5, 5000), (MAX_EXACT_ARG + 1, 3),
+         (2, MAX_EXACT_ARG + 1), (MAX_EXACT_ARG + 1, -1)],
+    )
+    def test_refuses_as_recovery_grid_does(self, k, m):
+        # one validator: a single cell fails with the grid's type and text
+        with pytest.raises((InputError, CapacityError)) as grid:
+            recovery_grid([k], [m])
+        with pytest.raises(grid.type, match=f"^{re.escape(str(grid.value))}$"):
+            surjection_count(m, k)
+
+    def test_names_k_first_when_both_are_invalid(self):
+        with pytest.raises(InputError, match="^k must be >= 1, got 0$"):
+            surjection_count(-1, 0)
 
 
 class TestProbAllKeys:
@@ -311,6 +328,24 @@ class TestGuessBound:
     def test_capped_at_one(self):
         # k! above the assignment count must clip to 1
         assert classical_guess_bound(BitSumProfile((1,)), 3) <= 1
+
+
+class TestBeyondEnumerationCap:
+    """The closed-form guess bounds answer any k; only the enumeration
+    fold, which sorts a k-row tuple per assignment, is capped."""
+
+    KEYS = KeySet.from_strings(["0000000000000"] * 5000)
+
+    def test_guess_bounds_answer(self):
+        assert classical_guess_bound(bit_sum_profile(self.KEYS), 5000) == 1
+        assert classical_guess_exact(self.KEYS) == 1
+
+    def test_enumeration_still_refused(self):
+        with pytest.raises(
+            CapacityError,
+            match="^key analysis supports at most 4096 keys, got k=5000$",
+        ):
+            count_consistent_keysets(bit_sum_profile(self.KEYS), self.KEYS.k)
 
 
 class TestGuessExact:

@@ -434,12 +434,65 @@ class TestAdversary:
 
         monkeypatch.setattr(adversary, "run_circuit", fail)
         monkeypatch.setattr(adversary, "estimate_bit_sums", fail)
+        monkeypatch.setattr(adversary, "count_consistent_keysets", fail)
         result, _, err = run(
             capsys, "adversary", "--keys", "01,10", "--m", m, "--trials", "1",
             "--seed", "1",
         )
         assert result == code
         assert message in err
+
+    @pytest.mark.parametrize(
+        "keys,flags,code,message",
+        [
+            ("0110101001,0110101001,0110101001,1110000001", (), EXIT_INPUT,
+             "coupon experiment assumes k equiprobable distinct keys"),
+            ("01,10", ("--trials", "0"), EXIT_INPUT, "runs must be >= 1, got 0"),
+            ("01", ("--trials", "-3"), EXIT_INPUT, "trials must be >= 1, got -3"),
+            ("01,10", ("--shots", "0"), EXIT_INPUT, "shots must be >= 1, got 0"),
+        ],
+        ids=["duplicates", "trials", "trials-single-key", "shots"],
+    )
+    def test_refused_before_any_strategy_works(
+        self, capsys, monkeypatch, keys, flags, code, message
+    ):
+        # --shots 10^9 would make the bit-sum estimate run for minutes
+        def fail(*args, **kwargs):
+            raise AssertionError("a strategy did its work")
+
+        monkeypatch.setattr(adversary, "estimate_bit_sums", fail)
+        monkeypatch.setattr(adversary, "run_circuit", fail)
+        monkeypatch.setattr(adversary, "count_consistent_keysets", fail)
+        argv = ["adversary", "--keys", keys, "--shots", "1000000000", "--seed", "7"]
+        result, out, err = run(capsys, *argv, *flags)
+        assert result == code
+        assert out == ""
+        assert message in err
+
+    def test_work_bound_refused_before_any_strategy_works(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a strategy did its work")
+
+        monkeypatch.setattr(adversary, "estimate_bit_sums", fail)
+        monkeypatch.setattr(adversary, "run_circuit", fail)
+        keys = ",".join(
+            format(v, "020b") for v in random.Random(7).sample(range(1 << 20), 8)
+        )
+        code, out, err = run(
+            capsys, "adversary", "--keys", keys, "--shots", "1000000000",
+            "--seed", "7",
+        )
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err.startswith("capacity error: enumeration needs ")
+        assert err.endswith("ordered assignments, work bound is 10000000\n")
+
+    def test_single_key_ignores_shots(self, capsys):
+        code, _, _ = run(
+            capsys, "adversary", "--keys", "01", "--shots", "0", "--trials", "10",
+            "--seed", "7",
+        )
+        assert code == EXIT_OK
 
     def test_single_key_both_certain(self, capsys):
         record = run_json(
@@ -542,6 +595,20 @@ class TestDeterminism:
         assert out == ""
         record = json.loads(path.read_text())
         assert record["command"] == "simulate"
+
+    @pytest.mark.parametrize(
+        "target,reason",
+        [("missing/run.json", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path, target, reason):
+        path = os.path.join(tmp_path, target)
+        code, out, err = run(
+            capsys, "simulate", "--keys", "01,10", "--seed", "7", "--out", path
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"input error: cannot write {path}: {reason}\n"
 
 
 # 13-bit keys, k=6: 13 data + 1 target + 3 control = 17 qubits.

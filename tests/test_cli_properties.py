@@ -4,6 +4,8 @@ on stdout, and no other exception escapes `cli.main`."""
 
 import contextlib
 import io
+import os
+import tempfile
 from math import comb, prod
 
 import numpy as np
@@ -180,14 +182,19 @@ def argvs(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
-@given(argvs())
-def test_every_command_answers_or_refuses(argv):
+@given(argvs(), st.sampled_from([None, "run.out", "missing/run.out", ""]))
+def test_every_command_answers_or_refuses(argv, out_path):
+    """`out_path` joined to a fresh temporary directory: absent, a new
+    file, a path under a missing directory, or the directory itself."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse refuses with exit 2
-            code = exc.code
+    with tempfile.TemporaryDirectory() as tmp:
+        if out_path is not None:
+            argv = argv + ["--out", os.path.join(tmp, out_path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses with exit 2
+                code = exc.code
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CAPACITY), (code, err.getvalue())
     if code != cli.EXIT_OK:
         assert out.getvalue() == ""

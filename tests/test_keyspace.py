@@ -51,6 +51,13 @@ class TestParseKey:
         with pytest.raises(InputError):
             SecretKey(0, 0)
 
+    def test_rejects_empty_key(self):
+        message = "^key length must be >= 1, got 0$"
+        with pytest.raises(InputError, match=message):
+            parse_key("", 0)
+        with pytest.raises(InputError, match=message):
+            KeySet.from_strings([""])
+
 
 class TestDotMod2:
     def test_examples(self):
