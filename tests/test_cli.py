@@ -68,31 +68,62 @@ class TestSimulate:
         amps = record["results"]["statevector"]["amplitudes"]
         assert amps, "expected nonzero amplitudes"
 
-    def test_state_dump_capacity(self, capsys):
+    def test_state_dump_beyond_twelve_qubits(self, capsys):
         keys = ",".join(["0" * 11 + "1"] * 2)
-        code, _, err = run(
+        record = run_json(
             capsys, "simulate", "--keys", keys, "--seed", "1", "--dump-state"
         )
-        assert code == EXIT_CAPACITY
-        assert "capacity" in err
+        assert record["results"]["total_qubits"] == 14
+        assert len(record["results"]["statevector"]["amplitudes"]) == 4
 
-    def test_state_dump_capacity_refused_before_simulating(self, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("run_circuit called")
+    def test_state_dump_lists_the_final_state(self, capsys):
+        # k^(-1/2) sum_i |i>|->|s_i>: one amplitude per (control i,
+        # target t), at data s_i, in ascending basis order.
+        values = random.Random(14).sample(range(1 << 14), 4)
+        texts = [format(v, "014b") for v in values + values[1:2]]
+        k = len(texts)
+        amp = 1 / np.sqrt(2 * k)
+        expected = [
+            (format(i, "03b") + t + s, amp if t == "0" else -amp)
+            for i, s in enumerate(texts)
+            for t in "01"
+        ]
+        dumps = {}
+        for path in ("gate", "fast"):
+            record = run_json(
+                capsys, "simulate", "--keys", ",".join(texts), "--seed", "1",
+                "--dump-state", "--oracle-path", path,
+            )
+            assert record["results"]["total_qubits"] == 18
+            dumps[path] = record["results"]["statevector"]["amplitudes"]
+        for amps in dumps.values():
+            assert [a["basis"] for a in amps] == [b for b, _ in expected]
+            assert all(a["im"] == 0.0 for a in amps)
+        assert [a["re"] for a in dumps["fast"]] == [v for _, v in expected]
+        assert [a["re"] for a in dumps["gate"]] == pytest.approx(
+            [v for _, v in expected], abs=1e-10, rel=0
+        )
 
-        monkeypatch.setattr(cli, "run_circuit", fail)
-        code, _, err = run(
-            capsys, "simulate", "--keys", ",".join(["1" * 20] + ["0" * 20] * 5),
-            "--seed", "1", "--dump-state",
-        )
+    @pytest.mark.parametrize("path", ["gate", "fast"])
+    def test_state_dump_refused_beyond_qubit_cap(self, capsys, path):
+        # A 32-qubit state would take 32 GiB; it is refused before any
+        # amplitude is allocated.
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "simulate", "--keys", "0" * 30 + "1", "--seed", "1",
+                "--dump-state", "--oracle-path", path,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == EXIT_CAPACITY
-        assert "statevector dump limited to 12 qubits, circuit has 24" in err
-        code, _, err = run(
-            capsys, "simulate", "--keys", "0" * 30 + "1", "--seed", "1",
-            "--dump-state",
+        assert out == ""
+        assert (
+            "circuit needs 32 qubits (31 data + 1 target + 0 control), cap is 24"
+            in err
         )
-        assert code == EXIT_CAPACITY
-        assert "statevector dump limited to 12 qubits, circuit has 32" in err
+        assert peak < 2**20
 
     def test_n_mismatch_is_input_error(self, capsys):
         code, _, err = run(
@@ -447,7 +478,7 @@ class TestAdversary:
         [
             ("0110101001,0110101001,0110101001,1110000001", (), EXIT_INPUT,
              "coupon experiment assumes k equiprobable distinct keys"),
-            ("01,10", ("--trials", "0"), EXIT_INPUT, "runs must be >= 1, got 0"),
+            ("01,10", ("--trials", "0"), EXIT_INPUT, "trials must be >= 1, got 0"),
             ("01", ("--trials", "-3"), EXIT_INPUT, "trials must be >= 1, got -3"),
             ("01,10", ("--shots", "0"), EXIT_INPUT, "shots must be >= 1, got 0"),
         ],
@@ -463,6 +494,7 @@ class TestAdversary:
         monkeypatch.setattr(adversary, "estimate_bit_sums", fail)
         monkeypatch.setattr(adversary, "run_circuit", fail)
         monkeypatch.setattr(adversary, "count_consistent_keysets", fail)
+        monkeypatch.setattr(cli, "run_single_key_baseline", fail)
         argv = ["adversary", "--keys", keys, "--shots", "1000000000", "--seed", "7"]
         result, out, err = run(capsys, *argv, *flags)
         assert result == code

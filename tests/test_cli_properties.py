@@ -1,9 +1,11 @@
-"""Property test (Hypothesis) over the four CLI commands: every drawn
+"""Property tests (Hypothesis) over the four CLI commands: every drawn
 argument list is answered (exit 0) or refused (exit 2 or 3) with nothing
-on stdout, and no other exception escapes `cli.main`."""
+on stdout, and no other exception escapes `cli.main`; every answered
+`simulate --dump-state` lists the final state's 2k amplitudes."""
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 from math import comb, prod
@@ -199,3 +201,30 @@ def test_every_command_answers_or_refuses(argv, out_path):
     if code != cli.EXIT_OK:
         assert out.getvalue() == ""
         assert err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(key_values(), st.sampled_from(["gate", "fast"]))
+def test_every_state_dump_lists_2k_amplitudes(parsed, path):
+    """k^(-1/2) sum_i |i>|->|s_i> has one amplitude per control branch i
+    and target value, duplicate keys included."""
+    n, values = parsed
+    k = len(values)
+    # Both paths allocate the dense state for the dump.
+    total = n + 1 + (k - 1).bit_length()
+    assume(total <= MAX_GATE_QUBITS or total > QUBIT_CAP)
+    argv = [
+        "simulate", "--keys", ",".join(format(v, f"0{n}b") for v in values),
+        "--seed", "1", "--dump-state", "--oracle-path", path,
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        # k > 2^n, or more qubits than the cap
+        assert code in (cli.EXIT_INPUT, cli.EXIT_CAPACITY), err.getvalue()
+        return
+    results = json.loads(out.getvalue())["results"]
+    amps = results["statevector"]["amplitudes"]
+    assert len(amps) == 2 * k
+    assert all(len(a["basis"]) == results["total_qubits"] for a in amps)
