@@ -200,9 +200,11 @@ def quantum_coupon_experiment(
 
     Each trial samples m measurements from the simulated circuit's
     exact data-register marginal and succeeds when every key was
-    observed.  Measurements are drawn about `simulator._SHOT_CHUNK` at
-    a time, whole trials at once when m is below it and in column
-    chunks of one trial otherwise, into a per-trial seen bitmap, so
+    observed.  Measurements are drawn by a `simulator.OutcomeSampler`,
+    which gives the indices of `rng.choice(k, ..., p=p)` from the same
+    stream, about `simulator._SHOT_CHUNK` at a time: whole trials at
+    once when m is below it and in column chunks of one trial
+    otherwise, into one flat seen bitmap of k entries per trial, so
     memory grows with neither `trials` nor m.
     Distinct keys required: see `_require_distinct`.
     """
@@ -221,17 +223,20 @@ def quantum_coupon_experiment(
         raise InputError(
             f"key outcomes carry probability {total}, expected 1"
         )
-    p = p / total
+    sampler = simulator.OutcomeSampler(p / total)
     chunk = simulator._SHOT_CHUNK
     rows, cols = max(1, chunk // m), min(m, chunk)
+    # Trial t of a block marks outcome i seen at seen[t * k + i].
+    offsets = np.arange(0, rows * k, k)[:, None]
     full = 0
     for start in range(0, trials, rows):
-        seen = np.zeros((min(rows, trials - start), k), dtype=bool)
-        trial = np.arange(len(seen))[:, None]
+        count = min(rows, trials - start)
+        seen = np.zeros(count * k, dtype=bool)
         for done in range(0, m, cols):
-            drawn = rng.choice(k, size=(len(seen), min(cols, m - done)), p=p)
-            seen[trial, drawn] = True
-        full += int(np.count_nonzero(seen.all(axis=1)))
+            drawn = sampler.draw(rng, (count, min(cols, m - done)))
+            drawn += offsets[:count]
+            seen[drawn] = True
+        full += int(np.count_nonzero(seen.reshape(count, k).all(axis=1)))
     return float(full / trials)
 
 

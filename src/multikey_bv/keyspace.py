@@ -48,17 +48,22 @@ def format_key(value: int, n: int) -> str:
     return format(value, f"0{n}b")
 
 
+_DELETE_BINARY_DIGITS = str.maketrans("", "", "01")
+
+
 def parse_key(text: str, n: int) -> SecretKey:
     """Parse an MSB-first binary string, e.g. parse_key("0001", 4).value == 1."""
     if len(text) != n:
         raise InputError(
             f"key {text!r} has length {len(text)}, expected {n}"
         )
-    for pos, ch in enumerate(text):
-        if ch not in "01":
-            raise InputError(
-                f"key {text!r}: non-binary character {ch!r} at position {pos}"
-            )
+    # One pass over the whole string: anything left after deleting the
+    # binary digits is a bad character.
+    if text.translate(_DELETE_BINARY_DIGITS):
+        pos, ch = next((p, c) for p, c in enumerate(text) if c not in "01")
+        raise InputError(
+            f"key {text!r}: non-binary character {ch!r} at position {pos}"
+        )
     # int() refuses "", so the empty key reaches SecretKey's n >= 1 check.
     return SecretKey(int(text or "0", 2), n)
 

@@ -88,9 +88,18 @@ _MIN_RUN = _TILE >> _GROUP_BITS
 
 # Draws per rng call, for measurement shots here and for Monte Carlo
 # trials and oracle queries in `adversary`, so that memory stays bounded
-# however many are asked for.  Chunked draws read the same random stream
-# in the same order as one call over all of them.
-_SHOT_CHUNK = 1 << 20
+# however many are asked for.  At 2^16 draws a block's uniforms, bucket
+# numbers and indices (512 KB each) stay in a core's L2 cache through
+# the few passes an `OutcomeSampler` makes over them.  Chunked draws
+# read the same random stream in the same order as one call over all
+# of them.
+_SHOT_CHUNK = 1 << 16
+
+# An `OutcomeSampler`'s guide table has at most this many buckets (8 MB
+# of indices), so its memory stays bounded however many outcomes there
+# are; above 2^16 outcomes more than 1/16 of the draws then fall back to
+# searchsorted.
+_MAX_BUCKETS = 1 << 20
 
 # Dense-marginal entries at or below this are rounding noise, not outcomes.
 _PROB_TOL = 1e-12
@@ -531,23 +540,74 @@ class Histogram:
         ]
 
 
+class OutcomeSampler:
+    """Weighted draws of outcome indices, equal to `rng.choice`'s.
+
+    `Generator.choice(k, shape, p=probs)` maps `u = rng.random(shape)`
+    to `cdf.searchsorted(u, "right")`, with `cdf = probs.cumsum()` and
+    `cdf /= cdf[-1]`.  This sampler builds the same cdf, splits [0, 1)
+    into T = `buckets` equal parts, the smallest power of two at least
+    16 k but at most `_MAX_BUCKETS`, and tabulates the index of each
+    bucket's first value b / T and of its last double, the count of cdf
+    values below (b + 1) / T (a guide table, Chen & Asau 1974).  `u * T`
+    and `b / T` are exact in floating point and the index is monotone
+    in u, so where the two agree every u in the bucket maps to that
+    index, read with one gather.  Only draws in the at most k - 1
+    buckets holding a cdf edge, at most 1/16 of the mass up to 2^16
+    outcomes, go through `searchsorted`.  The indices, and the random
+    stream read, are those of `choice`.
+    """
+
+    __slots__ = ("cdf", "buckets", "_table")
+
+    def __init__(self, probs):
+        probs = np.asarray(probs, dtype=np.float64)
+        cdf = probs.cumsum()
+        if not (probs.size and (probs >= 0).all() and 0 < cdf[-1] < math.inf):
+            raise InputError(
+                "outcome probabilities must be finite and nonnegative "
+                "with a positive sum"
+            )
+        cdf /= cdf[-1]
+        self.cdf = cdf
+        self.buckets = min(1 << (16 * cdf.size - 1).bit_length(), _MAX_BUCKETS)
+        edges = np.arange(self.buckets + 1) / self.buckets
+        first = cdf.searchsorted(edges[:-1], "right")
+        last = cdf.searchsorted(edges[1:], "left")
+        # -1 marks a bucket that holds a cdf edge.
+        self._table = np.where(first == last, first, -1)
+
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """`cdf.searchsorted(u, "right")` for an array of u in [0, 1)."""
+        flat = u.reshape(-1)
+        idx = self._table[(flat * self.buckets).astype(np.intp)]
+        edge = np.flatnonzero(idx < 0)
+        idx[edge] = self.cdf.searchsorted(flat[edge], "right")
+        return idx.reshape(u.shape)
+
+    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Indices of `rng.choice(k, shape, p=probs)`, from the same stream."""
+        return self.lookup(rng.random(shape))
+
+
 def measure_data_register(
     exact: dict[str, float], shots: int, rng: np.random.Generator
 ) -> Histogram:
     """Draw i.i.d. samples from an `exact_distribution` result.
 
-    The outcomes are drawn in ascending order, `_SHOT_CHUNK` shots at a
-    time, and tallied per chunk.
+    The outcomes are drawn in ascending order by an `OutcomeSampler`,
+    `_SHOT_CHUNK` shots at a time, and tallied per chunk; the counts are
+    those of `rng.choice` over the normalized probabilities.
     """
     if shots < 1:
         raise InputError(f"shots must be >= 1, got {shots}")
     outcomes = sorted(exact)
     probs = np.array([exact[outcome] for outcome in outcomes])
     probs /= probs.sum()
+    sampler = OutcomeSampler(probs)
     tallies = np.zeros(len(outcomes), dtype=np.int64)
     for start in range(0, shots, _SHOT_CHUNK):
-        size = min(_SHOT_CHUNK, shots - start)
-        drawn = rng.choice(len(outcomes), size=size, p=probs)
+        drawn = sampler.draw(rng, min(_SHOT_CHUNK, shots - start))
         tallies += np.bincount(drawn, minlength=len(outcomes))
     counts = {
         outcome: int(tally) for outcome, tally in zip(outcomes, tallies) if tally

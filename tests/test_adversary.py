@@ -208,7 +208,8 @@ class TestChunkedDraws:
     """Chunked draws against unchunked reference loops on the same seed.
 
     The chunk is patched small so that every strategy crosses several
-    chunk boundaries, including a last partial chunk.
+    chunk boundaries, including a last partial chunk; the coupon draws
+    are also checked, and their memory bounded, at the real block size.
     """
 
     @pytest.mark.parametrize(
@@ -287,6 +288,52 @@ class TestChunkedDraws:
             tracemalloc.stop()
         assert peak < 48 * 2**20
         assert rate == 1.0
+
+    @pytest.mark.parametrize(
+        "texts,m,trials",
+        [
+            (("0001", "0011", "1011", "1110"), 12, 10**5),
+            (("011", "101", "110"), (1 << 16) + 5, 3),
+            (("001", "010", "011", "100", "101", "110", "111"), 20, 50_001),
+        ],
+    )
+    def test_coupon_rate_equals_choice_blocks(self, texts, m, trials):
+        """The real block size, against the same blocks drawn by rng.choice."""
+        ks = keyset(*texts)
+        rng = np.random.default_rng(13)
+        rate = quantum_coupon_experiment(ks, m, trials, rng)
+        reference_rng = np.random.default_rng(13)
+        dist = simulator.exact_distribution(simulator.run_circuit(ks))
+        p = np.array([dist[text] for text in texts])
+        p = p / p.sum()
+        chunk = simulator._SHOT_CHUNK
+        rows, cols = max(1, chunk // m), min(m, chunk)
+        full = 0
+        for start in range(0, trials, rows):
+            seen = np.zeros((min(rows, trials - start), ks.k), dtype=bool)
+            trial = np.arange(len(seen))[:, None]
+            for done in range(0, m, cols):
+                size = (len(seen), min(cols, m - done))
+                seen[trial, reference_rng.choice(ks.k, size=size, p=p)] = True
+            full += int(np.count_nonzero(seen.all(axis=1)))
+        assert rate == full / trials
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "texts,m,trials",
+        [(("0001", "0011", "1011", "1110"), 12, 10**6), (("011", "101", "110"), 1 << 23, 1)],
+    )
+    def test_coupon_peak_stays_within_a_few_blocks(self, texts, m, trials):
+        # A block of 2^16 draws takes 512 KiB per array of uniforms,
+        # bucket numbers or indices.
+        ks = keyset(*texts)
+        tracemalloc.start()
+        try:
+            quantum_coupon_experiment(ks, m, trials, np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestReports:

@@ -41,6 +41,19 @@ class TestParseKey:
         with pytest.raises(InputError, match="position 2"):
             parse_key("0121", 4)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("01x1", "key '01x1': non-binary character 'x' at position 2"),
+            ("0102", "key '0102': non-binary character '2' at position 3"),
+            ("1 2_", "key '1 2_': non-binary character ' ' at position 1"),
+        ],
+    )
+    def test_non_binary_message_names_first_bad_character(self, text, message):
+        with pytest.raises(InputError) as info:
+            parse_key(text, 4)
+        assert str(info.value) == message
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(InputError, match="length 3"):
             parse_key("011", 4)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from multikey_bv.keyspace import KeySet, SecretKey  # noqa: E402
 from multikey_bv.simulator import (  # noqa: E402
+    OutcomeSampler,
     StateVector,
     exact_distribution,
     run_circuit,
@@ -108,3 +109,42 @@ def test_closed_form_marginal_equals_dense_marginal(keys):
     assert list(exact_distribution(spec).items()) == list(
         exact_distribution(spec.to_statevector()).items()
     )
+
+
+@st.composite
+def weighted_draws(draw):
+    """Probabilities over 1..4097 outcomes, a 1-D or 2-D shape and a seed.
+
+    The weights are uniform, skewed over 60 binary orders of magnitude
+    (many outcomes share a bucket), or contain zeros.
+    """
+    k = draw(st.one_of(st.integers(1, 16), st.integers(17, 4097)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "skewed", "zeros"]))
+    if kind == "uniform":
+        weights = np.ones(k)
+    elif kind == "skewed":
+        weights = 2.0 ** -rng.integers(0, 60, size=k)
+    else:
+        weights = rng.random(k) * (rng.random(k) < 0.5)
+        weights[rng.integers(k)] = 1.0
+    shape = draw(
+        st.one_of(
+            st.integers(1, 3000),
+            st.tuples(st.integers(1, 60), st.integers(1, 60)),
+        )
+    )
+    return weights / weights.sum(), shape, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_draws())
+def test_sampler_equals_rng_choice(case):
+    probs, shape, seed = case
+    expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = expected_rng.choice(probs.size, size=shape, p=probs)
+    drawn = OutcomeSampler(probs).draw(rng, shape)
+    assert drawn.dtype == expected.dtype
+    assert drawn.shape == expected.shape
+    assert np.array_equal(drawn, expected)
+    assert rng.bit_generator.state == expected_rng.bit_generator.state

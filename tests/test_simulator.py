@@ -19,7 +19,12 @@ from multikey_bv import (
     run_circuit,
 )
 from multikey_bv import simulator
-from multikey_bv.simulator import StateVector, chi_square_vs_exact, control_width
+from multikey_bv.simulator import (
+    OutcomeSampler,
+    StateVector,
+    chi_square_vs_exact,
+    control_width,
+)
 
 
 def keyset(*texts: str) -> KeySet:
@@ -663,6 +668,66 @@ class TestMeasurement:
         assert [r["outcome"] for r in records] == sorted(r["outcome"] for r in records)
         for rec in records:
             assert set(rec) == {"outcome", "count", "probability", "exact_probability"}
+
+
+class TestOutcomeSampler:
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0],
+            [1.0] * 4,
+            [1.0] * 3,
+            [0.0, 3.0, 0.0, 1.0, 0.0],
+            (2.0 ** -np.arange(60)).tolist(),
+            np.random.default_rng(3).random(1000).tolist(),
+            np.random.default_rng(4).random(70_000).tolist(),
+        ],
+    )
+    def test_lookup_equals_searchsorted_at_every_edge(self, weights):
+        probs = np.array(weights) / np.sum(weights)
+        sampler = OutcomeSampler(probs)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        assert np.array_equal(sampler.cdf, cdf)
+        buckets = sampler.buckets
+        assert buckets & (buckets - 1) == 0
+        if buckets < simulator._MAX_BUCKETS:
+            assert buckets // 2 < 16 * probs.size <= buckets
+        else:
+            assert 16 * probs.size > simulator._MAX_BUCKETS // 2
+        edges = np.concatenate([cdf, np.arange(buckets + 1) / buckets])
+        u = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, 1.0),
+                [0.0, 1.0 - 2.0**-53],
+            ]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(sampler.lookup(u), cdf.searchsorted(u, "right"))
+        grid = u[: u.size // 2 * 2].reshape(2, -1)
+        assert np.array_equal(sampler.lookup(grid), cdf.searchsorted(grid, "right"))
+
+    def test_table_memory_is_bounded_for_a_million_outcomes(self):
+        probs = np.random.default_rng(5).random(10**6)
+        tracemalloc.start()
+        try:
+            sampler = OutcomeSampler(probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sampler.buckets == simulator._MAX_BUCKETS
+        assert peak < 64 * 2**20
+        u = np.random.default_rng(6).random(1000)
+        assert np.array_equal(sampler.lookup(u), sampler.cdf.searchsorted(u, "right"))
+
+    @pytest.mark.parametrize(
+        "weights", [[], [0.5, -0.1, 0.6], [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]]
+    )
+    def test_rejects_weights_without_a_distribution(self, weights):
+        with pytest.raises(InputError, match="nonnegative"):
+            OutcomeSampler(weights)
 
 
 class TestChiSquare:
