@@ -120,18 +120,15 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
         "distribution": rows,
     }
     if args.dump_state:
-        # The final state has 2k nonzero amplitudes; only those are visited.
-        amps = (state.to_statevector() if args.oracle_path == "fast" else state).amps
         record["results"]["statevector"] = {
             "layout": "basis string is controls|target|data, MSB first",
             "amplitudes": [
                 {
                     "basis": format(i, f"0{state.total_qubits}b"),
-                    "re": float(amps[i].real),
-                    "im": float(amps[i].imag),
+                    "re": float(amp.real),
+                    "im": float(amp.imag),
                 }
-                for i in np.flatnonzero(amps).tolist()
-                if abs(amps[i]) > 1e-12
+                for i, amp in state.nonzero_amplitudes()
             ],
         }
     return record, rows

@@ -52,14 +52,19 @@ target 0, data s_i) and -1/sqrt(2k) at (control i, target 1, data s_i).
 
 `exact_distribution` is the one route from either final state to
 outcome probabilities; for a spec it reads the key multiset, with no 2^n
-array.  `QUBIT_CAP` is checked only where amplitudes are allocated, in
-`StateVector`, so the fast path has no qubit cap.
+array.  `nonzero_amplitudes` lists either state's nonzero amplitudes;
+for a spec it yields the closed form's 2k entries, the one place they
+are written down.  Only the gate path and `CircuitSpec.to_statevector()`
+write a dense amplitude array.  `QUBIT_CAP` is checked only where
+amplitudes are allocated, in `StateVector`, so the fast path has no
+qubit cap.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +138,19 @@ class CircuitSpec:
     def total_qubits(self) -> int:
         return self.n + 1 + self.r
 
+    def nonzero_amplitudes(self) -> Iterator[tuple[int, float]]:
+        """Yield (basis index, amplitude) for the closed-form final
+        state's 2k nonzero amplitudes, in ascending index order:
+        +1/sqrt(2k) at (control i, target 0, data s_i) and -1/sqrt(2k)
+        at (control i, target 1, data s_i).  No array is allocated, so
+        any number of qubits is answered."""
+        amp = 1.0 / math.sqrt(2 * self.k)
+        minus = 1 << self.n
+        for i, value in enumerate(self.keys.values()):
+            index = (i << (self.n + 1)) | value
+            yield index, amp
+            yield index | minus, -amp
+
     def to_statevector(self) -> "StateVector":
         """The closed-form final state as a dense statevector.
 
@@ -141,9 +159,8 @@ class CircuitSpec:
         """
         state = StateVector(self.n, self.r)
         state.amps[0] = 0.0
-        view = state.amps.reshape(1 << self.r, 2, 1 << self.n)
-        branches, data = np.arange(self.k), self.keys.values()
-        view[branches, :, data] = np.array([1.0, -1.0]) / math.sqrt(2 * self.k)
+        for index, amp in self.nonzero_amplitudes():
+            state.amps[index] = amp
         return state
 
 
@@ -337,6 +354,14 @@ class StateVector:
                 "target ancilla is not in the minus state; cannot factor it out"
             )
         return view[:, 0, :].sum(axis=0) * math.sqrt(2.0)
+
+    def nonzero_amplitudes(self) -> Iterator[tuple[int, np.number]]:
+        """Yield (basis index, amplitude) for each amplitude above 1e-12
+        in magnitude, in ascending index order."""
+        amps = self.amps
+        for i in np.flatnonzero(amps).tolist():
+            if abs(amps[i]) > 1e-12:
+                yield i, amps[i]
 
     def __repr__(self) -> str:
         return f"StateVector(n={self.n}, r={self.r}, dim={self.dim})"

@@ -180,6 +180,10 @@ class TestCouponExperiment:
         rng = np.random.default_rng(1)
         assert quantum_coupon_experiment(keyset("011", "101"), 1, 1000, rng) == 0.0
 
+    def test_zero_measurements(self):
+        rng = np.random.default_rng(1)
+        assert quantum_coupon_experiment(keyset("011", "101"), 0, 1000, rng) == 0.0
+
     def test_near_one_for_many_measurements(self):
         rng = np.random.default_rng(5)
         rate = quantum_coupon_experiment(keyset("011", "101"), 10, 100_000, rng)

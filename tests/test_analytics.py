@@ -309,6 +309,11 @@ class TestCountConsistent:
         with pytest.raises(CapacityError, match="work bound"):
             count_consistent_keysets(profile, 20, work_bound=1000)
 
+    def test_work_bound_one_answers_a_single_assignment(self):
+        count = count_consistent_keysets(BitSumProfile((0, 1)), 1, work_bound=1)
+        assert count.ordered_count == 1
+        assert count.multiset_count == 1
+
     def test_rejects_count_above_k(self):
         with pytest.raises(InputError):
             count_consistent_keysets(BitSumProfile((3,)), 2)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import multikey_bv
-from multikey_bv import adversary, analytics, cli, prob_all_keys
+from multikey_bv import KeySet, adversary, analytics, cli, prob_all_keys, run_circuit
 from multikey_bv.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, main
 
 
@@ -104,7 +105,7 @@ class TestSimulate:
             [v for _, v in expected], abs=1e-10, rel=0
         )
 
-    @pytest.mark.parametrize("path", ["gate", "fast"])
+    @pytest.mark.parametrize("path", ["gate"])
     def test_state_dump_refused_beyond_qubit_cap(self, capsys, path):
         # A 32-qubit state would take 32 GiB; it is refused before any
         # amplitude is allocated.
@@ -124,6 +125,48 @@ class TestSimulate:
             in err
         )
         assert peak < 2**20
+
+    def test_fast_state_dump_answered_beyond_qubit_cap(self, capsys):
+        # The fast path lists the closed form's 2k amplitudes without
+        # allocating the 32-qubit state.
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "simulate", "--keys", "0" * 30 + "1", "--seed", "1",
+                "--dump-state", "--oracle-path", "fast",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, err
+        amps = json.loads(out)["results"]["statevector"]["amplitudes"]
+        assert [a["basis"] for a in amps] == ["0" + "0" * 30 + "1", "1" + "0" * 30 + "1"]
+        assert [a["re"] for a in amps] == [1 / np.sqrt(2), -1 / np.sqrt(2)]
+        assert peak < 2**20
+
+    def test_fast_state_dump_at_qubit_cap_allocates_no_state(self, capsys):
+        # n=20, k=8: 24 qubits, a 128 MiB dense state.
+        keys = KeySet.from_strings(
+            format(v, "020b") for v in random.Random(24).sample(range(1 << 20), 8)
+        )
+        argv = [
+            "simulate", "--keys", ",".join(keys.strings()), "--seed", "1",
+            "--dump-state", "--oracle-path", "fast",
+        ]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, err
+        assert peak < 2**20
+        amps = json.loads(out)["results"]["statevector"]["amplitudes"]
+        dense = run_circuit(keys, oracle_path="fast").to_statevector().amps
+        nonzero = np.flatnonzero(dense)
+        assert [int(a["basis"], 2) for a in amps] == nonzero.tolist()
+        assert [a["re"] for a in amps] == dense[nonzero].tolist()
+        assert all(a["im"] == 0.0 for a in amps)
 
     def test_n_mismatch_is_input_error(self, capsys):
         code, _, err = run(
@@ -339,6 +382,12 @@ class TestAnalyze:
         )
         assert code == EXIT_CAPACITY
 
+    def test_work_bound_one_answers_a_single_assignment(self, capsys):
+        record = run_json(
+            capsys, "analyze", "--keys", "01", "--work-bound", "1", "--seed", "1"
+        )
+        assert record["results"]["key_analysis"]["ordered_count"] == 1
+
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "analyze", "--k", "2", "--m", "x", "--seed", "1")
         assert code == EXIT_INPUT
@@ -518,6 +567,19 @@ class TestAdversary:
         assert out == ""
         assert err.startswith("capacity error: enumeration needs ")
         assert err.endswith("ordered assignments, work bound is 10000000\n")
+
+    @pytest.mark.parametrize("keys,strategies", [("011,101", 3), ("011", 2)])
+    def test_wall_times_lie_within_the_call(self, capsys, keys, strategies):
+        t0 = time.perf_counter()
+        record = run_json(
+            capsys, "adversary", "--keys", keys, "--trials", "100",
+            "--shots", "16", "--seed", "1",
+        )
+        elapsed = time.perf_counter() - t0
+        reports = record["results"]["reports"]
+        assert len(reports) == strategies
+        for wall_time in [record["wall_time_s"]] + [r["wall_time_s"] for r in reports]:
+            assert 0 <= wall_time <= elapsed
 
     def test_single_key_ignores_shots(self, capsys):
         code, _, _ = run(

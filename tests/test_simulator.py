@@ -669,6 +669,13 @@ class TestMeasurement:
         for rec in records:
             assert set(rec) == {"outcome", "count", "probability", "exact_probability"}
 
+    def test_exact_outcome_never_drawn_reports_zero(self):
+        hist = simulator.Histogram(counts={"01": 4}, shots=4)
+        assert hist.to_records(exact={"01": 0.5, "10": 0.5}) == [
+            {"outcome": "01", "count": 4, "probability": 1.0, "exact_probability": 0.5},
+            {"outcome": "10", "count": 0, "probability": 0.0, "exact_probability": 0.5},
+        ]
+
 
 class TestOutcomeSampler:
     @pytest.mark.parametrize(
