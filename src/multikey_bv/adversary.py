@@ -103,11 +103,10 @@ def estimate_bit_sums(oracle: ClassicalOracle, trials_per_bit: int) -> np.ndarra
     chunk = simulator._SHOT_CHUNK
     estimates = np.empty(n, dtype=np.float64)
     for q in range(n):
-        x = SecretKey(1 << q, n)
         ones = 0
         for start in range(0, trials_per_bit, chunk):
             size = min(chunk, trials_per_bit - start)
-            ones += int(np.count_nonzero(oracle.query_batch(x, size)))
+            ones += int(np.count_nonzero(oracle.probe_batch([q], size)))
         estimates[q] = k * ones / trials_per_bit
     return estimates
 
@@ -148,7 +147,7 @@ def classical_guess_attack(
         work_bound=work_bound,
     )
     pool = count.distinct_multisets() if distinct else count.multisets
-    truth_idx = pool.index(tuple(sorted(true_keys.values())))
+    truth_idx = pool.index(tuple(sorted(true_keys.values)))
     successes = 0
     chunk = simulator._SHOT_CHUNK
     for start in range(0, runs, chunk):
@@ -217,7 +216,7 @@ def quantum_coupon_experiment(
     if m < k:
         return 0.0
     dist = exact_distribution(run_circuit(keys, oracle_path=oracle_path))
-    p = np.array([dist[str(key)] for key in keys])
+    p = np.array([dist[s] for s in keys.strings()])
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise InputError(
@@ -253,7 +252,7 @@ def run_single_key_baseline(keys: KeySet, seed: int) -> ExperimentReport:
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
         recovered=[str(recovered)],
-        success=recovered.value == keys.keys[0].value,
+        success=recovered.value == keys.values[0],
     )
 
 

@@ -3,13 +3,18 @@
 One convention everywhere: bit q of a key is the coefficient of 2**q
 (little-endian indexing), while textual I/O is most-significant-bit
 first.  Conversion between the two lives only in `parse_key` and
-`format_key`; every other module works on integer values.
+`format_key`; every other module works on integer values.  A `KeySet`
+is n plus its values, whose bits only `KeySet.bit_matrix()` unpacks;
+`SecretKey` is the per-key view, built where one key is named.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
+
+import numpy as np
 
 from .errors import InputError
 
@@ -53,6 +58,11 @@ _DELETE_BINARY_DIGITS = str.maketrans("", "", "01")
 
 def parse_key(text: str, n: int) -> SecretKey:
     """Parse an MSB-first binary string, e.g. parse_key("0001", 4).value == 1."""
+    return SecretKey(_parse_value(text, n), n)
+
+
+def _parse_value(text: str, n: int) -> int:
+    """`parse_key`'s value, with n left for the caller to check."""
     if len(text) != n:
         raise InputError(
             f"key {text!r} has length {len(text)}, expected {n}"
@@ -64,66 +74,58 @@ def parse_key(text: str, n: int) -> SecretKey:
         raise InputError(
             f"key {text!r}: non-binary character {ch!r} at position {pos}"
         )
-    # int() refuses "", so the empty key reaches SecretKey's n >= 1 check.
-    return SecretKey(int(text or "0", 2), n)
+    # int() refuses "", so the empty key reaches the caller's n >= 1 check.
+    return int(text or "0", 2)
 
 
 @dataclass(frozen=True)
 class KeySet:
-    """Ordered multiset of k keys of a common length n.
+    """Ordered multiset of k n-bit keys, held as their integer values.
 
     Order is preserved as given: index i identifies which unitary the
     key drives in the simulated circuit.  Duplicates are allowed; the
     count is bounded by 1 <= k <= 2**n.
     """
 
-    keys: tuple[SecretKey, ...]
+    values: tuple[int, ...]
+    n: int
 
     def __post_init__(self):
-        if not self.keys:
+        if not self.values:
             raise InputError("a key set needs at least one key")
-        n = self.keys[0].n
-        for key in self.keys:
-            if key.n != n:
-                raise InputError(
-                    f"mixed key lengths: expected {n}, got {key.n} for {key}"
-                )
-        if len(self.keys) > (1 << n):
+        if self.n < 1:
+            raise InputError(f"key length must be >= 1, got {self.n}")
+        if min(self.values) < 0 or max(self.values) >> self.n:
+            value = next(v for v in self.values if not 0 <= v < (1 << self.n))
+            raise InputError(f"key value {value} does not fit in {self.n} bits")
+        if self.k > (1 << self.n):
             raise InputError(
-                f"k={len(self.keys)} exceeds the 2^n={1 << n} bound for n={n}"
+                f"k={self.k} exceeds the 2^n={1 << self.n} bound for n={self.n}"
             )
 
     @classmethod
     def from_strings(cls, texts, n: int | None = None) -> "KeySet":
         texts = list(texts)
-        if not texts:
-            raise InputError("a key set needs at least one key")
         if n is None:
-            n = len(texts[0])
-        return cls(tuple(parse_key(t, n) for t in texts))
-
-    @property
-    def n(self) -> int:
-        return self.keys[0].n
+            n = len(texts[0]) if texts else 0
+        return cls(tuple(_parse_value(t, n) for t in texts), n)
 
     @property
     def k(self) -> int:
-        return len(self.keys)
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(key.value for key in self.keys)
+        return len(self.values)
 
     def strings(self) -> tuple[str, ...]:
-        return tuple(str(key) for key in self.keys)
+        return tuple(format_key(v, self.n) for v in self.values)
 
     def all_distinct(self) -> bool:
-        return len(set(self.values())) == self.k
+        return len(set(self.values)) == self.k
 
-    def __iter__(self):
-        return iter(self.keys)
-
-    def __len__(self) -> int:
-        return self.k
+    def bit_matrix(self) -> np.ndarray:
+        """k x n uint8 array whose entry [i, q] is bit q of values[i]."""
+        width = (self.n + 7) // 8
+        packed = b"".join(v.to_bytes(width, "little") for v in self.values)
+        rows = np.frombuffer(packed, dtype=np.uint8).reshape(self.k, width)
+        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -150,10 +152,7 @@ class BitSumProfile:
 
 def bit_sum_profile(keys: KeySet) -> BitSumProfile:
     """Count, for each bit position q, how many keys have bit q equal to 1."""
-    counts = tuple(
-        sum(key.bit(q) for key in keys) for q in range(keys.n)
-    )
-    return BitSumProfile(counts)
+    return BitSumProfile(tuple(keys.bit_matrix().sum(axis=0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -175,15 +174,10 @@ class KeyMultiplicity:
 
 def multiplicity(keys: KeySet) -> KeyMultiplicity:
     """Group a key multiset into distinct keys, in first-occurrence order."""
-    seen: dict[int, int] = {}
-    for key in keys:
-        seen[key.value] = seen.get(key.value, 0) + 1
-    n = keys.n
-    distinct = tuple(SecretKey(v, n) for v in seen)
+    seen = Counter(keys.values)
+    distinct = tuple(SecretKey(v, keys.n) for v in seen)
     counts = tuple(seen.values())
-    perms = factorial(keys.k)
-    for b in counts:
-        perms //= factorial(b)
+    perms = factorial(keys.k) // prod(map(factorial, counts))
     return KeyMultiplicity(distinct, counts, perms)
 
 

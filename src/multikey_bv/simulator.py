@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .keyspace import KeySet, SecretKey, dot_mod2, format_key
+from .keyspace import KeySet, SecretKey, format_key
 
 QUBIT_CAP = 24
 
@@ -146,7 +146,7 @@ class CircuitSpec:
         any number of qubits is answered."""
         amp = 1.0 / math.sqrt(2 * self.k)
         minus = 1 << self.n
-        for i, value in enumerate(self.keys.values()):
+        for i, value in enumerate(self.keys.values):
             index = (i << (self.n + 1)) | value
             yield index, amp
             yield index | minus, -amp
@@ -514,7 +514,7 @@ def _apply_gate(state: StateVector, spec: CircuitSpec, gate: tuple) -> None:
         state.prepare_uniform(gate[1])
     elif op == "cku":
         i = gate[1]
-        state.apply_controlled_key_unitary(i, spec.keys.keys[i])
+        state.apply_controlled_key_unitary(i, SecretKey(spec.keys.values[i], spec.n))
     else:
         raise InputError(f"unknown gate {gate!r}")
 
@@ -534,7 +534,7 @@ def exact_distribution(state: StateVector | CircuitSpec) -> dict[str, float]:
         amp = 1.0 / math.sqrt(2 * state.k)
         square = amp * amp
         sums: dict[int, float] = {}
-        for value in state.keys.values():
+        for value in state.keys.values:
             sums[value] = sums.get(value, 0.0) + square + square
         return {format_key(x, n): sums[x] for x in sorted(sums)}
     probs = state.data_marginal()
@@ -679,35 +679,41 @@ class ClassicalOracle:
     random key's dot product against the input, independently per query."""
 
     def __init__(self, keys: KeySet, rng: np.random.Generator):
-        self.keys = keys
+        self.bits = keys.bit_matrix()
         self.rng = rng
         self.queries = 0
 
     @property
     def k(self) -> int:
-        return self.keys.k
+        return self.bits.shape[0]
 
     @property
     def n(self) -> int:
-        return self.keys.n
+        return self.bits.shape[1]
 
     def query(self, x: SecretKey) -> int:
         return int(self.query_batch(x, 1)[0])
 
     def query_batch(self, x: SecretKey, size: int) -> np.ndarray:
-        """Answers to `size` independent queries with the same input x.
+        """Answers to `size` independent queries with the same input x."""
+        if x.n != self.n:
+            raise InputError(
+                f"input length {x.n} does not match key length {self.n}"
+            )
+        return self.probe_batch(np.flatnonzero(x.bits), size)
+
+    def probe_batch(self, positions, size: int) -> np.ndarray:
+        """Answers to `size` queries with the input whose set bits are at
+        `positions` (each in [0, n)): per drawn key, the parity of its bits
+        there, read from the bit matrix with no input key built.
 
         Charges `size` queries and draws the keys with one
         `rng.integers(k, size=size)`, which reads the same stream as
         `size` single draws.
         """
-        if x.n != self.keys.n:
-            raise InputError(
-                f"input length {x.n} does not match key length {self.keys.n}"
-            )
         if size < 1:
             raise InputError(f"query batch size must be >= 1, got {size}")
-        answers = np.array([dot_mod2(x, key) for key in self.keys.keys])
-        picks = self.rng.integers(self.keys.k, size=size)
+        answers = np.bitwise_xor.reduce(self.bits[:, positions], axis=1)
+        picks = self.rng.integers(self.k, size=size)
         self.queries += size
         return answers[picks]

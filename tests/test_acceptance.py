@@ -20,7 +20,6 @@ from multikey_bv import (
     BitSumProfile,
     ClassicalOracle,
     KeySet,
-    SecretKey,
     classical_bv_single_key,
     classical_guess_attack,
     classical_guess_bound,
@@ -58,11 +57,11 @@ def distinct_keysets(n: int, k: int, limit: int, rng: np.random.Generator):
     space = 1 << n
     if comb(space, k) <= limit:
         for values in itertools.combinations(range(space), k):
-            yield KeySet(tuple(SecretKey(v, n) for v in values))
+            yield KeySet(tuple(values), n)
         return
     for _ in range(limit):
         values = rng.choice(space, size=k, replace=False)
-        yield KeySet(tuple(SecretKey(int(v), n) for v in values))
+        yield KeySet(tuple(int(v) for v in values), n)
 
 
 def test_criterion_1_key_superposition_amplitudes():
@@ -78,7 +77,7 @@ def test_criterion_1_key_superposition_amplitudes():
                 for ks in distinct_keysets(n, k, limit=200, rng=rng):
                     reduced = run_circuit(ks).data_register_state()
                     expected = np.zeros(1 << n, dtype=complex)
-                    for v in ks.values():
+                    for v in ks.values:
                         expected[v] = 1 / math.sqrt(k)
                     phase = reduced[np.argmax(np.abs(reduced))]
                     phase /= abs(phase)
@@ -168,7 +167,7 @@ def test_criterion_5_constrained_multiset_enumeration():
         count = count_consistent_keysets(profile, 4, include_multisets=True)
         assert count.distinct_multiset_count == 12
         assert count.ordered_count == 384
-        truth = tuple(sorted(keyset("0001", "0011", "1011", "1110").values()))
+        truth = tuple(sorted(keyset("0001", "0011", "1011", "1110").values))
         assert truth in count.distinct_multisets()
         assert classical_guess_bound(profile, 4) == Fraction(1, 16)
 
@@ -201,7 +200,7 @@ def test_criterion_7_oracle_path_equivalence():
             if k > (1 << n):
                 n = control_width(k)
             values = rng.integers(1 << n, size=k)
-            ks = KeySet(tuple(SecretKey(int(v), n) for v in values))
+            ks = KeySet(tuple(int(v) for v in values), n)
             gate = run_circuit(ks, oracle_path="gate")
             fast = run_circuit(ks, oracle_path="fast")
             assert np.max(np.abs(gate.amps - fast.to_statevector().amps)) < 1e-10
@@ -217,7 +216,7 @@ def test_criterion_8_classical_baselines():
         for n in range(1, 9):
             for value in range(1 << n):
                 oracle = ClassicalOracle(
-                    KeySet((SecretKey(value, n),)), np.random.default_rng(0)
+                    KeySet((value,), n), np.random.default_rng(0)
                 )
                 assert classical_bv_single_key(oracle).value == value
                 assert oracle.queries == n

@@ -51,7 +51,7 @@ class TestSingleKeyRecovery:
         for n in range(1, 9):
             for value in range(1 << n):
                 oracle = ClassicalOracle(
-                    KeySet((SecretKey(value, n),)), np.random.default_rng(0)
+                    KeySet((value,), n), np.random.default_rng(0)
                 )
                 recovered = classical_bv_single_key(oracle)
                 assert recovered.value == value
@@ -230,7 +230,7 @@ class TestChunkedDraws:
         monkeypatch.setattr(simulator, "_SHOT_CHUNK", 10)
         rate = quantum_coupon_experiment(ks, m, trials, np.random.default_rng(3))
         rng = np.random.default_rng(3)
-        p = simulator.run_circuit(ks).data_marginal()[np.array(ks.values())]
+        p = simulator.run_circuit(ks).data_marginal()[np.array(ks.values)]
         p = p / p.sum()
         full = sum(
             len(set(rng.choice(ks.k, size=m, p=p).tolist())) == ks.k
@@ -246,7 +246,7 @@ class TestChunkedDraws:
         pool = count_consistent_keysets(
             bit_sum_profile(ks), ks.k, include_multisets=True
         ).distinct_multisets()
-        truth = pool.index(tuple(sorted(ks.values())))
+        truth = pool.index(tuple(sorted(ks.values)))
         rng = np.random.default_rng(11)
         draws = [int(rng.integers(len(pool))) for _ in range(runs)]
         assert report.success_probability == draws.count(truth) / runs
@@ -262,7 +262,8 @@ class TestChunkedDraws:
         for q in range(ks.n):
             x = SecretKey(1 << q, ks.n)
             ones = sum(
-                dot_mod2(x, ks.keys[int(rng.integers(ks.k))]) for _ in range(trials)
+                dot_mod2(x, SecretKey(ks.values[int(rng.integers(ks.k))], ks.n))
+                for _ in range(trials)
             )
             expected.append(ks.k * ones / trials)
         assert estimates.tolist() == expected

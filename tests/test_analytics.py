@@ -14,7 +14,6 @@ from multikey_bv import (
     CapacityError,
     InputError,
     KeySet,
-    SecretKey,
     bit_sum_profile,
     classical_guess_bound,
     classical_guess_exact,
@@ -358,7 +357,7 @@ class TestGuessExact:
         ks = KeySet.from_strings(["0001", "0011", "1011", "1110"])
         exact = classical_guess_exact(ks)
         assert exact == Fraction(24, 384) == Fraction(1, 16)
-        hits, total = ordered_hits_by_enumeration(ks.values(), 4)
+        hits, total = ordered_hits_by_enumeration(ks.values, 4)
         assert Fraction(hits, total) == exact
 
     def test_duplicated_key_fully_determined(self):
@@ -369,13 +368,13 @@ class TestGuessExact:
         # ordered permutations 12 over 64 assignments; verified by the
         # brute-force assignment oracle
         ks = KeySet.from_strings(["010", "011", "011", "101"])
-        hits, total = ordered_hits_by_enumeration(ks.values(), 3)
+        hits, total = ordered_hits_by_enumeration(ks.values, 3)
         assert (hits, total) == (12, 64)
         assert classical_guess_exact(ks) == Fraction(12, 64) == Fraction(3, 16)
 
     def test_never_above_one_and_matches_bound_when_distinct(self):
         for values in itertools.combinations_with_replacement(range(8), 3):
-            ks = KeySet(tuple(SecretKey(v, 3) for v in values))
+            ks = KeySet(tuple(values), 3)
             exact = classical_guess_exact(ks)
             assert exact <= 1
             bound = classical_guess_bound(bit_sum_profile(ks), ks.k)

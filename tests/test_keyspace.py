@@ -2,16 +2,21 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from multikey_bv import (
+    ClassicalOracle,
     InputError,
     KeySet,
     SecretKey,
     bit_sum_profile,
     dot_mod2,
+    estimate_bit_sums,
+    exact_distribution,
     multiplicity,
     parse_key,
+    run_circuit,
 )
 
 
@@ -119,8 +124,51 @@ class TestKeySet:
         assert not ks.all_distinct()
 
     def test_rejects_mixed_lengths(self):
-        with pytest.raises(InputError, match="mixed"):
-            KeySet((SecretKey(1, 3), SecretKey(1, 4)))
+        with pytest.raises(InputError) as exc:
+            KeySet.from_strings(["001", "0001"])
+        assert str(exc.value) == "key '0001' has length 4, expected 3"
+
+    @pytest.mark.parametrize(
+        "values,n,message",
+        [
+            ((1, 8), 3, "key value 8 does not fit in 3 bits"),
+            ((1, -1), 3, "key value -1 does not fit in 3 bits"),
+            ((0,), 0, "key length must be >= 1, got 0"),
+            ((), 3, "a key set needs at least one key"),
+        ],
+    )
+    def test_refusals_name_the_fault(self, values, n, message):
+        with pytest.raises(InputError) as exc:
+            KeySet(values, n)
+        assert str(exc.value) == message
+
+    def test_key_set_layer_builds_no_secret_key(self, monkeypatch):
+        """The key-set layer reads values and the bit matrix only: with
+        every SecretKey construction refused, it answers as before."""
+        ks = KeySet.from_strings(["0001", "0011", "1011", "1110", "0011"])
+        x = SecretKey(0b0110, 4)
+
+        def run():
+            keys = KeySet.from_strings(ks.strings())
+            oracle = ClassicalOracle(keys, np.random.default_rng(3))
+            return (
+                keys.strings(),
+                bit_sum_profile(keys),
+                oracle.query_batch(x, 9).tolist(),
+                estimate_bit_sums(oracle, 50).tolist(),
+                oracle.queries,
+                exact_distribution(run_circuit(keys, oracle_path="fast")),
+            )
+
+        expected = run()
+
+        def refuse(self):
+            raise AssertionError("SecretKey built")
+
+        monkeypatch.setattr(SecretKey, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            SecretKey(1, 4)
+        assert run() == expected
 
     def test_rejects_k_above_bound(self):
         with pytest.raises(InputError) as exc:
@@ -153,7 +201,7 @@ class TestBitSumProfile:
     def test_double_counting_identity(self):
         # sum of per-position counts equals total popcount over keys
         for values in itertools.combinations_with_replacement(range(8), 3):
-            ks = KeySet(tuple(SecretKey(v, 3) for v in values))
+            ks = KeySet(tuple(values), 3)
             profile = bit_sum_profile(ks)
             assert sum(profile.counts) == sum(v.bit_count() for v in values)
 
@@ -181,11 +229,11 @@ class TestMultiplicity:
 
     def test_reexpansion_recovers_multiset(self):
         for values in itertools.combinations_with_replacement(range(8), 4):
-            ks = KeySet(tuple(SecretKey(v, 3) for v in values))
+            ks = KeySet(tuple(values), 3)
             mult = multiplicity(ks)
             rebuilt = []
             for t, b in zip(mult.distinct, mult.counts):
                 rebuilt += [t.value] * b
-            assert sorted(rebuilt) == sorted(ks.values())
+            assert sorted(rebuilt) == sorted(ks.values)
             assert sum(mult.counts) == ks.k
             assert all(b >= 1 for b in mult.counts)

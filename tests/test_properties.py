@@ -7,8 +7,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from multikey_bv.keyspace import KeySet, SecretKey  # noqa: E402
+from multikey_bv.keyspace import (  # noqa: E402
+    KeySet,
+    SecretKey,
+    bit_sum_profile,
+    dot_mod2,
+)
 from multikey_bv.simulator import (  # noqa: E402
+    ClassicalOracle,
     OutcomeSampler,
     StateVector,
     exact_distribution,
@@ -82,7 +88,7 @@ def key_multisets(draw, max_qubits):
     k = draw(st.integers(1, min(40, 1 << n, 1 << (max_qubits - 1 - n))))
     pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=k))
     values = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
-    return KeySet(tuple(SecretKey(v, n) for v in values))
+    return KeySet(tuple(values), n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,7 +104,7 @@ def test_fast_path_matches_gate_path(keys):
     # Sampling draws from the distinct keys alone, so the gate path must
     # leave exactly zero probability on every other outcome.
     off_keys = np.ones(1 << keys.n, dtype=bool)
-    off_keys[list(keys.values())] = False
+    off_keys[list(keys.values)] = False
     assert np.all(gate.data_marginal()[off_keys] == 0.0)
 
 
@@ -148,3 +154,38 @@ def test_sampler_equals_rng_choice(case):
     assert drawn.shape == expected.shape
     assert np.array_equal(drawn, expected)
     assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@st.composite
+def wide_key_values(draw):
+    """n in [1, 130], byte and word edges included, and k <= min(2^n, 40)
+    keys drawn from a smaller pool, so duplicates are common."""
+    n = draw(st.one_of(st.sampled_from([1, 8, 64, 65, 128]), st.integers(1, 130)))
+    k = draw(st.integers(1, min(1 << n, 40)))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=k))
+    values = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    return n, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_key_values(), st.data())
+def test_bit_matrix_profile_and_oracle_match_per_key_route(case, data):
+    n, values = case
+    ks = KeySet(tuple(values), n)
+    matrix = ks.bit_matrix()
+    assert matrix.shape == (len(values), n) and matrix.dtype == np.uint8
+    assert [sum(int(b) << q for q, b in enumerate(row)) for row in matrix] == values
+    assert bit_sum_profile(ks).counts == tuple(
+        sum((v >> q) & 1 for v in values) for q in range(n)
+    )
+
+    x = SecretKey(data.draw(st.integers(0, (1 << n) - 1)), n)
+    size = data.draw(st.integers(1, 50))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    oracle = ClassicalOracle(ks, np.random.default_rng(seed))
+    answers = oracle.query_batch(x, size)
+    twin = np.random.default_rng(seed)
+    picks = twin.integers(len(values), size=size)
+    assert answers.tolist() == [dot_mod2(x, SecretKey(values[i], n)) for i in picks]
+    assert oracle.rng.bit_generator.state == twin.bit_generator.state
+    assert oracle.queries == size

@@ -33,7 +33,7 @@ def keyset(*texts: str) -> KeySet:
 
 def random_keyset(rng: np.random.Generator, n: int, k: int) -> KeySet:
     values = rng.integers(1 << n, size=k)
-    return KeySet(tuple(SecretKey(int(v), n) for v in values))
+    return KeySet(tuple(int(v) for v in values), n)
 
 
 LAYER_QUBITS = 19
@@ -420,7 +420,7 @@ class TestRunCircuit:
             ks = random_keyset(rng, n, k)
             dist = exact_distribution(run_circuit(ks))
             expected = {}
-            for v in ks.values():
+            for v in ks.values:
                 s = format(v, f"0{n}b")
                 expected[s] = expected.get(s, 0.0) + 1.0 / k
             assert dist == pytest.approx(expected, abs=1e-10)
@@ -432,7 +432,7 @@ class TestRunCircuit:
             ks = keyset(*texts)
             reduced = run_circuit(ks).data_register_state()
             expected = np.zeros(1 << ks.n, dtype=complex)
-            for v in ks.values():
+            for v in ks.values:
                 expected[v] = 1 / math.sqrt(ks.k)
             phase = reduced[np.argmax(np.abs(reduced))]
             phase /= abs(phase)
@@ -446,7 +446,7 @@ class TestRunCircuit:
                 for values in itertools.combinations_with_replacement(
                     range(1 << n), k
                 ):
-                    ks = KeySet(tuple(SecretKey(v, n) for v in values))
+                    ks = KeySet(tuple(values), n)
                     g = run_circuit(ks, oracle_path="gate")
                     f = run_circuit(ks, oracle_path="fast")
                     assert np.max(np.abs(g.amps - f.to_statevector().amps)) < 1e-10
@@ -474,7 +474,7 @@ class TestRunCircuit:
             ks = keyset(*texts)
             n, k = ks.n, ks.k
             expected = np.zeros(1 << (n + 1 + control_width(k)), dtype=complex)
-            for i, v in enumerate(ks.values()):
+            for i, v in enumerate(ks.values):
                 expected[(i << (n + 1)) | v] = 1 / math.sqrt(2 * k)
                 expected[(i << (n + 1)) | (1 << n) | v] = -1 / math.sqrt(2 * k)
             assert np.array_equal(
@@ -535,7 +535,7 @@ class TestRunCircuit:
     )
     def test_real_gate_path_bit_identical_to_complex(self, n, values):
         # r from 0 to 3, k not a power of two, and duplicate keys.
-        ks = KeySet(tuple(SecretKey(v, n) for v in values))
+        ks = KeySet(tuple(values), n)
         spec = build_circuit(ks)
         start = np.zeros(1 << spec.total_qubits, dtype=np.complex128)
         start[0] = 1.0
