@@ -41,14 +41,15 @@ cache-sized tile of amplitudes before moving to the next, and skips
 tiles whose bits are all zero, which H leaves unchanged.  The X gate
 swaps amplitude pairs through the same tiled layer, with the same skip.
 Each controlled key unitary swaps the odd-parity amplitudes of its
-branch one data tile at a time, through a low-bit parity mask or its
-complement.  The gates give results bit-identical to the textbook pair
-formula applied one gate at a time, and no gate writes an amplitude the
-circuit leaves at zero.  The fast path
-(`oracle_path="fast"`) returns the `CircuitSpec`, which stands for the
-closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i> without gates or
-amplitudes; its only nonzero amplitudes are +1/sqrt(2k) at (control i,
-target 0, data s_i) and -1/sqrt(2k) at (control i, target 1, data s_i).
+branch one data tile at a time, as a masked XOR of the amplitudes'
+uint64 words, which moves every bit.  The gates give results
+bit-identical to the textbook pair formula applied one gate at a time,
+and no gate writes an amplitude the circuit leaves at zero.  The fast
+path (`oracle_path="fast"`) returns the `CircuitSpec`, which stands for
+the closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i> without gates
+or amplitudes; its only nonzero amplitudes are +1/sqrt(2k) at (control
+i, target 0, data s_i) and -1/sqrt(2k) at (control i, target 1, data
+s_i).
 
 `exact_distribution` is the one route from either final state to
 outcome probabilities; for a spec it reads the key multiset, with no 2^n
@@ -79,7 +80,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # A gate layer (a run of Hadamards, or the X) runs all its gates over one
 # tile before moving to the next.  For qubits below _TILE_BITS a tile is 2^16 contiguous amplitudes
 # (512 KB of float64, 1 MB for a complex state, within a core's L2
-# cache), seen as four axes of 4 qubits each.
+# cache), seen as four axes of 4 qubits each.  The tile also bounds the
+# controlled key unitary's data tiles and mask words and the chunks in
+# which the data marginal is summed.
 # numpy runs a gate at full speed only when the paired amplitudes form
 # contiguous runs of at least 2^12 (shorter runs go through its ufunc
 # buffers, 2-10x slower), so the tile is copied with the gate's qubit
@@ -271,19 +274,24 @@ class StateVector:
                 f"control value {i} cannot be addressed by {self.r} control qubits"
             )
         # Within a tile at offset base, x . key = (low bits of x) . key
-        # + parity(base & key) mod 2, so one low-bit parity table or its
-        # complement masks every tile.
+        # + parity(base & key) mod 2, so one low-bit parity mask or its
+        # complement selects the odd amplitudes of every tile.  The mask
+        # holds uint64 words, all ones on each word of an odd amplitude,
+        # and a tile pair swaps there as a masked XOR of its words, which
+        # moves every bit (-0.0 and NaN payloads included).
         width = 1 << min(self.n, _TILE_BITS)
+        words = self.amps.itemsize // 8
         low = np.arange(width, dtype=np.uint64) & np.uint64(key.value)
-        odd = (np.bitwise_count(low) & 1) == 1
+        odd = -np.repeat(np.bitwise_count(low) & 1, words).astype(np.uint64)
         masks = (odd, ~odd)
-        lo_tiles, hi_tiles = self.amps.reshape(1 << self.r, 2, -1, width)[i]
-        buf = np.empty(width, self.amps.dtype)
+        tiles = self.amps.view(np.uint64).reshape(1 << self.r, 2, -1, width * words)
+        lo_tiles, hi_tiles = tiles[i]
+        diff = np.empty(width * words, np.uint64)
         for t, (lo, hi) in enumerate(zip(lo_tiles, hi_tiles)):
-            mask = masks[(t * width & key.value).bit_count() & 1]
-            np.copyto(buf, lo, where=mask)
-            np.copyto(lo, hi, where=mask)
-            np.copyto(hi, buf, where=mask)
+            np.bitwise_xor(lo, hi, out=diff)
+            diff &= masks[(t * width & key.value).bit_count() & 1]
+            lo ^= diff
+            hi ^= diff
         return self
 
     def prepare_uniform(self, k: int) -> "StateVector":
@@ -322,21 +330,28 @@ class StateVector:
         """Probability of each data-register outcome, traced over ancillas.
 
         Gives `(np.abs(rows) ** 2).sum(axis=0)` over the ancilla rows bit
-        for bit, one chunk of rows at a time, so no temporary spans the
-        whole array: row 0 of each chunk's buffer carries the running
-        sum, and numpy adds the rows of an axis-0 sum in order.
+        for bit, one chunk of at most _TILE amplitudes at a time, so no
+        temporary spans the whole array and the buffer stays in cache: a
+        chunk is several whole rows when a row has at most _TILE
+        amplitudes, else one _TILE-column block of one row.  Row 0 of each
+        chunk's buffer carries the running sum of its columns, and numpy
+        adds the rows of an axis-0 sum in order, so every column gets the
+        same additions in the same order.
         """
         rows = self.amps.reshape(-1, 1 << self.n)
-        step = max(1, _TILE // rows.shape[1])
-        buf = np.empty((step + 1, rows.shape[1]))
+        width = min(rows.shape[1], _TILE)
+        step = _TILE // width
+        buf = np.empty((step + 1, width))
         total = np.zeros(rows.shape[1])
-        for start in range(0, rows.shape[0], step):
-            chunk = rows[start:start + step]
-            part = buf[:len(chunk) + 1]
-            part[0] = total
-            np.abs(chunk, out=part[1:])
-            np.square(part[1:], out=part[1:])
-            part.sum(axis=0, out=total)
+        for col in range(0, rows.shape[1], width):
+            block = total[col:col + width]
+            for start in range(0, rows.shape[0], step):
+                chunk = rows[start:start + step, col:col + width]
+                part = buf[:len(chunk) + 1]
+                part[0] = block
+                np.abs(chunk, out=part[1:])
+                np.square(part[1:], out=part[1:])
+                part.sum(axis=0, out=block)
         return total
 
     def data_register_state(self) -> np.ndarray:

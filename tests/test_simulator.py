@@ -1,5 +1,6 @@
 """Statevector gates, circuit construction, oracle paths, sampling."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -66,6 +67,22 @@ def with_negative_zeros(amps: np.ndarray, seed: int) -> np.ndarray:
     amps.real[kinds == 1] = -0.0
     amps.imag[kinds == 2] = -0.0
     return amps
+
+
+def with_dtypes(cases):
+    """Each case on complex128 amplitudes, under its bare id, and on float64."""
+    params = []
+    for case in cases:
+        case = case if isinstance(case, tuple) else (case,)
+        name = "-".join(map(str, case))
+        params.append(pytest.param(*case, np.complex128, id=name))
+        params.append(pytest.param(*case, np.float64, id=f"{name}-float64"))
+    return params
+
+
+# A quiet NaN with a nonzero payload: float arithmetic may replace it
+# with the default NaN, a swap of raw words must move it unchanged.
+NAN_WORD = np.uint64(0x7FF8_0000_DEAD_BEEF)
 
 
 def parity_table_swap(amps: np.ndarray, n: int, r: int, i: int, key: int) -> None:
@@ -261,10 +278,15 @@ class TestControlledKeyUnitary:
             st.amps, np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 19])
-    def test_tiled_swap_bit_identical_to_parity_table(self, n):
+    @pytest.mark.parametrize("n,dtype", with_dtypes([1, 2, 15, 16, 17, 19]))
+    def test_tiled_swap_bit_identical_to_parity_table(self, n, dtype):
         r = 1 if n == 19 else 2
         amps = with_negative_zeros(random_state(n + 1 + r, n), n)
+        if dtype is np.float64:
+            amps = amps.real.copy()
+        # Branch 0, target 1, data bit n-1 only: every key with that bit
+        # swaps it, from the last data tile when n > 16.
+        bits(amps)[((1 << n) | (1 << (n - 1))) * (amps.itemsize // 8)] = NAN_WORD
         rng = np.random.default_rng(100 + n)
         keys = {0, (1 << n) - 1, *(int(v) for v in rng.integers(1 << n, size=3))}
         if n > 16:
@@ -348,14 +370,29 @@ class TestPrepareUniform:
 
 class TestDataMarginal:
     @pytest.mark.parametrize(
-        "n,r", [(2, 2), (1, 16), (3, 17), (8, 10), (16, 1), (17, 0), (19, 3)]
+        "n,r,dtype",
+        with_dtypes([(2, 2), (1, 16), (3, 17), (8, 10), (16, 1), (17, 0), (19, 3)]),
     )
-    def test_bit_identical_to_one_expression(self, n, r):
+    def test_bit_identical_to_one_expression(self, n, r, dtype):
         amps = random_state(n + 1 + r, n + r)
+        if dtype is np.float64:
+            amps = with_negative_zeros(amps, n + r).real.copy()
         amps.reshape(-1, 1 << n)[::3] = 0.0
         expected = (np.abs(amps.reshape(-1, 1 << n)) ** 2).sum(axis=0)
         marginal = StateVector(n, r, amps).data_marginal()
         assert np.array_equal(bits(marginal), bits(expected))
+
+    def test_memory_stays_within_tiles(self):
+        # n=19, r=3: the result is 4 MiB; a buffer of whole 2^19-column
+        # rows would add 8 MiB, one of _TILE-column blocks adds 1 MiB.
+        st = StateVector(19, 3)
+        tracemalloc.start()
+        try:
+            st.data_marginal()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestBuildCircuit:
@@ -567,6 +604,18 @@ class TestRunCircuit:
         finally:
             tracemalloc.stop()
         assert peak < 96 * 2**20
+
+    def test_gate_path_digest_at_workload_size(self):
+        # Six 19-bit keys, random.Random(7).sample(range(1 << 19), 6): a
+        # 23-qubit state whose every amplitude and marginal bit is pinned.
+        ks = KeySet((339563, 158176, 414002, 50631, 75954, 98702), 19)
+        st = run_circuit(ks)
+        assert hashlib.sha256(st.amps.tobytes()).hexdigest() == (
+            "a7bfa29fb8df43e937f1e0686f5bc99efbe8141d219003fe9d2752d7c9b90a67"
+        )
+        assert hashlib.sha256(st.data_marginal().tobytes()).hexdigest() == (
+            "66829cfa67de35f030b32dfbb13e34d1b5e16067836be9fef6e89ccb782fc5a2"
+        )
 
     def test_unknown_path(self):
         with pytest.raises(InputError):
