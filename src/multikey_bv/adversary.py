@@ -203,8 +203,10 @@ def quantum_coupon_experiment(
     which gives the indices of `rng.choice(k, ..., p=p)` from the same
     stream, about `simulator._SHOT_CHUNK` at a time: whole trials at
     once when m is below it and in column chunks of one trial
-    otherwise, into one flat seen bitmap of k entries per trial, so
-    memory grows with neither `trials` nor m.
+    otherwise.  A block's uniforms and indices and its seen bitmap, one
+    row of trials per key, are allocated once per call and sized for
+    at most `trials` trials, so memory grows with neither `trials` nor
+    m and no block allocates an array of its own.
     Distinct keys required: see `_require_distinct`.
     """
     _require_distinct(keys)
@@ -222,20 +224,29 @@ def quantum_coupon_experiment(
         raise InputError(
             f"key outcomes carry probability {total}, expected 1"
         )
-    sampler = simulator.OutcomeSampler(p / total)
+    sampler = simulator.OutcomeSampler(p / total, m * trials)
     chunk = simulator._SHOT_CHUNK
-    rows, cols = max(1, chunk // m), min(m, chunk)
-    # Trial t of a block marks outcome i seen at seen[t * k + i].
-    offsets = np.arange(0, rows * k, k)[:, None]
+    rows, cols = min(max(1, chunk // m), trials), min(m, chunk)
+    # Block buffers, allocated once: the uniforms and outcome indices of
+    # up to rows x cols draws, and a k x rows seen bitmap that marks
+    # outcome i of trial t at flat index i * rows + t.
+    uniforms = np.empty(rows * cols)
+    drawn = np.empty(rows * cols, dtype=np.intp)
+    seen = np.empty((k, rows), dtype=bool)
+    trial = np.arange(rows)[:, None]
     full = 0
     for start in range(0, trials, rows):
         count = min(rows, trials - start)
-        seen = np.zeros(count * k, dtype=bool)
+        seen.fill(False)
         for done in range(0, m, cols):
-            drawn = sampler.draw(rng, (count, min(cols, m - done)))
-            drawn += offsets[:count]
-            seen[drawn] = True
-        full += int(np.count_nonzero(seen.reshape(count, k).all(axis=1)))
+            size = count * min(cols, m - done)
+            u = uniforms[:size].reshape(count, -1)
+            block = drawn[:size].reshape(count, -1)
+            sampler.lookup(rng.random(out=u), out=block)
+            block *= rows
+            block += trial[:count]
+            seen.reshape(-1)[block] = True
+        full += int(np.count_nonzero(np.logical_and.reduce(seen[:, :count], axis=0)))
     return float(full / trials)
 
 

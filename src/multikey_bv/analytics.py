@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, log10, prod
-from operator import mul
 
 from .errors import CapacityError, InputError
 from .keyspace import BitSumProfile, KeySet, bit_sum_profile, multiplicity
@@ -53,28 +52,40 @@ def _surjection_grid(
     """Yield (k, m, surjections(m, k), k**m) for every cell, k-major.
 
     Inclusion-exclusion: surjections(m, k) = sum_j (-1)^(k-j) C(k,j) j^m
-    over j = 0..k, which holds for m >= 1; m < k gives 0 directly.  Per
-    k the signed binomial row is built once, and the powers j^m are
-    raised once and then stepped to each later m by j^(m - prev), so
-    memory holds one row and one power list whatever the grid's size.
+    over j = 1..k, which holds for m >= 1; m < k gives 0 directly.  The
+    powers j^m0, m0 the first computed cell's m, are raised once per
+    grid and extended as k grows.  Per k the signed terms
+    (-1)^(k-j) C(k,j) j^m0 are built from them once, the binomials by
+    the recurrence C(k,j) = C(k,j-1) (k-j+1) / j, and stepped to each
+    later m by j^(m - prev), multiplying up or dividing exactly down.
+    So a cell one m after the last costs k small multiplies and k
+    additions, and the term at j = k is k^m.  Memory holds the power
+    list of the largest k so far and, while stepping, two lists of one
+    k's terms.
     """
+    powers: list[int] = []  # powers[j - 1] == j**m0
+    m0 = 0
     for k in ks:
-        row = powers = None
-        prev = 0
+        terms: list[int] = []
         for m in ms:
             if m < k:
                 yield k, m, 0, k**m
                 continue
-            if row is None:
-                row = [(-1) ** (k - j) * comb(k, j) for j in range(k + 1)]
-            if powers is None or m < prev:
-                powers = [j**m for j in range(k + 1)]
-            elif m > prev:
-                step = m - prev
-                for j in range(k + 1):
-                    powers[j] *= j**step
+            if not terms:
+                if not powers:
+                    m0 = m
+                powers += [j**m0 for j in range(len(powers) + 1, k + 1)]
+                c = (-1) ** k  # (-1)^(k-j) C(k, j) at j = 0
+                for j, p in zip(range(1, k + 1), powers):
+                    c = -c * (k - j + 1) // j
+                    terms.append(c * p)
+                prev = m0
+            if m > prev:
+                terms = [t * j ** (m - prev) for j, t in enumerate(terms, 1)]
+            elif m < prev:
+                terms = [t // j ** (prev - m) for j, t in enumerate(terms, 1)]
             prev = m
-            yield k, m, sum(map(mul, row, powers)), powers[k]
+            yield k, m, sum(terms), terms[-1]
 
 
 def surjection_count(m: int, k: int) -> int:
@@ -109,7 +120,10 @@ def recovery_grid(
     The whole grid is checked before any cell is computed: an invalid
     cell raises at the call, with the error the first invalid cell in
     k-major order would give.  Cells then come one at a time, so pass
-    ranges for large grids.  `ms` is iterated once per k.
+    ranges for large grids.  `ms` is iterated once per k.  Each k's
+    first cell multiplies k stored powers j^m0 by their binomials; each
+    later cell steps those terms in m, which for consecutive ms is k
+    small multiplies, so ascending ranges are the cheapest order.
     """
     _check_grid(ks, ms)
     return (

@@ -346,7 +346,7 @@ class StateVector:
         """
         rows = self.amps.reshape(-1, 1 << self.n)
         width = min(rows.shape[1], _TILE)
-        step = _TILE // width
+        step = min(_TILE // width, rows.shape[0])
         total = np.zeros(rows.shape[1])
         if step == 1:
             buf = np.empty(width)
@@ -674,21 +674,24 @@ class OutcomeSampler:
     `Generator.choice(k, shape, p=probs)` maps `u = rng.random(shape)`
     to `cdf.searchsorted(u, "right")`, with `cdf = probs.cumsum()` and
     `cdf /= cdf[-1]`.  This sampler builds the same cdf, splits [0, 1)
-    into T = `buckets` equal parts, the smallest power of two at least
-    16 k but at most `_MAX_BUCKETS`, and tabulates the index of each
+    into T = `buckets` equal parts, and tabulates the index of each
     bucket's first value b / T and of its last double, the count of cdf
-    values below (b + 1) / T (a guide table, Chen & Asau 1974).  `u * T`
-    and `b / T` are exact in floating point and the index is monotone
-    in u, so where the two agree every u in the bucket maps to that
-    index, read with one gather.  Only draws in the at most k - 1
-    buckets holding a cdf edge, at most 1/16 of the mass up to 2^16
-    outcomes, go through `searchsorted`.  The indices, and the random
-    stream read, are those of `choice`.
+    values below (b + 1) / T (a guide table, Chen & Asau 1974).  T is
+    the smallest power of two at least 16 k, but at most `_MAX_BUCKETS`
+    and, when the caller gives the number of `draws` to follow, at most
+    the smallest power of two at least that, so a few draws from many
+    outcomes pay for no large table.  `u * T` and `b / T` are exact in
+    floating point and the index is monotone in u, so where the two
+    agree every u in the bucket maps to that index, read with one
+    gather.  Only draws in the at most k - 1 buckets holding a cdf edge,
+    at most 1/16 of the mass up to 2^16 outcomes when the table is not
+    capped, go through `searchsorted`.  The indices, and the random
+    stream read, are those of `choice` whatever T is.
     """
 
     __slots__ = ("cdf", "buckets", "_table")
 
-    def __init__(self, probs):
+    def __init__(self, probs, draws: int | None = None):
         probs = np.asarray(probs, dtype=np.float64)
         cdf = probs.cumsum()
         if not (probs.size and (probs >= 0).all() and 0 < cdf[-1] < math.inf):
@@ -698,20 +701,33 @@ class OutcomeSampler:
             )
         cdf /= cdf[-1]
         self.cdf = cdf
-        self.buckets = min(1 << (16 * cdf.size - 1).bit_length(), _MAX_BUCKETS)
-        edges = np.arange(self.buckets + 1) / self.buckets
+        buckets = min(1 << (16 * cdf.size - 1).bit_length(), _MAX_BUCKETS)
+        if draws is not None:
+            buckets = min(buckets, 1 << (draws - 1).bit_length())
+        self.buckets = buckets
+        edges = np.arange(buckets + 1) / buckets
         first = cdf.searchsorted(edges[:-1], "right")
         last = cdf.searchsorted(edges[1:], "left")
         # -1 marks a bucket that holds a cdf edge.
         self._table = np.where(first == last, first, -1)
 
-    def lookup(self, u: np.ndarray) -> np.ndarray:
-        """`cdf.searchsorted(u, "right")` for an array of u in [0, 1)."""
-        flat = u.reshape(-1)
-        idx = self._table[(flat * self.buckets).astype(np.intp)]
-        edge = np.flatnonzero(idx < 0)
-        idx[edge] = self.cdf.searchsorted(flat[edge], "right")
-        return idx.reshape(u.shape)
+    def lookup(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """`cdf.searchsorted(u, "right")` for an array of u in [0, 1).
+
+        The indices are written into `out`, a C-contiguous intp array of
+        u's shape, when one is given, so that a caller drawing block
+        after block allocates nothing per block.
+        """
+        if out is None:
+            out = np.empty(u.shape, dtype=np.intp)
+        # Bucket numbers (u * T < T), then each bucket's index in place:
+        # take reads an element's bucket before writing its index.
+        np.multiply(u, self.buckets, out=out, casting="unsafe")
+        np.take(self._table, out, out=out, mode="clip")
+        flat = out.reshape(-1)
+        edge = np.flatnonzero(flat < 0)
+        flat[edge] = self.cdf.searchsorted(u.reshape(-1)[edge], "right")
+        return out
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Indices of `rng.choice(k, shape, p=probs)`, from the same stream."""
@@ -732,7 +748,7 @@ def measure_data_register(
     outcomes = sorted(exact)
     probs = np.array([exact[outcome] for outcome in outcomes])
     probs /= probs.sum()
-    sampler = OutcomeSampler(probs)
+    sampler = OutcomeSampler(probs, shots)
     tallies = np.zeros(len(outcomes), dtype=np.int64)
     for start in range(0, shots, _SHOT_CHUNK):
         drawn = sampler.draw(rng, min(_SHOT_CHUNK, shots - start))

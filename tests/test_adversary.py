@@ -340,6 +340,19 @@ class TestChunkedDraws:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_small_experiment_allocates_for_its_own_size(self):
+        # Ten trials of three draws: a full 2^16-draw block would take
+        # 512 KiB per buffer.
+        tracemalloc.start()
+        try:
+            quantum_coupon_experiment(
+                keyset("01", "10"), 3, 10, np.random.default_rng(7)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
 
 class TestReports:
     def test_single_key_report(self):

@@ -176,6 +176,22 @@ class TestRecoveryGrid:
             for p in cells:
                 assert p.exact == recovery_by_stirling(p.k, p.m), (p.k, p.m)
 
+    @pytest.mark.parametrize(
+        "ks,ms",
+        [
+            ([9, 2, 9, 5, 1], [20, 3, 20, 0, 7]),
+            ([9, 2, 9, 5, 1], [7, 0, 20, 3, 20]),
+            ([3, 12, 1, 12, 4], [12, 30, 11, 4, 40, 4]),
+        ],
+    )
+    def test_unordered_repeated_and_decreasing_ks(self, ks, ms):
+        # The power list is shared across ks and the terms are stepped
+        # both up and down in m, so no order of either may change a cell.
+        cells = list(recovery_grid(ks, ms))
+        assert [(p.k, p.m) for p in cells] == [(k, m) for k in ks for m in ms]
+        for p in cells:
+            assert p.exact == recovery_by_stirling(p.k, p.m), (p.k, p.m)
+
     def test_large_cell_matches_stirling(self):
         (p,) = recovery_grid([300], [1700])
         assert p.exact == recovery_by_stirling(300, 1700)

@@ -865,6 +865,38 @@ class TestOutcomeSampler:
         u = np.random.default_rng(6).random(1000)
         assert np.array_equal(sampler.lookup(u), sampler.cdf.searchsorted(u, "right"))
 
+    @pytest.mark.parametrize("draws", [1, 2, 3, 1000, 5000, 1 << 20])
+    def test_table_capped_by_draws_keeps_choice_indices(self, draws):
+        probs = np.random.default_rng(8).random(5000)
+        probs /= probs.sum()
+        sampler = OutcomeSampler(probs, draws)
+        assert sampler.buckets == min(1 << (draws - 1).bit_length(), 1 << 17)
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        expected = reference.choice(probs.size, size=(40, 100), p=probs)
+        assert np.array_equal(sampler.draw(rng, (40, 100)), expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_few_draws_from_a_million_outcomes_build_a_small_table(self):
+        probs = np.random.default_rng(5).random(10**6)
+        tracemalloc.start()
+        try:
+            sampler = OutcomeSampler(probs, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The cdf alone takes 7.6 MiB; the uncapped table took 41 MiB.
+        assert sampler.buckets == 1024
+        assert peak < 12 * 2**20
+
+    def test_lookup_writes_into_the_given_buffer(self):
+        probs = np.array([0.1, 0.0, 0.6, 0.3])
+        sampler = OutcomeSampler(probs)
+        u = np.random.default_rng(10).random((30, 7))
+        u[0, :3] = [0.0, 0.1, 0.7]
+        out = np.full(u.shape, -5, dtype=np.intp)
+        assert sampler.lookup(u, out) is out
+        assert np.array_equal(out, sampler.cdf.searchsorted(u, "right"))
+
     @pytest.mark.parametrize(
         "weights", [[], [0.5, -0.1, 0.6], [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]]
     )
