@@ -12,9 +12,7 @@ from .keyspace import (
     BitSumProfile,
     KeyMultiplicity,
     KeySet,
-    SecretKey,
     bit_sum_profile,
-    dot_mod2,
     multiplicity,
     parse_key,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "KeyMultiplicity",
     "KeySet",
     "RecoveryProbability",
-    "SecretKey",
     "StateVector",
     "bit_sum_profile",
     "build_circuit",
@@ -67,7 +64,6 @@ __all__ = [
     "classical_guess_bound",
     "classical_guess_exact",
     "count_consistent_keysets",
-    "dot_mod2",
     "estimate_bit_sums",
     "exact_distribution",
     "measure_data_register",

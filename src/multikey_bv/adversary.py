@@ -26,7 +26,6 @@ from .errors import InputError
 from .keyspace import (
     BitSumProfile,
     KeySet,
-    SecretKey,
     bit_sum_profile,
     format_key,
 )
@@ -71,22 +70,22 @@ class ExperimentReport:
         return rec
 
 
-def classical_bv_single_key(oracle: ClassicalOracle) -> SecretKey:
-    """Recover a single-key oracle's key in exactly n queries.
+def classical_bv_single_key(oracle: ClassicalOracle) -> int:
+    """Recover a single-key oracle's key value in exactly n queries.
 
-    Querying with x = 2**q returns bit q of the key.  Only sound for
-    k = 1, where the oracle is deterministic; larger oracles are
-    refused because a returned bit cannot be attributed to a key.
+    Querying with x = 2**q, one `probe_batch([q], 1)`, returns bit q of
+    the key.  Only sound for k = 1, where the oracle is deterministic;
+    larger oracles are refused because a returned bit cannot be
+    attributed to a key.
     """
     if oracle.k != 1:
         raise InputError(
             f"bit-probing recovery is only sound for a single-key oracle, got k={oracle.k}"
         )
-    n = oracle.n
     value = 0
-    for q in range(n):
-        value |= oracle.query(SecretKey(1 << q, n)) << q
-    return SecretKey(value, n)
+    for q in range(oracle.n):
+        value |= int(oracle.probe_batch([q], 1)[0]) << q
+    return value
 
 
 def estimate_bit_sums(oracle: ClassicalOracle, trials_per_bit: int) -> np.ndarray:
@@ -262,8 +261,8 @@ def run_single_key_baseline(keys: KeySet, seed: int) -> ExperimentReport:
         claims_certainty=True,
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
-        recovered=[str(recovered)],
-        success=recovered.value == keys.values[0],
+        recovered=[format_key(recovered, keys.n)],
+        success=recovered == keys.values[0],
     )
 
 

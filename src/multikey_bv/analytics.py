@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial, log10, prod
 
 from .errors import CapacityError, InputError
-from .keyspace import BitSumProfile, KeySet, bit_sum_profile, multiplicity
+from .keyspace import BitSumProfile, KeyMultiplicity
 
 MAX_EXACT_ARG = 4096
 DEFAULT_WORK_BOUND = 10_000_000
@@ -253,12 +253,13 @@ def classical_guess_bound(profile: BitSumProfile, k: int) -> Fraction:
     return min(Fraction(factorial(k), ordered), Fraction(1))
 
 
-def classical_guess_exact(keys: KeySet) -> Fraction:
+def classical_guess_exact(profile: BitSumProfile, mult: KeyMultiplicity) -> Fraction:
     """Exact probability that a uniformly drawn ordered assignment
-    consistent with the keys' own bit-sum profile reproduces them:
-    (k! / prod b_i!) / prod_q C(k, r_q)."""
-    ordered = _ordered_count(bit_sum_profile(keys), keys.k)
-    return Fraction(multiplicity(keys).permutations, ordered)
+    consistent with a key multiset's own bit-sum profile reproduces it:
+    (k! / prod b_i!) / prod_q C(k, r_q), from the multiset's profile and
+    multiplicity."""
+    ordered = _ordered_count(profile, sum(mult.counts))
+    return Fraction(mult.permutations, ordered)
 
 
 def probability_record(formula: str, inputs: dict, exact: Fraction) -> dict:

@@ -206,7 +206,7 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
             work_bound=args.work_bound,
         )
         bound = classical_guess_bound(profile, keys.k)
-        exact = classical_guess_exact(keys)
+        exact = classical_guess_exact(profile, mult)
         # The keys' own profile admits them, so they are always in the pool.
         pool_size = (
             count.distinct_multiset_count
@@ -226,7 +226,7 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
             "bit_sums": [
                 {"position": q, "ones": c} for q, c in enumerate(profile.counts)
             ],
-            "distinct_keys": [str(t) for t in mult.distinct],
+            "distinct_keys": [format_key(v, keys.n) for v in mult.distinct],
             "occurrences": list(mult.counts),
             "ordered_permutations": mult.permutations,
             "ordered_count": count.ordered_count,

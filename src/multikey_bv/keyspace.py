@@ -3,9 +3,9 @@
 One convention everywhere: bit q of a key is the coefficient of 2**q
 (little-endian indexing), while textual I/O is most-significant-bit
 first.  Conversion between the two lives only in `parse_key` and
-`format_key`; every other module works on integer values.  A `KeySet`
-is n plus its values, whose bits only `KeySet.bit_matrix()` unpacks;
-`SecretKey` is the per-key view, built where one key is named.
+`format_key`; every other module works on integer values.  A key is an
+int plus its set's n: a `KeySet` is n plus its values, whose bits only
+`KeySet.bit_matrix()` unpacks.
 """
 
 from __future__ import annotations
@@ -19,35 +19,6 @@ import numpy as np
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class SecretKey:
-    """An n-bit key.  `value` equals the sum of bit(q) * 2**q."""
-
-    value: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"key length must be >= 1, got {self.n}")
-        if not 0 <= self.value < (1 << self.n):
-            raise InputError(
-                f"key value {self.value} does not fit in {self.n} bits"
-            )
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """Little-endian bit sequence: bits[q] is the coefficient of 2**q."""
-        return tuple((self.value >> q) & 1 for q in range(self.n))
-
-    def bit(self, q: int) -> int:
-        if not 0 <= q < self.n:
-            raise InputError(f"bit index {q} out of range for {self.n}-bit key")
-        return (self.value >> q) & 1
-
-    def __str__(self) -> str:
-        return format_key(self.value, self.n)
-
-
 def format_key(value: int, n: int) -> str:
     """Render an n-bit key value MSB-first, e.g. format_key(1, 4) == "0001"."""
     return format(value, f"0{n}b")
@@ -56,9 +27,12 @@ def format_key(value: int, n: int) -> str:
 _DELETE_BINARY_DIGITS = str.maketrans("", "", "01")
 
 
-def parse_key(text: str, n: int) -> SecretKey:
-    """Parse an MSB-first binary string, e.g. parse_key("0001", 4).value == 1."""
-    return SecretKey(_parse_value(text, n), n)
+def parse_key(text: str, n: int) -> int:
+    """Parse an MSB-first binary string, e.g. parse_key("0001", 4) == 1."""
+    value = _parse_value(text, n)
+    if n < 1:
+        raise InputError(f"key length must be >= 1, got {n}")
+    return value
 
 
 def _parse_value(text: str, n: int) -> int:
@@ -157,13 +131,13 @@ def bit_sum_profile(keys: KeySet) -> BitSumProfile:
 
 @dataclass(frozen=True)
 class KeyMultiplicity:
-    """Distinct keys of a multiset with their occurrence counts.
+    """Distinct key values of a multiset with their occurrence counts.
 
     `permutations` is the number of distinct orderings of the multiset,
     k! / prod(counts[i]!), computed exactly.
     """
 
-    distinct: tuple[SecretKey, ...]
+    distinct: tuple[int, ...]
     counts: tuple[int, ...]
     permutations: int
 
@@ -175,14 +149,7 @@ class KeyMultiplicity:
 def multiplicity(keys: KeySet) -> KeyMultiplicity:
     """Group a key multiset into distinct keys, in first-occurrence order."""
     seen = Counter(keys.values)
-    distinct = tuple(SecretKey(v, keys.n) for v in seen)
     counts = tuple(seen.values())
     perms = factorial(keys.k) // prod(map(factorial, counts))
-    return KeyMultiplicity(distinct, counts, perms)
+    return KeyMultiplicity(tuple(seen), counts, perms)
 
-
-def dot_mod2(x: SecretKey, s: SecretKey) -> int:
-    """Bit-wise dot product of x and s, modulo 2."""
-    if x.n != s.n:
-        raise InputError(f"length mismatch: {x.n}-bit input vs {s.n}-bit key")
-    return (x.value & s.value).bit_count() & 1

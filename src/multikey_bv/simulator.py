@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .keyspace import KeySet, SecretKey, format_key
+from .keyspace import KeySet, format_key
 
 QUBIT_CAP = 24
 
@@ -263,30 +263,28 @@ class StateVector:
         _gate_layer(self.amps, (qubit,), _x_row_bit)
         return self
 
-    def apply_controlled_key_unitary(self, i: int, key: SecretKey) -> "StateVector":
-        """XOR unitary for one key, selected by control value i.
+    def apply_controlled_key_unitary(self, i: int, value: int) -> "StateVector":
+        """XOR unitary for the n-bit key `value`, selected by control value i.
 
         On basis states whose control register equals i, the target
         ancilla is flipped exactly when the data value has odd overlap
         with the key; every other basis state is untouched.
         """
-        if key.n != self.n:
-            raise InputError(
-                f"key length {key.n} does not match data register width {self.n}"
-            )
+        if not 0 <= value < (1 << self.n):
+            raise InputError(f"key value {value} does not fit in {self.n} bits")
         if not 0 <= i < (1 << self.r):
             raise InputError(
                 f"control value {i} cannot be addressed by {self.r} control qubits"
             )
-        # Within a tile at offset base, x . key = (low bits of x) . key
-        # + parity(base & key) mod 2, so one low-bit parity mask or its
+        # Within a tile at offset base, x . value = (low bits of x) . value
+        # + parity(base & value) mod 2, so one low-bit parity mask or its
         # complement selects the odd amplitudes of every tile.  The mask
         # holds uint64 words, all ones on each word of an odd amplitude,
         # and a tile pair swaps there as a masked XOR of its words, which
         # moves every bit (-0.0 and NaN payloads included).
         width = 1 << min(self.n, _TILE_BITS)
         words = self.amps.itemsize // 8
-        low = np.arange(width, dtype=np.uint64) & np.uint64(key.value)
+        low = np.arange(width, dtype=np.uint64) & np.uint64(value)
         odd = -np.repeat(np.bitwise_count(low) & 1, words).astype(np.uint64)
         masks = (odd, ~odd)
         tiles = self.amps.view(np.uint64).reshape(1 << self.r, 2, -1, width * words)
@@ -294,7 +292,7 @@ class StateVector:
         diff = np.empty(width * words, np.uint64)
         for t, (lo, hi) in enumerate(zip(lo_tiles, hi_tiles)):
             np.bitwise_xor(lo, hi, out=diff)
-            diff &= masks[(t * width & key.value).bit_count() & 1]
+            diff &= masks[(t * width & value).bit_count() & 1]
             lo ^= diff
             hi ^= diff
         return self
@@ -315,8 +313,10 @@ class StateVector:
         if k == 1:
             return self
         rows = self.amps.reshape(1 << self.r, -1)
-        tail = rows[1:].reshape(-1)
-        if np.vdot(tail, tail).real > 1e-20:
+        # One scan settles the usual all-zero tail; only a tail with a
+        # set bit has its squared magnitudes summed.
+        clean = _is_zero(rows[1:])
+        if not clean and _sum_squares(rows[1:]) > 1e-20:
             raise InputError(
                 "uniform preparation requires the control register in |0..0>"
             )
@@ -326,8 +326,8 @@ class StateVector:
         rows[0] *= 1.0 / math.sqrt(k)
         rows[1:k] = rows[0]
         # Rows from k on passed the check above, so they are (near) zero;
-        # they are written only when some bit is set.
-        if not _is_zero(rows[k:]):
+        # they are written only when some bit of the tail is set.
+        if not clean:
             rows[k:] = 0.0
         return self
 
@@ -423,9 +423,18 @@ def _x_row_bit(block: np.ndarray, bit: int, scratch: np.ndarray) -> None:
 def _is_zero(tile: np.ndarray) -> bool:
     """True when every bit of the tile is 0 (so -0.0 counts as nonzero).
 
-    The first amplitude settles most nonzero tiles without a scan.
+    The first amplitude settles most nonzero tiles without a scan.  The
+    scan is a max over the uint64 words, which numpy reduces about twice
+    as fast as it counts nonzero words once a tile holds thousands.
     """
-    return tile.item(0) == 0 and not np.count_nonzero(tile.view(np.uint64))
+    return tile.item(0) == 0 and not tile.view(np.uint64).max()
+
+
+def _sum_squares(rows: np.ndarray) -> float:
+    """Sum of squared magnitudes, one tile at a time, in numpy's own sums:
+    a BLAS dot threads on large arrays at a fixed cost of milliseconds."""
+    parts = rows.reshape(-1).view(np.float64)  # real and imaginary alike
+    return sum(float(np.square(parts[s:s + _TILE]).sum()) for s in range(0, parts.size, _TILE))
 
 
 def _gate_layer(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
@@ -616,8 +625,7 @@ def _apply_gate(state: StateVector, spec: CircuitSpec, gate: tuple) -> None:
     elif op == "prepare_uniform":
         state.prepare_uniform(gate[1])
     elif op == "cku":
-        i = gate[1]
-        state.apply_controlled_key_unitary(i, SecretKey(spec.keys.values[i], spec.n))
+        state.apply_controlled_key_unitary(gate[1], spec.keys.values[gate[1]])
     else:
         raise InputError(f"unknown gate {gate!r}")
 
@@ -795,7 +803,8 @@ def chi_square_vs_exact(
 
 class ClassicalOracle:
     """Black box holding k keys; each query answers with a uniformly
-    random key's dot product against the input, independently per query."""
+    random key's dot product against the input, independently per query.
+    `probe_batch` is its one query primitive."""
 
     def __init__(self, keys: KeySet, rng: np.random.Generator):
         self.bits = keys.bit_matrix()
@@ -810,28 +819,22 @@ class ClassicalOracle:
     def n(self) -> int:
         return self.bits.shape[1]
 
-    def query(self, x: SecretKey) -> int:
-        return int(self.query_batch(x, 1)[0])
-
-    def query_batch(self, x: SecretKey, size: int) -> np.ndarray:
-        """Answers to `size` independent queries with the same input x."""
-        if x.n != self.n:
-            raise InputError(
-                f"input length {x.n} does not match key length {self.n}"
-            )
-        return self.probe_batch(np.flatnonzero(x.bits), size)
-
     def probe_batch(self, positions, size: int) -> np.ndarray:
         """Answers to `size` queries with the input whose set bits are at
-        `positions` (each in [0, n)): per drawn key, the parity of its bits
-        there, read from the bit matrix with no input key built.
+        `positions`: per drawn key, the parity of its bits there, read
+        from the bit matrix.
 
         Charges `size` queries and draws the keys with one
         `rng.integers(k, size=size)`, which reads the same stream as
-        `size` single draws.
+        `size` single draws.  A position outside [0, n), which would
+        index the matrix from its end or past it, is refused.
         """
         if size < 1:
             raise InputError(f"query batch size must be >= 1, got {size}")
+        if not all(0 <= q < self.n for q in positions):
+            raise InputError(
+                f"query positions {list(positions)} are not all in [0, {self.n})"
+            )
         answers = np.bitwise_xor.reduce(self.bits[:, positions], axis=1)
         picks = self.rng.integers(self.k, size=size)
         self.queries += size

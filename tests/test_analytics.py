@@ -3,6 +3,7 @@ profile-consistent enumeration, guessing bounds."""
 
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -18,6 +19,7 @@ from multikey_bv import (
     classical_guess_bound,
     classical_guess_exact,
     count_consistent_keysets,
+    multiplicity,
     prob_all_keys,
     prob_two_keys,
     surjection_count,
@@ -358,7 +360,7 @@ class TestBeyondEnumerationCap:
 
     def test_guess_bounds_answer(self):
         assert classical_guess_bound(bit_sum_profile(self.KEYS), 5000) == 1
-        assert classical_guess_exact(self.KEYS) == 1
+        assert guess_exact(self.KEYS) == 1
 
     def test_enumeration_still_refused(self):
         with pytest.raises(
@@ -368,17 +370,22 @@ class TestBeyondEnumerationCap:
             count_consistent_keysets(bit_sum_profile(self.KEYS), self.KEYS.k)
 
 
+def guess_exact(ks: KeySet) -> Fraction:
+    """`classical_guess_exact` from the key set's own profile and multiplicity."""
+    return classical_guess_exact(bit_sum_profile(ks), multiplicity(ks))
+
+
 class TestGuessExact:
     def test_distinct_keys(self):
         ks = KeySet.from_strings(["0001", "0011", "1011", "1110"])
-        exact = classical_guess_exact(ks)
+        exact = guess_exact(ks)
         assert exact == Fraction(24, 384) == Fraction(1, 16)
         hits, total = ordered_hits_by_enumeration(ks.values, 4)
         assert Fraction(hits, total) == exact
 
     def test_duplicated_key_fully_determined(self):
         ks = KeySet.from_strings(["01", "01"])
-        assert classical_guess_exact(ks) == 1
+        assert guess_exact(ks) == 1
 
     def test_degenerate_example_brute_forced(self):
         # ordered permutations 12 over 64 assignments; verified by the
@@ -386,13 +393,28 @@ class TestGuessExact:
         ks = KeySet.from_strings(["010", "011", "011", "101"])
         hits, total = ordered_hits_by_enumeration(ks.values, 3)
         assert (hits, total) == (12, 64)
-        assert classical_guess_exact(ks) == Fraction(12, 64) == Fraction(3, 16)
+        assert guess_exact(ks) == Fraction(12, 64) == Fraction(3, 16)
 
     def test_never_above_one_and_matches_bound_when_distinct(self):
         for values in itertools.combinations_with_replacement(range(8), 3):
             ks = KeySet(tuple(values), 3)
-            exact = classical_guess_exact(ks)
+            exact = guess_exact(ks)
             assert exact <= 1
             bound = classical_guess_bound(bit_sum_profile(ks), ks.k)
             if ks.all_distinct() and bound < 1:
                 assert exact == bound
+
+    def test_profile_and_multiplicity_give_the_key_set_formula(self):
+        # Every key set above and the one beyond the enumeration cap:
+        # (k! / prod b_i!) / prod_q C(k, r_q), counted from the values.
+        cases = [
+            KeySet.from_strings(texts)
+            for texts in (["0001", "0011", "1011", "1110"], ["01", "01"], ["010", "011", "011", "101"])
+        ]
+        cases += [KeySet(values, 3) for values in itertools.combinations_with_replacement(range(8), 3)]
+        cases.append(TestBeyondEnumerationCap.KEYS)
+        for ks in cases:
+            k = ks.k
+            perms = factorial(k) // prod(map(factorial, Counter(ks.values).values()))
+            ordered = prod(comb(k, sum(v >> q & 1 for v in ks.values)) for q in range(ks.n))
+            assert guess_exact(ks) == Fraction(perms, ordered), ks.values

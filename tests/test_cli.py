@@ -329,6 +329,25 @@ def test_sample_does_not_import_scipy_stats():
 
 
 class TestAnalyze:
+    def test_profile_and_multiplicity_computed_once(self, capsys, monkeypatch):
+        # Wrapped at every module binding, so a second computation
+        # anywhere in the package is counted.
+        calls = dict.fromkeys(("bit_sum_profile", "multiplicity"), 0)
+        modules = [getattr(multikey_bv, m) for m in ("keyspace", "analytics", "adversary", "simulator", "cli")]
+        for name in calls:
+            original = getattr(multikey_bv.keyspace, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        record = run_json(capsys, "analyze", "--keys", "0001,0011,1011,1110")
+        assert calls == {"bit_sum_profile": 1, "multiplicity": 1}
+        assert record["results"]["key_analysis"]["guess_exact"]["rational"] == {"num": "1", "den": "16"}
+
     def test_grid(self, capsys):
         record = run_json(
             capsys, "analyze", "--k", "2", "--m", "2:6", "--seed", "1"

@@ -1,46 +1,34 @@
-"""Key parsing, dot products, bit-sum profiles, multiplicity."""
+"""Key parsing, bit-sum profiles, multiplicity."""
 
 import itertools
 
-import numpy as np
 import pytest
 
 from multikey_bv import (
-    ClassicalOracle,
     InputError,
     KeySet,
-    SecretKey,
     bit_sum_profile,
-    dot_mod2,
-    estimate_bit_sums,
-    exact_distribution,
     multiplicity,
     parse_key,
-    run_circuit,
 )
-
-
-def bitwise_dot_oracle(x: int, s: int, n: int) -> int:
-    """Independent check: explicit per-bit product sum."""
-    return sum(((x >> q) & 1) * ((s >> q) & 1) for q in range(n)) % 2
+from multikey_bv.keyspace import format_key
 
 
 class TestParseKey:
     def test_msb_first(self):
-        assert parse_key("0001", 4).value == 1
-        assert parse_key("1110", 4).value == 14
-        assert parse_key("0000", 4).value == 0
+        assert parse_key("0001", 4) == 1
+        assert parse_key("1110", 4) == 14
+        assert parse_key("0000", 4) == 0
 
     def test_roundtrip(self):
         for v in range(32):
-            key = SecretKey(v, 5)
-            assert parse_key(str(key), 5) == key
+            assert parse_key(format_key(v, 5), 5) == v
 
     def test_bits_little_endian(self):
+        # The last character is bit 0, the coefficient of 2**0.
         key = parse_key("0001", 4)
-        assert key.bits == (1, 0, 0, 0)
-        assert key.bit(0) == 1
-        assert key.bit(3) == 0
+        assert [(key >> q) & 1 for q in range(4)] == [1, 0, 0, 0]
+        assert KeySet.from_strings(["0001"]).bit_matrix().tolist() == [[1, 0, 0, 0]]
 
     def test_rejects_non_binary(self):
         with pytest.raises(InputError, match="position 2"):
@@ -64,10 +52,11 @@ class TestParseKey:
             parse_key("011", 4)
 
     def test_rejects_bad_value(self):
-        with pytest.raises(InputError):
-            SecretKey(16, 4)
-        with pytest.raises(InputError):
-            SecretKey(0, 0)
+        # A key value enters as an int checked against its set's n.
+        with pytest.raises(InputError, match="^key value 16 does not fit in 4 bits$"):
+            KeySet((16,), 4)
+        with pytest.raises(InputError, match="^key length must be >= 1, got 0$"):
+            KeySet((0,), 0)
 
     def test_rejects_empty_key(self):
         message = "^key length must be >= 1, got 0$"
@@ -75,44 +64,6 @@ class TestParseKey:
             parse_key("", 0)
         with pytest.raises(InputError, match=message):
             KeySet.from_strings([""])
-
-
-class TestDotMod2:
-    def test_examples(self):
-        assert dot_mod2(parse_key("0001", 4), parse_key("0001", 4)) == 1
-        assert dot_mod2(parse_key("0000", 4), parse_key("1111", 4)) == 0
-        # frozen from the explicit bit-sum oracle: 0110 & 0011 has one
-        # overlapping bit, so the parity is 1
-        assert bitwise_dot_oracle(0b0110, 0b0011, 4) == 1
-        assert dot_mod2(parse_key("0110", 4), parse_key("0011", 4)) == 1
-
-    def test_exhaustive_against_oracle(self):
-        for x, s in itertools.product(range(16), repeat=2):
-            assert dot_mod2(SecretKey(x, 4), SecretKey(s, 4)) == bitwise_dot_oracle(
-                x, s, 4
-            )
-
-    def test_symmetric(self):
-        for x, s in itertools.product(range(8), repeat=2):
-            a, b = SecretKey(x, 3), SecretKey(s, 3)
-            assert dot_mod2(a, b) == dot_mod2(b, a)
-
-    def test_linearity_exhaustive(self):
-        # dot(x, s^t) == dot(x,s) ^ dot(x,t) for every triple at n=6
-        n = 6
-        for x in range(1 << n):
-            kx = SecretKey(x, n)
-            for s in range(1 << n):
-                for t in range(1 << n):
-                    lhs = dot_mod2(kx, SecretKey(s ^ t, n))
-                    rhs = dot_mod2(kx, SecretKey(s, n)) ^ dot_mod2(
-                        kx, SecretKey(t, n)
-                    )
-                    assert lhs == rhs
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            dot_mod2(SecretKey(1, 3), SecretKey(1, 4))
 
 
 class TestKeySet:
@@ -141,34 +92,6 @@ class TestKeySet:
         with pytest.raises(InputError) as exc:
             KeySet(values, n)
         assert str(exc.value) == message
-
-    def test_key_set_layer_builds_no_secret_key(self, monkeypatch):
-        """The key-set layer reads values and the bit matrix only: with
-        every SecretKey construction refused, it answers as before."""
-        ks = KeySet.from_strings(["0001", "0011", "1011", "1110", "0011"])
-        x = SecretKey(0b0110, 4)
-
-        def run():
-            keys = KeySet.from_strings(ks.strings())
-            oracle = ClassicalOracle(keys, np.random.default_rng(3))
-            return (
-                keys.strings(),
-                bit_sum_profile(keys),
-                oracle.query_batch(x, 9).tolist(),
-                estimate_bit_sums(oracle, 50).tolist(),
-                oracle.queries,
-                exact_distribution(run_circuit(keys, oracle_path="fast")),
-            )
-
-        expected = run()
-
-        def refuse(self):
-            raise AssertionError("SecretKey built")
-
-        monkeypatch.setattr(SecretKey, "__post_init__", refuse)
-        with pytest.raises(AssertionError):
-            SecretKey(1, 4)
-        assert run() == expected
 
     def test_rejects_k_above_bound(self):
         with pytest.raises(InputError) as exc:
@@ -210,7 +133,7 @@ class TestMultiplicity:
     def test_degenerate_example(self):
         ks = KeySet.from_strings(["010", "011", "011", "101"])
         mult = multiplicity(ks)
-        assert [str(t) for t in mult.distinct] == ["010", "011", "101"]
+        assert mult.distinct == (0b010, 0b011, 0b101)
         assert mult.counts == (1, 2, 1)
         assert mult.permutations == 12  # 4!/2!
 
@@ -233,7 +156,15 @@ class TestMultiplicity:
             mult = multiplicity(ks)
             rebuilt = []
             for t, b in zip(mult.distinct, mult.counts):
-                rebuilt += [t.value] * b
+                rebuilt += [t] * b
             assert sorted(rebuilt) == sorted(ks.values)
             assert sum(mult.counts) == ks.k
             assert all(b >= 1 for b in mult.counts)
+
+    def test_distinct_ints_in_first_occurrence_order(self):
+        values = (6, 1, 6, 3, 1, 6, 0)
+        mult = multiplicity(KeySet(values, 3))
+        assert mult.distinct == (6, 1, 3, 0)
+        assert all(type(v) is int for v in mult.distinct)
+        assert mult.counts == (3, 2, 1, 1)
+        assert mult.permutations == 420  # 7! / (3! 2!)

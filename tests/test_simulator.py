@@ -13,7 +13,6 @@ from multikey_bv import (
     ClassicalOracle,
     InputError,
     KeySet,
-    SecretKey,
     build_circuit,
     exact_distribution,
     measure_data_register,
@@ -348,19 +347,19 @@ class TestControlledKeyUnitary:
         amps = rng.normal(size=32) + 1j * rng.normal(size=32)
         amps /= np.linalg.norm(amps)
         st = StateVector(2, 2, amps.copy())
-        st.apply_controlled_key_unitary(1, SecretKey(0, 2))
+        st.apply_controlled_key_unitary(1, 0)
         assert np.array_equal(st.amps, amps)
 
     def test_direct_flip_action(self):
         # n=1, key=1, no controls: |x=1, y=0> -> |x=1, y=1>
         st = StateVector(1, 0, np.array([0, 1, 0, 0], dtype=complex))
-        st.apply_controlled_key_unitary(0, SecretKey(1, 1))
+        st.apply_controlled_key_unitary(0, 1)
         assert np.array_equal(st.amps, np.array([0, 0, 0, 1], dtype=complex))
 
     def test_only_selected_branch_touched(self):
         # amplitude sitting in control branch 0 must ignore a branch-1 unitary
         st = StateVector(1, 1, np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=complex))
-        st.apply_controlled_key_unitary(1, SecretKey(1, 1))
+        st.apply_controlled_key_unitary(1, 1)
         assert np.array_equal(
             st.amps, np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
         )
@@ -383,13 +382,23 @@ class TestControlledKeyUnitary:
                 expected = amps.copy()
                 parity_table_swap(expected, n, r, i, key)
                 st = StateVector(n, r, amps.copy())
-                st.apply_controlled_key_unitary(i, SecretKey(key, n))
+                st.apply_controlled_key_unitary(i, key)
                 assert np.array_equal(bits(st.amps), bits(expected)), (i, key)
 
     def test_bad_control_index(self):
         st = StateVector(1, 1)
         with pytest.raises(InputError):
-            st.apply_controlled_key_unitary(2, SecretKey(1, 1))
+            st.apply_controlled_key_unitary(2, 1)
+
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_refuses_value_outside_n_bits(self, n):
+        # A high bit would change the per-tile parity, (t * width & value).
+        amps = random_state(n + 2, n)
+        for value in (1 << n, -1):
+            st = StateVector(n, 1, amps.copy())
+            with pytest.raises(InputError, match=f"does not fit in {n} bits"):
+                st.apply_controlled_key_unitary(1, value)
+            assert np.array_equal(st.amps, amps)
 
 
 class TestPrepareUniform:
@@ -437,6 +446,24 @@ class TestPrepareUniform:
         with pytest.raises(InputError):
             st.prepare_uniform(k)
         assert np.array_equal(st.amps, before)
+
+    @pytest.mark.parametrize("k", [3, 5, 6])
+    def test_gate_path_calls_no_blas(self, monkeypatch, k):
+        # OpenBLAS threads a dot product of a few thousand elements or
+        # more, at a fixed cost of milliseconds per call on default
+        # threads: the gate path must check the control register without.
+        def refuse(*args, **kwargs):
+            raise AssertionError("BLAS call")
+
+        keys = random_keyset(np.random.default_rng(k), 11, k)
+        expected = run_circuit(keys).amps
+        for name in ("vdot", "dot", "inner"):
+            monkeypatch.setattr(np, name, refuse)
+        assert np.array_equal(bits(run_circuit(keys).amps), bits(expected))
+        st = StateVector(11, control_width(k))
+        st.amps[-1] = 1e-9
+        with pytest.raises(InputError, match="control register in"):
+            st.prepare_uniform(k)
 
     @pytest.mark.parametrize("tiny", [1e-12, 0.0])
     def test_accepted_tail_comes_out_bitwise_zero(self, tiny):
@@ -953,48 +980,50 @@ class TestChiSquare:
 class TestClassicalOracle:
     def test_single_key_deterministic(self):
         oracle = ClassicalOracle(keyset("101"), np.random.default_rng(0))
-        x = SecretKey(0b100, 3)
-        assert all(oracle.query(x) == 1 for _ in range(20))
+        assert all(oracle.probe_batch([2], 1)[0] == 1 for _ in range(20))
 
     def test_zero_input_always_zero(self):
         oracle = ClassicalOracle(keyset("00", "11"), np.random.default_rng(0))
-        x = SecretKey(0, 2)
-        assert all(oracle.query(x) == 0 for _ in range(20))
+        assert not oracle.probe_batch([], 20).any()
 
     def test_output_frequency_converges(self):
         # three of the four keys answer 1 on x = 0001
         oracle = ClassicalOracle(
             keyset("0001", "0011", "1011", "1110"), np.random.default_rng(8)
         )
-        x = SecretKey(1, 4)
         trials = 20_000
-        freq = sum(oracle.query(x) for _ in range(trials)) / trials
+        freq = oracle.probe_batch([0], trials).sum() / trials
         sigma = math.sqrt(0.75 * 0.25 / trials)
         assert abs(freq - 0.75) <= 3 * sigma
 
     def test_query_count_charged(self):
         oracle = ClassicalOracle(keyset("01", "10"), np.random.default_rng(0))
         for _ in range(7):
-            oracle.query(SecretKey(1, 2))
-        assert oracle.queries == 7
+            oracle.probe_batch([0], 1)
+        oracle.probe_batch([0, 1], 5)
+        assert oracle.queries == 12
 
     def test_length_mismatch(self):
+        # Inputs wider than the keys, and negative positions, which would
+        # index the bit matrix from its end, are refused.
         oracle = ClassicalOracle(keyset("01"), np.random.default_rng(0))
-        with pytest.raises(InputError):
-            oracle.query(SecretKey(1, 3))
+        for positions in ([2], [0, 2], [-1]):
+            with pytest.raises(InputError, match=r"not all in \[0, 2\)"):
+                oracle.probe_batch(positions, 1)
+        assert oracle.queries == 0
 
     @pytest.mark.parametrize("k", [1, 3, 5, 100])
     def test_batch_matches_single_queries(self, k):
         ks = random_keyset(np.random.default_rng(k), 7, k)
-        x = SecretKey(0b1011001, 7)
+        x = [0, 3, 4, 6]  # the set bits of 0b1011001
         single = ClassicalOracle(ks, np.random.default_rng(4))
         batched = ClassicalOracle(ks, np.random.default_rng(4))
-        answers = [single.query(x) for _ in range(50)]
-        batches = batched.query_batch(x, 20).tolist() + batched.query_batch(x, 30).tolist()
+        answers = [int(single.probe_batch(x, 1)[0]) for _ in range(50)]
+        batches = batched.probe_batch(x, 20).tolist() + batched.probe_batch(x, 30).tolist()
         assert batches == answers
         assert single.queries == batched.queries == 50
 
     def test_batch_rejects_empty_size(self):
         oracle = ClassicalOracle(keyset("01"), np.random.default_rng(0))
         with pytest.raises(InputError):
-            oracle.query_batch(SecretKey(1, 2), 0)
+            oracle.probe_batch([0], 0)
