@@ -19,7 +19,6 @@ from .keyspace import (
 from .simulator import (
     CircuitSpec,
     ClassicalOracle,
-    Histogram,
     StateVector,
     build_circuit,
     exact_distribution,
@@ -51,7 +50,6 @@ __all__ = [
     "ClassicalOracle",
     "ConsistencyCount",
     "ExperimentReport",
-    "Histogram",
     "InputError",
     "KeyMultiplicity",
     "KeySet",

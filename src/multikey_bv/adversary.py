@@ -217,7 +217,7 @@ def quantum_coupon_experiment(
     if m < k:
         return 0.0
     dist = exact_distribution(run_circuit(keys, oracle_path=oracle_path))
-    p = np.array([dist[s] for s in keys.strings()])
+    p = np.array([dist[v] for v in keys.values])
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise InputError(

@@ -187,24 +187,10 @@ def _ordered_count(profile: BitSumProfile, k: int) -> int:
     return prod(comb(k, r) for r in profile.counts)
 
 
-def count_consistent_keysets(
-    profile: BitSumProfile,
-    k: int,
-    include_multisets: bool = False,
-    work_bound: int = DEFAULT_WORK_BOUND,
-) -> ConsistencyCount:
-    """Enumerate every key multiset consistent with a bit-sum profile.
-
-    Folds over bit positions: starting from k zero rows, position q
-    turns each partial multiset (a sorted tuple of row values) into its
-    children by setting bit q on every r_q-subset of rows, and merges
-    duplicates before the next position.  Rows are interchangeable, so
-    merging early yields exactly the multisets of the full ordered
-    walk.  Refuses instances whose ordered assignment count
-    prod_q C(k, r_q), which bounds the fold's work, exceeds `work_bound`;
-    every such count is at least 1, so a `work_bound` below 1 is an
-    input error.
-    """
+def check_work_bound(profile: BitSumProfile, k: int, work_bound: int) -> int:
+    """The ordered assignment count prod_q C(k, r_q), which bounds the
+    work of `count_consistent_keysets`, refused above `work_bound`.  Every
+    such count is at least 1, so a `work_bound` below 1 is an input error."""
     if work_bound < 1:
         raise InputError(f"work bound must be >= 1, got {work_bound}")
     # The fold sorts a k-row tuple per ordered assignment, so k is
@@ -222,6 +208,26 @@ def count_consistent_keysets(
             f"enumeration needs {size} ordered assignments, "
             f"work bound is {work_bound}"
         )
+    return ordered
+
+
+def count_consistent_keysets(
+    profile: BitSumProfile,
+    k: int,
+    include_multisets: bool = False,
+    work_bound: int = DEFAULT_WORK_BOUND,
+) -> ConsistencyCount:
+    """Enumerate every key multiset consistent with a bit-sum profile.
+
+    Folds over bit positions: starting from k zero rows, position q
+    turns each partial multiset (a sorted tuple of row values) into its
+    children by setting bit q on every r_q-subset of rows, and merges
+    duplicates before the next position.  Rows are interchangeable, so
+    merging early yields exactly the multisets of the full ordered
+    walk.  Instances the work bound refuses (`check_work_bound`) are
+    refused before the fold.
+    """
+    ordered = check_work_bound(profile, k, work_bound)
     level = {(0,) * k}
     for q, r in enumerate(profile.counts):
         bit = 1 << q

@@ -31,6 +31,7 @@ from .adversary import (
 )
 from .analytics import (
     DEFAULT_WORK_BOUND,
+    check_work_bound,
     classical_guess_bound,
     classical_guess_exact,
     count_consistent_keysets,
@@ -40,7 +41,9 @@ from .analytics import (
 from .errors import CapacityError, InputError
 from .keyspace import KeySet, bit_sum_profile, format_key, multiplicity
 from .simulator import (
+    check_register,
     chi_square_vs_exact,
+    control_width,
     exact_distribution,
     measure_data_register,
     run_circuit,
@@ -111,8 +114,7 @@ def cmd_simulate(args) -> tuple[dict, list[dict]]:
         seed,
     )
     rows = [
-        {"outcome": outcome, "probability": dist[outcome]}
-        for outcome in sorted(dist)
+        {"outcome": format_key(x, keys.n), "probability": p} for x, p in dist.items()
     ]
     record["results"] = {
         "total_qubits": state.total_qubits,
@@ -140,8 +142,8 @@ def cmd_sample(args) -> tuple[dict, list[dict]]:
     if args.shots < 1:
         raise InputError(f"shots must be >= 1, got {args.shots}")
     dist = exact_distribution(run_circuit(keys, oracle_path=args.oracle_path))
-    hist = measure_data_register(dist, args.shots, np.random.default_rng(seed))
-    chi = chi_square_vs_exact(hist, dist)
+    counts = measure_data_register(dist, args.shots, np.random.default_rng(seed))
+    chi = chi_square_vs_exact(counts, dist)
     record = _base_record(
         "sample",
         {
@@ -153,9 +155,13 @@ def cmd_sample(args) -> tuple[dict, list[dict]]:
         },
         seed,
     )
-    rows = hist.to_records(exact=dist)
+    rows = [
+        {"outcome": format_key(x, keys.n), "count": count,
+         "probability": count / args.shots, "exact_probability": p}
+        for (x, p), count in zip(dist.items(), counts.tolist())
+    ]
     record["results"] = {
-        "shots": hist.shots,
+        "shots": args.shots,
         "histogram": rows,
         "chi_square": chi,
     }
@@ -282,13 +288,19 @@ def cmd_adversary(args) -> tuple[dict, list[dict]]:
     # Every refusal comes before the bit-sum estimate, the guess attack's
     # enumeration and any circuit run.  recovery_grid checks its cells at
     # the call, so an m outside the coupon theory's exact range is refused
-    # here, with duplicate keys, --shots and --trials.
+    # here, with duplicate keys, --shots and --trials, then the guess
+    # attack's work bound, then a gate-path state above the qubit cap
+    # (a coupon experiment with m < k runs no circuit).
     recovery_grid([k], [m])
     _require_distinct(keys)
     if k > 1 and args.shots < 1:
         raise InputError(f"shots must be >= 1, got {args.shots}")
     if args.trials < 1:
         raise InputError(f"trials must be >= 1, got {args.trials}")
+    if k > 1:
+        check_work_bound(bit_sum_profile(keys), k, args.work_bound)
+    if args.oracle_path == "gate" and m >= k:
+        check_register(keys.n, control_width(k))
     streams = np.random.SeedSequence(seed).spawn(3)
     stream_seeds = [int(s.generate_state(1)[0]) for s in streams]
 
@@ -296,21 +308,18 @@ def cmd_adversary(args) -> tuple[dict, list[dict]]:
     if k == 1:
         reports.append(run_single_key_baseline(keys, stream_seeds[0]))
     else:
-        # The guess attack refuses the work bound before it enumerates,
-        # so it runs ahead of the n * --shots oracle queries.
-        # Each strategy has its own seed stream, so the order of the runs
-        # leaves every report unchanged.
-        guess = classical_guess_attack(
-            keys,
-            runs=args.trials,
-            rng=np.random.default_rng(stream_seeds[1]),
-            work_bound=args.work_bound,
-            seed=stream_seeds[1],
-        )
         reports.append(
             run_bit_sum_estimation(keys, args.shots, stream_seeds[0])
         )
-        reports.append(guess)
+        reports.append(
+            classical_guess_attack(
+                keys,
+                runs=args.trials,
+                rng=np.random.default_rng(stream_seeds[1]),
+                work_bound=args.work_bound,
+                seed=stream_seeds[1],
+            )
+        )
     reports.append(
         run_coupon_experiment(
             keys, m, args.trials, stream_seeds[2], args.oracle_path

@@ -3,8 +3,9 @@
 One convention everywhere: bit q of a key is the coefficient of 2**q
 (little-endian indexing), while textual I/O is most-significant-bit
 first.  Conversion between the two lives only in `parse_key` and
-`format_key`; every other module works on integer values.  A key is an
-int plus its set's n: a `KeySet` is n plus its values, whose bits only
+`format_key`; every other module works on integer values, and only the
+CLI renders measured outcomes as strings.  A key is an int plus its
+set's n: a `KeySet` is n plus its values, whose bits only
 `KeySet.bit_matrix()` unpacks.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial, prod
 
 import numpy as np
@@ -134,22 +136,24 @@ class KeyMultiplicity:
     """Distinct key values of a multiset with their occurrence counts.
 
     `permutations` is the number of distinct orderings of the multiset,
-    k! / prod(counts[i]!), computed exactly.
+    k! / prod(counts[i]!), computed exactly on first read: at 10^4 keys
+    k! takes most of the time `multiplicity` would otherwise spend.
     """
 
     distinct: tuple[int, ...]
     counts: tuple[int, ...]
-    permutations: int
 
     @property
     def c(self) -> int:
         return len(self.distinct)
 
+    @cached_property
+    def permutations(self) -> int:
+        return factorial(sum(self.counts)) // prod(map(factorial, self.counts))
+
 
 def multiplicity(keys: KeySet) -> KeyMultiplicity:
     """Group a key multiset into distinct keys, in first-occurrence order."""
     seen = Counter(keys.values)
-    counts = tuple(seen.values())
-    perms = factorial(keys.k) // prod(map(factorial, counts))
-    return KeyMultiplicity(tuple(seen), counts, perms)
+    return KeyMultiplicity(tuple(seen), tuple(seen.values()))
 

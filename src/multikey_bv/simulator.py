@@ -57,10 +57,11 @@ i, target 0, data s_i) and -1/sqrt(2k) at (control i, target 1, data
 s_i).
 
 `exact_distribution` is the one route from either final state to
-outcome probabilities; for a spec it reads the key multiset, with no 2^n
-array.  `nonzero_amplitudes` lists either state's nonzero amplitudes;
-for a spec it yields the closed form's 2k entries, the one place they
-are written down.  Only the gate path and `CircuitSpec.to_statevector()`
+outcome probabilities, keyed by outcome value; for a spec it reads the
+key multiset, with no 2^n array.  `measure_data_register` draws one
+count per outcome of that dict, in its order.  `nonzero_amplitudes`
+lists either state's nonzero amplitudes; for a spec it yields the
+closed form's 2k entries, the one place they are written down.  Only the gate path and `CircuitSpec.to_statevector()`
 write a dense amplitude array.  `QUBIT_CAP` is checked only where
 amplitudes are allocated, in `StateVector`, so the fast path has no
 qubit cap.
@@ -76,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .keyspace import KeySet, format_key
+from .keyspace import KeySet
 
 QUBIT_CAP = 24
 
@@ -193,6 +194,18 @@ def build_circuit(keys: KeySet) -> CircuitSpec:
     return CircuitSpec(keys=keys, n=n, r=r, gates=tuple(gates))
 
 
+def check_register(n: int, r: int) -> None:
+    """Refuse register sizes a `StateVector` cannot hold: n < 1, r < 0,
+    or more than QUBIT_CAP qubits in all."""
+    if n < 1 or r < 0:
+        raise InputError(f"invalid register sizes n={n}, r={r}")
+    if n + 1 + r > QUBIT_CAP:
+        raise CapacityError(
+            f"circuit needs {n + 1 + r} qubits ({n} data + 1 target + "
+            f"{r} control), cap is {QUBIT_CAP}"
+        )
+
+
 class StateVector:
     """Dense amplitudes over the full (n + 1 + r)-qubit register.
 
@@ -204,13 +217,7 @@ class StateVector:
     __slots__ = ("n", "r", "amps")
 
     def __init__(self, n: int, r: int, amps: np.ndarray | None = None):
-        if n < 1 or r < 0:
-            raise InputError(f"invalid register sizes n={n}, r={r}")
-        if n + 1 + r > QUBIT_CAP:
-            raise CapacityError(
-                f"circuit needs {n + 1 + r} qubits ({n} data + 1 target + "
-                f"{r} control), cap is {QUBIT_CAP}"
-            )
+        check_register(n, r)
         self.n = n
         self.r = r
         dim = 1 << (n + 1 + r)
@@ -630,8 +637,8 @@ def _apply_gate(state: StateVector, spec: CircuitSpec, gate: tuple) -> None:
         raise InputError(f"unknown gate {gate!r}")
 
 
-def exact_distribution(state: StateVector | CircuitSpec) -> dict[str, float]:
-    """Probability of each data-register outcome, MSB-first keys, ascending.
+def exact_distribution(state: StateVector | CircuitSpec) -> dict[int, float]:
+    """Probability of each data-register outcome value, in ascending order.
 
     A `StateVector` gives the outcomes of its `data_marginal()` above
     `_PROB_TOL`; the remainder sums to 1 within numerical precision.  A
@@ -640,40 +647,16 @@ def exact_distribution(state: StateVector | CircuitSpec) -> dict[str, float]:
     value is bit-identical to the dense marginal's and no 2^n array is
     allocated.
     """
-    n = state.n
     if isinstance(state, CircuitSpec):
         amp = 1.0 / math.sqrt(2 * state.k)
         square = amp * amp
         sums: dict[int, float] = {}
         for value in state.keys.values:
             sums[value] = sums.get(value, 0.0) + square + square
-        return {format_key(x, n): sums[x] for x in sorted(sums)}
+        return {x: sums[x] for x in sorted(sums)}
     probs = state.data_marginal()
-    return {
-        format_key(int(x), n): float(probs[x])
-        for x in np.flatnonzero(probs > _PROB_TOL)
-    }
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Outcome counts from repeated measurement of the data register."""
-
-    counts: dict[str, int]
-    shots: int
-
-    def to_records(self, exact: dict[str, float]) -> list[dict]:
-        """Stable per-outcome records over observed and exact outcomes:
-        outcome, count, probability, exact probability."""
-        return [
-            {
-                "outcome": outcome,
-                "count": self.counts.get(outcome, 0),
-                "probability": self.counts.get(outcome, 0) / self.shots,
-                "exact_probability": exact.get(outcome, 0.0),
-            }
-            for outcome in sorted(set(self.counts) | set(exact))
-        ]
+    outcomes = np.flatnonzero(probs > _PROB_TOL)
+    return dict(zip(outcomes.tolist(), probs[outcomes].tolist()))
 
 
 class OutcomeSampler:
@@ -743,34 +726,30 @@ class OutcomeSampler:
 
 
 def measure_data_register(
-    exact: dict[str, float], shots: int, rng: np.random.Generator
-) -> Histogram:
-    """Draw i.i.d. samples from an `exact_distribution` result.
+    exact: dict[int, float], shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Counts of `shots` i.i.d. draws from an `exact_distribution` result:
+    an int64 array, one per outcome of `exact` in its order, zeros included.
 
-    The outcomes are drawn in ascending order by an `OutcomeSampler`,
-    `_SHOT_CHUNK` shots at a time, and tallied per chunk; the counts are
-    those of `rng.choice` over the normalized probabilities.
+    The outcomes are drawn by an `OutcomeSampler`, `_SHOT_CHUNK` shots at
+    a time, and tallied per chunk; the counts are those of `rng.choice`
+    over the normalized probabilities.
     """
     if shots < 1:
         raise InputError(f"shots must be >= 1, got {shots}")
-    outcomes = sorted(exact)
-    probs = np.array([exact[outcome] for outcome in outcomes])
+    probs = np.fromiter(exact.values(), np.float64, len(exact))
     probs /= probs.sum()
     sampler = OutcomeSampler(probs, shots)
-    tallies = np.zeros(len(outcomes), dtype=np.int64)
+    counts = np.zeros(len(exact), dtype=np.int64)
     for start in range(0, shots, _SHOT_CHUNK):
         drawn = sampler.draw(rng, min(_SHOT_CHUNK, shots - start))
-        tallies += np.bincount(drawn, minlength=len(outcomes))
-    counts = {
-        outcome: int(tally) for outcome, tally in zip(outcomes, tallies) if tally
-    }
-    return Histogram(counts=counts, shots=shots)
+        counts += np.bincount(drawn, minlength=len(exact))
+    return counts
 
 
-def chi_square_vs_exact(
-    hist: Histogram, exact: dict[str, float]
-) -> dict | None:
-    """Goodness-of-fit statistic of a histogram against exact probabilities.
+def chi_square_vs_exact(counts: np.ndarray, exact: dict[int, float]) -> dict | None:
+    """Goodness-of-fit statistic of `measure_data_register` counts, one
+    per outcome of `exact` in its order, against exact probabilities.
 
     Returns None (to be reported with a notice) when the sample is a
     single shot or the support leaves no degrees of freedom.  The
@@ -780,20 +759,17 @@ def chi_square_vs_exact(
     """
     from scipy.special import chdtrc
 
-    support = sorted(exact)
-    dof = len(support) - 1
-    if hist.shots < 2 or dof < 1:
+    if len(counts) != len(exact):
+        raise InputError(f"{len(counts)} counts for {len(exact)} outcomes")
+    observed = counts.tolist()
+    shots = sum(observed)
+    dof = len(exact) - 1
+    if shots < 2 or dof < 1:
         return None
-    for outcome in hist.counts:
-        if outcome not in exact:
-            raise InputError(
-                f"observed outcome {outcome} has no exact probability"
-            )
     stat = 0.0
-    for outcome in support:
-        expected = exact[outcome] * hist.shots
-        observed = hist.counts.get(outcome, 0)
-        stat += (observed - expected) ** 2 / expected
+    for count, p in zip(observed, exact.values()):
+        expected = p * shots
+        stat += (count - expected) ** 2 / expected
     return {
         "statistic": stat,
         "dof": dof,

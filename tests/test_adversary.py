@@ -307,7 +307,7 @@ class TestChunkedDraws:
         rate = quantum_coupon_experiment(ks, m, trials, rng)
         reference_rng = np.random.default_rng(13)
         dist = simulator.exact_distribution(simulator.run_circuit(ks))
-        p = np.array([dist[text] for text in texts])
+        p = np.array([dist[value] for value in ks.values])
         p = p / p.sum()
         chunk = simulator._SHOT_CHUNK
         rows, cols = max(1, chunk // m), min(m, chunk)

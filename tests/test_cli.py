@@ -266,6 +266,24 @@ class TestSample:
         rows = {r["outcome"]: r for r in record["results"]["histogram"]}
         assert rows["011"]["exact_probability"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_serialization_records(self, capsys):
+        record = run_json(
+            capsys, "sample", "--keys", "101,011", "--shots", "64", "--seed", "5"
+        )
+        rows = record["results"]["histogram"]
+        assert [r["outcome"] for r in rows] == ["011", "101"]
+        for row in rows:
+            assert set(row) == {"outcome", "count", "probability", "exact_probability"}
+
+    def test_exact_outcome_never_drawn_reports_zero(self, capsys):
+        record = run_json(
+            capsys, "sample", "--keys", "01,10", "--shots", "1", "--seed", "1"
+        )
+        rows = record["results"]["histogram"]
+        assert [r["outcome"] for r in rows] == ["01", "10"]
+        assert sorted((r["count"], r["probability"]) for r in rows) == [(0, 0.0), (1, 1.0)]
+        assert [r["exact_probability"] for r in rows] == pytest.approx([0.5, 0.5])
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys,
@@ -586,6 +604,27 @@ class TestAdversary:
         assert out == ""
         assert err.startswith("capacity error: enumeration needs ")
         assert err.endswith("ordered assignments, work bound is 10000000\n")
+
+    def test_gate_path_above_qubit_cap_refused_before_any_strategy(
+        self, capsys, monkeypatch
+    ):
+        # Two 23-bit keys need 25 qubits; the guess attack alone would
+        # enumerate 2^22 multisets before the coupon experiment refused.
+        def fail(*args, **kwargs):
+            raise AssertionError("a strategy did its work")
+
+        monkeypatch.setattr(adversary, "estimate_bit_sums", fail)
+        monkeypatch.setattr(adversary, "count_consistent_keysets", fail)
+        code, out, err = run(
+            capsys, "adversary", "--keys", f"{'0' * 23},{'1' * 23}",
+            "--trials", "10", "--seed", "7",
+        )
+        assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err == (
+            "capacity error: circuit needs 25 qubits "
+            "(23 data + 1 target + 1 control), cap is 24\n"
+        )
 
     @pytest.mark.parametrize("keys,strategies", [("011,101", 3), ("011", 2)])
     def test_wall_times_lie_within_the_call(self, capsys, keys, strategies):
