@@ -44,7 +44,13 @@ layer on qubits below t mixes amplitudes only within aligned blocks of
 2^t).  A state of any size takes this walk, so the first data layer of
 a small circuit transforms the data register of one ancilla row, not
 the whole state.  The X gate swaps amplitude pairs through the same
-tiled layer, with the same skip.
+tiled layer, with the same skip.  A layer over 4 tiles or more splits
+them into interleaved shares, one per usable CPU, and walks all but the
+first on threads (`_in_shares`); tile w of every W, because the nonzero
+tiles sit in the first control rows.  Smaller states, every circuit up
+to 17 qubits, stay in the calling thread.  The tiles are disjoint and
+each gets the same operations in the same order, so the result is
+bit-identical whatever the CPU count; `taskset` pins a run to one CPU.
 Each controlled key unitary swaps the odd-parity amplitudes of its
 branch one data tile at a time, as a masked XOR of the amplitudes'
 uint64 words, which moves every bit.  The gates give results
@@ -71,6 +77,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -87,9 +94,12 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # tile before moving to the next.  For qubits below _TILE_BITS a tile is
 # 2^16 contiguous amplitudes, or the whole state if that is smaller
 # (512 KB of float64, 1 MB for a complex state, within a core's L2
-# cache), seen as axes of 4 qubits each.  The tile also bounds the
-# controlled key unitary's data tiles and mask words and the chunks in
-# which the data marginal is summed.
+# cache), seen as axes of 4 qubits each.  Tiles are also the unit a
+# layer splits across CPUs: a state of 4 tiles or more is walked in
+# interleaved shares, one per usable CPU, each with its own tile-sized
+# buffers (`_in_shares`), and a smaller one in the calling thread alone.
+# The tile also bounds the controlled key unitary's data tiles and mask
+# words and the chunks in which the data marginal is summed.
 # numpy runs a gate at full speed only when the paired amplitudes form
 # contiguous runs of at least 2^12 (shorter runs go through its ufunc
 # buffers, 2-10x slower), so the part of a tile a layer transforms is
@@ -450,10 +460,11 @@ def _gate_layer(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     `kernel` is `_hadamard_row_bit` or `_x_row_bit`.  Every amplitude
     goes through the gate's pair formula once per listed qubit, in list
     order, exactly as in one-qubit calls; only the order in which tiles
-    are visited changes, so the result is bit-identical.  Amplitudes
-    whose bits are all zero, such as the rows of a register still in
-    |0..0>, are skipped a tile or a block at a time: both gates map them
-    to themselves bit for bit.  A state of any size takes the same walk.
+    are visited, and the thread that visits them, changes, so the result
+    is bit-identical.  Amplitudes whose bits are all zero, such as the
+    rows of a register still in |0..0>, are skipped a tile or a block at
+    a time: both gates map them to themselves bit for bit.  A state of
+    any size takes the same walk.
     """
     if max(qubits) < _TILE_BITS:
         _low_qubit_pass(amps, qubits, kernel)
@@ -477,19 +488,23 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     """
     top = max(qubits) + 1
     width = min(amps.size, _TILE)
-    scratch = np.empty(width // 2, amps.dtype)
-    spare = None
-    for start in range(0, amps.size, width):
-        tile = amps[start:start + width]
-        end = _live_length(tile, 1 << top)
-        if end >= 2 * _MIN_RUN:
-            if spare is None:
-                spare = np.empty(width, amps.dtype)
-            _regrouped_pass(tile[:end], spare[:end], top, qubits, kernel, scratch)
-        elif end:
-            column = tile[:end].reshape(-1, 1)
-            for qubit in qubits:
-                kernel(column, qubit, scratch)
+
+    def walk(starts: range) -> None:
+        scratch = np.empty(width // 2, amps.dtype)
+        spare = None
+        for start in starts:
+            tile = amps[start:start + width]
+            end = _live_length(tile, 1 << top)
+            if end >= 2 * _MIN_RUN:
+                if spare is None:
+                    spare = np.empty(width, amps.dtype)
+                _regrouped_pass(tile[:end], spare[:end], top, qubits, kernel, scratch)
+            elif end:
+                column = tile[:end].reshape(-1, 1)
+                for qubit in qubits:
+                    kernel(column, qubit, scratch)
+
+    _in_shares(range(0, amps.size, width), walk)
 
 
 def _regrouped_pass(
@@ -591,14 +606,70 @@ def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     view = amps.reshape(-1, 1 << (top - low), 1 << low)
     height = view.shape[1]
     width = max(_TILE // height, _MIN_RUN)
-    scratch = np.empty(height * width // 2, amps.dtype)
-    for rows in view:
-        for start in range(0, rows.shape[1], width):
-            tile = rows[:, start:start + width]
+    chunks = range(0, view.shape[2], width)
+
+    def walk(tiles: list[np.ndarray]) -> None:
+        scratch = np.empty(height * width // 2, amps.dtype)
+        for tile in tiles:
             if _is_zero(tile):
                 continue
             for qubit in qubits:
                 kernel(tile, qubit - low, scratch)
+
+    _in_shares([rows[:, start:start + width] for rows in view for start in chunks], walk)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so `taskset` narrows it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_shares(tiles, walk) -> None:
+    """Call `walk` on interleaved shares of `tiles`, one per usable CPU.
+
+    The tiles of a layer are disjoint, and `walk` makes its own buffers
+    for each share, so every tile gets the same operations in the same
+    order whatever the share count: the result is bit-identical.  Shares
+    are interleaved (`tiles[w::W]`) because the nonzero tiles of a
+    circuit state sit at the low end, in its first control rows;
+    contiguous shares would leave one CPU with most of them.  W is the
+    number of usable CPUs, but at most half the tiles, so a share has at
+    least two; under 4 tiles `walk` takes them all here, with no CPU
+    count read and no thread started.  numpy releases the interpreter
+    lock inside the kernels, so the shares overlap.  The calling thread
+    walks the first share, every thread is joined before this returns,
+    and the first error a worker share raised is raised here.
+    """
+    if len(tiles) < 4:
+        walk(tiles)
+        return
+    # Imported here, so that a run with only small states never loads it.
+    import threading
+
+    workers = min(_usable_cpus(), len(tiles) // 2)
+    errors: list[BaseException] = []
+
+    def guarded(share) -> None:
+        try:
+            walk(share)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=guarded, args=(tiles[w::workers],))
+            thread.start()
+            threads.append(thread)
+        walk(tiles[::workers])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | CircuitSpec:
@@ -752,15 +823,23 @@ def chi_square_vs_exact(counts: np.ndarray, exact: dict[int, float]) -> dict | N
     per outcome of `exact` in its order, against exact probabilities.
 
     Returns None (to be reported with a notice) when the sample is a
-    single shot or the support leaves no degrees of freedom.  The
-    p-value is the chi-square survival function `chdtrc(dof, stat)`,
-    which `scipy.stats.chi2.sf` also evaluates; `scipy.special` imports
-    in a fraction of the time `scipy.stats` takes.
+    single shot or the support leaves no degrees of freedom.  An outcome
+    of probability 0 or less, whose expected count the statistic would
+    divide by, is refused.  The p-value is the chi-square survival
+    function `chdtrc(dof, stat)`, which `scipy.stats.chi2.sf` also
+    evaluates; `scipy.special` imports in a fraction of the time
+    `scipy.stats` takes.
     """
     from scipy.special import chdtrc
 
     if len(counts) != len(exact):
         raise InputError(f"{len(counts)} counts for {len(exact)} outcomes")
+    for outcome, p in exact.items():
+        if p <= 0.0:
+            raise InputError(
+                f"outcome {outcome} has probability {p}; every outcome "
+                "needs a positive expected count"
+            )
     observed = counts.tolist()
     shots = sum(observed)
     dof = len(exact) - 1

@@ -338,6 +338,33 @@ def test_sample_does_not_import_scipy_stats():
         "assert json.loads(buf.getvalue())['results']['chi_square'] is not None\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
     )
+    assert_runs_fresh(script)
+
+
+def test_toy_runs_import_no_thread_pool():
+    # Only states of 4 tiles or more split a layer across threads, and
+    # they use plain threading; a toy CLI run loads no pool module.
+    script = (
+        "import contextlib, io, sys, threading\n"
+        "pools = {'concurrent.futures.thread', 'concurrent.futures.process',\n"
+        "         'multiprocessing.pool', 'multiprocessing.dummy'}\n"
+        "before = pools & set(sys.modules)\n"
+        "from multikey_bv import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for path in ('gate', 'fast'):\n"
+        "        for command in ('simulate', 'sample'):\n"
+        "            code = cli.main([command, '--keys', '011,101,101', '--seed', '1',\n"
+        "                             '--oracle-path', path])\n"
+        "            assert code == 0, code\n"
+        "new = (pools & set(sys.modules)) - before\n"
+        "assert not new, f'thread-pool modules imported: {sorted(new)}'\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+    )
+    assert_runs_fresh(script)
+
+
+def assert_runs_fresh(script: str) -> None:
+    """Run `script` in a new interpreter with this package on the path."""
     src = os.path.dirname(os.path.dirname(multikey_bv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(

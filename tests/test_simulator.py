@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -37,6 +39,21 @@ def random_keyset(rng: np.random.Generator, n: int, k: int) -> KeySet:
 
 
 LAYER_QUBITS = 19
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    """Gate layers split across this many workers, whatever the CPU count.
+
+    A short thread switch interval makes the shares interleave finely.
+    """
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def bits(amps: np.ndarray) -> np.ndarray:
@@ -177,13 +194,15 @@ class TestGates:
         with pytest.raises(InputError):
             st.apply_hadamard(3)
 
-    def test_blocked_gates_bit_identical_to_pair_formula(self):
+    def test_blocked_gates_bit_identical_to_pair_formula(self, workers):
         from multikey_bv.simulator import _TILE_BITS
 
         total = 19
         # Qubits below _TILE_BITS run the low-qubit pass over several
-        # tiles, the others the high-qubit pass; both must be exercised.
+        # tiles, the others the high-qubit pass; both must be exercised,
+        # each with at least two tiles per share.
         assert _TILE_BITS < total - 1
+        assert 1 << (total - _TILE_BITS) >= 2 * workers
         rng = np.random.default_rng(19)
         amps = rng.normal(size=1 << total) + 1j * rng.normal(size=1 << total)
         amps /= np.linalg.norm(amps)
@@ -193,7 +212,7 @@ class TestGates:
             st = StateVector(total - 1, 0, amps.copy()).apply_x(q)
             assert np.array_equal(st.amps, pair_formula(amps, (q,), "x")), f"X on qubit {q}"
 
-    def test_x_on_zero_and_negative_zero_blocks_matches_plain_swap(self):
+    def test_x_on_zero_and_negative_zero_blocks_matches_plain_swap(self, workers):
         from multikey_bv.simulator import _MIN_RUN, _TILE, _TILE_BITS
 
         total = 19
@@ -226,6 +245,45 @@ class TestGates:
             swapped = amps.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
             st = StateVector(total - 1, 0, amps.copy()).apply_x(q)
             assert np.array_equal(bits(st.amps), bits(swapped)), f"X on qubit {q}"
+
+    def test_error_in_a_worker_share_raised_by_the_layer(self, monkeypatch):
+        class KernelError(Exception):
+            pass
+
+        caller = threading.current_thread()
+        kernel = simulator._hadamard_row_bit
+
+        def failing_off_the_caller(block, bit, scratch):
+            if threading.current_thread() is not caller:
+                raise KernelError("raised in a worker share")
+            kernel(block, bit, scratch)
+
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simulator, "_hadamard_row_bit", failing_off_the_caller)
+        before = threading.active_count()
+        st = StateVector(LAYER_QUBITS - 1, 0, random_state(LAYER_QUBITS, 41))
+        with pytest.raises(KernelError, match="raised in a worker share"):
+            st.apply_hadamard(0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_multi_worker_layer_joins_its_threads(self, monkeypatch, cpus):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        before = threading.active_count()
+        st = StateVector(LAYER_QUBITS - 1, 0, random_state(LAYER_QUBITS, 43))
+        # Qubits 0-15 take the low-qubit pass and 16-18 the high one.
+        st.apply_hadamard(*range(LAYER_QUBITS))
+        assert threading.active_count() == before
+        assert len(started) == 2 * (cpus - 1)
+        assert not any(thread.is_alive() for thread in started)
 
     # apply_hadamard(*qubits) against one-qubit calls in sequence.
 
@@ -718,9 +776,11 @@ class TestRunCircuit:
             tracemalloc.stop()
         assert peak < 96 * 2**20
 
-    def test_gate_path_digest_at_workload_size(self):
+    @pytest.mark.parametrize("workers", [1, 3], indirect=True)
+    def test_gate_path_digest_at_workload_size(self, workers):
         # Six 19-bit keys, random.Random(7).sample(range(1 << 19), 6): a
-        # 23-qubit state whose every amplitude and marginal bit is pinned.
+        # 23-qubit state whose every amplitude and marginal bit is pinned,
+        # whatever the number of workers its layers are split across.
         ks = KeySet((339563, 158176, 414002, 50631, 75954, 98702), 19)
         st = run_circuit(ks)
         assert hashlib.sha256(st.amps.tobytes()).hexdigest() == (
@@ -729,6 +789,30 @@ class TestRunCircuit:
         assert hashlib.sha256(st.data_marginal().tobytes()).hexdigest() == (
             "66829cfa67de35f030b32dfbb13e34d1b5e16067836be9fef6e89ccb782fc5a2"
         )
+
+    @pytest.mark.parametrize("total", range(3, 15))
+    def test_small_states_start_no_thread(self, monkeypatch, total):
+        # States under 4 tiles run every layer in the calling thread and
+        # never read the CPU count.  The shapes are those of the
+        # small-circuits workload: control width 0 to 3, k at and just
+        # above a power of two, all keys distinct or one duplicated.
+        def refuse(*args):
+            raise AssertionError("a small state started a thread or read the CPU count")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(simulator, "_usable_cpus", refuse)
+        rng = np.random.default_rng(total)
+        for r in range(4):
+            n = total - 1 - r
+            for k in sorted({(1 << r) // 2 + 1, 1 << r}):
+                if n < 1 or k > 1 << n:
+                    continue
+                values = tuple(int(v) for v in rng.choice(1 << n, size=k, replace=False))
+                for keys in {values, values[:-1] + values[:1]}:
+                    ks = KeySet(keys, n)
+                    assert exact_distribution(run_circuit(ks)) == pytest.approx(
+                        exact_distribution(run_circuit(ks, oracle_path="fast")), abs=1e-12
+                    )
 
     def test_unknown_path(self):
         with pytest.raises(InputError):
@@ -934,6 +1018,11 @@ class TestChiSquare:
         dist = exact_distribution(run_circuit(keyset("011", "101")))
         with pytest.raises(InputError, match=f"{size} counts for 2 outcomes"):
             chi_square_vs_exact(np.full(size, 512), dist)
+
+    @pytest.mark.parametrize("shots", [1, 4])
+    def test_outcome_of_probability_zero_refused(self, shots):
+        with pytest.raises(InputError, match="outcome 2 has probability 0.0"):
+            chi_square_vs_exact(np.array([shots, 0]), {1: 1.0, 2: 0.0})
 
     @pytest.mark.parametrize("dof", [1, 2, 3, 9999])
     def test_p_value_bit_identical_to_chi2_sf(self, dof):
