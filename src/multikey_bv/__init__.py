@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .errors import CapacityError, InputError
 from .keyspace import (
-    BitSumProfile,
     KeyMultiplicity,
     KeySet,
     bit_sum_profile,
@@ -27,7 +26,6 @@ from .simulator import (
 )
 from .analytics import (
     ConsistencyCount,
-    RecoveryProbability,
     classical_guess_bound,
     classical_guess_exact,
     count_consistent_keysets,
@@ -44,7 +42,6 @@ from .adversary import (
 )
 
 __all__ = [
-    "BitSumProfile",
     "CapacityError",
     "CircuitSpec",
     "ClassicalOracle",
@@ -53,7 +50,6 @@ __all__ = [
     "InputError",
     "KeyMultiplicity",
     "KeySet",
-    "RecoveryProbability",
     "StateVector",
     "bit_sum_profile",
     "build_circuit",

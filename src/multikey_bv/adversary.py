@@ -23,12 +23,7 @@ from .analytics import (
     prob_all_keys,
 )
 from .errors import InputError
-from .keyspace import (
-    BitSumProfile,
-    KeySet,
-    bit_sum_profile,
-    format_key,
-)
+from .keyspace import KeySet, bit_sum_profile, format_key
 from .simulator import ClassicalOracle, exact_distribution, run_circuit
 
 
@@ -110,20 +105,16 @@ def estimate_bit_sums(oracle: ClassicalOracle, trials_per_bit: int) -> np.ndarra
     return estimates
 
 
-def rounded_bit_sums(estimates: np.ndarray, k: int) -> BitSumProfile:
+def rounded_bit_sums(estimates: np.ndarray, k: int) -> tuple[int, ...]:
     """Post-process real-valued bit-sum estimates to the nearest integers."""
-    counts = tuple(
-        int(min(max(round(float(e)), 0), k)) for e in estimates
-    )
-    return BitSumProfile(counts)
+    return tuple(int(min(max(round(float(e)), 0), k)) for e in estimates)
 
 
 def classical_guess_attack(
     true_keys: KeySet,
     runs: int,
-    rng: np.random.Generator,
+    seed: int,
     work_bound: int = DEFAULT_WORK_BOUND,
-    seed: int | None = None,
 ) -> ExperimentReport:
     """Guess the key multiset uniformly among profile-consistent ones.
 
@@ -131,22 +122,20 @@ def classical_guess_attack(
     bit-sum estimation), so the attack is charged zero oracle queries.
     The candidate pool is duplicate-free exactly when the true keys
     are, so it always holds the truth, and the success frequency over
-    the runs converges to 1 / (pool size).  Guesses are drawn
-    `simulator._SHOT_CHUNK` at a time; the last one is reported as
-    `recovered`.
+    the runs converges to 1 / (pool size).  Guesses are drawn from
+    `np.random.default_rng(seed)`, `simulator._SHOT_CHUNK` at a time;
+    the last one is reported as `recovered`.
     """
     if runs < 1:
         raise InputError(f"runs must be >= 1, got {runs}")
     t0 = time.perf_counter()
     distinct = true_keys.all_distinct()
     count = count_consistent_keysets(
-        bit_sum_profile(true_keys),
-        true_keys.k,
-        include_multisets=True,
-        work_bound=work_bound,
+        bit_sum_profile(true_keys), true_keys.k, work_bound=work_bound
     )
     pool = count.distinct_multisets() if distinct else count.multisets
     truth_idx = pool.index(tuple(sorted(true_keys.values)))
+    rng = np.random.default_rng(seed)
     successes = 0
     chunk = simulator._SHOT_CHUNK
     for start in range(0, runs, chunk):
@@ -282,13 +271,13 @@ def run_bit_sum_estimation(
         claims_certainty=False,
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
-        success=rounded.counts == true_profile.counts,
+        success=rounded == true_profile,
         notes="recovers per-bit counts, not the keys themselves",
         details={
             "trials_per_bit": trials_per_bit,
             "estimates": [float(e) for e in estimates],
-            "rounded_counts": list(rounded.counts),
-            "true_counts": list(true_profile.counts),
+            "rounded_counts": list(rounded),
+            "true_counts": list(true_profile),
         },
     )
 
@@ -319,6 +308,6 @@ def run_coupon_experiment(
         details={
             "measurements_per_trial": m,
             "trials": trials,
-            "theory_success_probability": theory.value,
+            "theory_success_probability": float(theory),
         },
     )

@@ -1,22 +1,25 @@
 """Exact combinatorics of key recovery.
 
-All probabilities are computed as exact rationals (`fractions.Fraction`)
-and only rendered to floats at the edges.  Counting is plain integer
-arithmetic; Python integers never overflow, but absurdly large requests
-are refused instead of grinding through million-digit numbers.
+Every probability is returned as an exact `fractions.Fraction` and
+only rendered to a float at the edges.  A bit-sum profile is a tuple
+of counts, one per bit position, checked against k by `_ordered_count`
+wherever it is read.  Counting is plain integer arithmetic; Python
+integers never overflow, but absurdly large requests are refused
+instead of grinding through million-digit numbers.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence, Set
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, log10, prod
 
 from .errors import CapacityError, InputError
-from .keyspace import BitSumProfile, KeyMultiplicity
+from .keyspace import KeyMultiplicity
 
 MAX_EXACT_ARG = 4096
 DEFAULT_WORK_BOUND = 10_000_000
@@ -97,25 +100,12 @@ def surjection_count(m: int, k: int) -> int:
     return next(_surjection_grid([k], [m]))[2]
 
 
-@dataclass(frozen=True)
-class RecoveryProbability:
-    """Probability that m uniform draws from k equiprobable keys
-    reveal all k of them, as an exact rational plus float rendering."""
-
-    k: int
-    m: int
-    exact: Fraction
-
-    @property
-    def value(self) -> float:
-        return float(self.exact)
-
-
 def recovery_grid(
     ks: Sequence[int], ms: Sequence[int]
-) -> Iterator[RecoveryProbability]:
-    """All-keys recovery probability surjections(m, k) / k**m for every
-    k in ks and m in ms, k-major.
+) -> Iterator[tuple[int, int, Fraction]]:
+    """Yield (k, m, surjections(m, k) / k**m), the probability that m
+    uniform draws from k equiprobable keys reveal all k of them, for
+    every k in ks and m in ms, k-major.
 
     The whole grid is checked before any cell is computed: an invalid
     cell raises at the call, with the error the first invalid cell in
@@ -127,14 +117,14 @@ def recovery_grid(
     """
     _check_grid(ks, ms)
     return (
-        RecoveryProbability(k, m, Fraction(count, total))
+        (k, m, Fraction(count, total))
         for k, m, count, total in _surjection_grid(ks, ms)
     )
 
 
-def prob_all_keys(k: int, m: int) -> RecoveryProbability:
+def prob_all_keys(k: int, m: int) -> Fraction:
     """All-keys recovery probability: surjections(m, k) / k**m."""
-    return next(recovery_grid([k], [m]))
+    return next(recovery_grid([k], [m]))[2]
 
 
 def prob_two_keys(m: int) -> Fraction:
@@ -156,38 +146,49 @@ class ConsistencyCount:
     unordered multisets those assignments produce (duplicate keys
     allowed inside a multiset); `distinct_multiset_count` counts only
     the duplicate-free ones, which is the combination count a guesser
-    who knows the keys are pairwise distinct would work from.
+    who knows the keys are pairwise distinct would work from.  `found`
+    is the fold's own set of multisets, kept as built; `multisets`
+    sorts it on first read.
     """
 
-    profile: BitSumProfile
-    k: int
-    n: int
     ordered_count: int
-    multiset_count: int
-    distinct_multiset_count: int
-    multisets: tuple[tuple[int, ...], ...] | None = None
+    found: Set[tuple[int, ...]] = field(repr=False)
+
+    @property
+    def multiset_count(self) -> int:
+        return len(self.found)
+
+    @cached_property
+    def distinct_multiset_count(self) -> int:
+        return sum(1 for ms in self.found if len(set(ms)) == len(ms))
+
+    @cached_property
+    def multisets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted(self.found))
 
     def distinct_multisets(self) -> tuple[tuple[int, ...], ...]:
-        if self.multisets is None:
-            raise InputError("enumeration list was not requested")
         return tuple(
             ms for ms in self.multisets if len(set(ms)) == len(ms)
         )
 
 
-def _ordered_count(profile: BitSumProfile, k: int) -> int:
-    """prod_q C(k, r_q): the ordered column assignments matching a profile."""
+def _ordered_count(profile: tuple[int, ...], k: int) -> int:
+    """prod_q C(k, r_q): the ordered column assignments matching a
+    profile, which must hold at least one count, each in [0, k]."""
+    if not profile:
+        raise InputError("profile needs at least one position")
+    if min(profile) < 0:
+        q, c = next((q, c) for q, c in enumerate(profile) if c < 0)
+        raise InputError(f"negative count {c} at position {q}")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    for q, r in enumerate(profile.counts):
-        if r > k:
-            raise InputError(
-                f"profile count {r} at position {q} exceeds k={k}"
-            )
-    return prod(comb(k, r) for r in profile.counts)
+    if max(profile) > k:
+        q, r = next((q, r) for q, r in enumerate(profile) if r > k)
+        raise InputError(f"profile count {r} at position {q} exceeds k={k}")
+    return prod(comb(k, r) for r in profile)
 
 
-def check_work_bound(profile: BitSumProfile, k: int, work_bound: int) -> int:
+def check_work_bound(profile: tuple[int, ...], k: int, work_bound: int) -> int:
     """The ordered assignment count prod_q C(k, r_q), which bounds the
     work of `count_consistent_keysets`, refused above `work_bound`.  Every
     such count is at least 1, so a `work_bound` below 1 is an input error."""
@@ -212,10 +213,7 @@ def check_work_bound(profile: BitSumProfile, k: int, work_bound: int) -> int:
 
 
 def count_consistent_keysets(
-    profile: BitSumProfile,
-    k: int,
-    include_multisets: bool = False,
-    work_bound: int = DEFAULT_WORK_BOUND,
+    profile: tuple[int, ...], k: int, work_bound: int = DEFAULT_WORK_BOUND
 ) -> ConsistencyCount:
     """Enumerate every key multiset consistent with a bit-sum profile.
 
@@ -229,7 +227,7 @@ def count_consistent_keysets(
     """
     ordered = check_work_bound(profile, k, work_bound)
     level = {(0,) * k}
-    for q, r in enumerate(profile.counts):
+    for q, r in enumerate(profile):
         bit = 1 << q
         children = set()
         for ms in level:
@@ -240,26 +238,17 @@ def count_consistent_keysets(
                 child.sort()
                 children.add(tuple(child))
         level = children
-    distinct_free = sum(1 for ms in level if len(set(ms)) == len(ms))
-    return ConsistencyCount(
-        profile=profile,
-        k=k,
-        n=profile.n,
-        ordered_count=ordered,
-        multiset_count=len(level),
-        distinct_multiset_count=distinct_free,
-        multisets=tuple(sorted(level)) if include_multisets else None,
-    )
+    return ConsistencyCount(ordered, level)
 
 
-def classical_guess_bound(profile: BitSumProfile, k: int) -> Fraction:
+def classical_guess_bound(profile: tuple[int, ...], k: int) -> Fraction:
     """Upper bound on guessing all keys from an exact bit-sum profile:
     min(k! / prod_q C(k, r_q), 1)."""
     ordered = _ordered_count(profile, k)
     return min(Fraction(factorial(k), ordered), Fraction(1))
 
 
-def classical_guess_exact(profile: BitSumProfile, mult: KeyMultiplicity) -> Fraction:
+def classical_guess_exact(profile: tuple[int, ...], mult: KeyMultiplicity) -> Fraction:
     """Exact probability that a uniformly drawn ordered assignment
     consistent with a key multiset's own bit-sum profile reproduces it:
     (k! / prod b_i!) / prod_q C(k, r_q), from the multiset's profile and

@@ -191,12 +191,10 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
         grid = []
         ks = _parse_range(args.k, "--k")
         ms = _parse_range(args.m, "--m")
-        for p in recovery_grid(ks, ms):
-            rec = probability_record(
-                "all-keys-recovery", {"k": p.k, "m": p.m}, p.exact
-            )
+        for k, m, p in recovery_grid(ks, ms):
+            rec = probability_record("all-keys-recovery", {"k": k, "m": m}, p)
             grid.append(rec)
-            rows.append(_rational_row("all-keys-recovery", p.k, p.m, rec))
+            rows.append(_rational_row("all-keys-recovery", k, m, rec))
         results["recovery_grid"] = grid
 
     if args.keys:
@@ -206,10 +204,7 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
         profile = bit_sum_profile(keys)
         mult = multiplicity(keys)
         count = count_consistent_keysets(
-            profile,
-            keys.k,
-            include_multisets=args.enumerate,
-            work_bound=args.work_bound,
+            profile, keys.k, work_bound=args.work_bound
         )
         bound = classical_guess_bound(profile, keys.k)
         exact = classical_guess_exact(profile, mult)
@@ -230,7 +225,7 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
         )
         results["key_analysis"] = {
             "bit_sums": [
-                {"position": q, "ones": c} for q, c in enumerate(profile.counts)
+                {"position": q, "ones": c} for q, c in enumerate(profile)
             ],
             "distinct_keys": [format_key(v, keys.n) for v in mult.distinct],
             "occurrences": list(mult.counts),
@@ -246,7 +241,7 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
             results["key_analysis"]["multisets"] = [
                 [format_key(v, keys.n) for v in ms] for ms in count.multisets
             ]
-        for q, c in enumerate(profile.counts):
+        for q, c in enumerate(profile):
             rows.append(
                 {
                     "name": f"bit-sum-position-{q}",
@@ -315,9 +310,8 @@ def cmd_adversary(args) -> tuple[dict, list[dict]]:
             classical_guess_attack(
                 keys,
                 runs=args.trials,
-                rng=np.random.default_rng(stream_seeds[1]),
-                work_bound=args.work_bound,
                 seed=stream_seeds[1],
+                work_bound=args.work_bound,
             )
         )
     reports.append(

@@ -6,7 +6,8 @@ first.  Conversion between the two lives only in `parse_key` and
 `format_key`; every other module works on integer values, and only the
 CLI renders measured outcomes as strings.  A key is an int plus its
 set's n: a `KeySet` is n plus its values, whose bits only
-`KeySet.bit_matrix()` unpacks.
+`KeySet.bit_matrix()` unpacks.  A bit-sum profile is a tuple of ints,
+the count of keys with each bit set; `analytics` checks it against k.
 """
 
 from __future__ import annotations
@@ -104,31 +105,13 @@ class KeySet:
         return np.unpackbits(rows, axis=1, count=self.n, bitorder="little")
 
 
-@dataclass(frozen=True)
-class BitSumProfile:
-    """Per-bit-position count of keys having that bit set.
+def bit_sum_profile(keys: KeySet) -> tuple[int, ...]:
+    """Count, for each bit position q, how many keys have bit q equal to 1.
 
-    counts[q] refers to bit position q (little-endian), so counts[0]
-    is the number of keys with an odd value.
+    Entry q refers to bit position q (little-endian), so entry 0 is the
+    number of keys with an odd value.
     """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.counts:
-            raise InputError("profile needs at least one position")
-        for q, c in enumerate(self.counts):
-            if c < 0:
-                raise InputError(f"negative count {c} at position {q}")
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
-
-
-def bit_sum_profile(keys: KeySet) -> BitSumProfile:
-    """Count, for each bit position q, how many keys have bit q equal to 1."""
-    return BitSumProfile(tuple(keys.bit_matrix().sum(axis=0).tolist()))
+    return tuple(keys.bit_matrix().sum(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -142,10 +125,6 @@ class KeyMultiplicity:
 
     distinct: tuple[int, ...]
     counts: tuple[int, ...]
-
-    @property
-    def c(self) -> int:
-        return len(self.distinct)
 
     @cached_property
     def permutations(self) -> int:

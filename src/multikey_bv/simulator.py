@@ -67,10 +67,10 @@ outcome probabilities, keyed by outcome value; for a spec it reads the
 key multiset, with no 2^n array.  `measure_data_register` draws one
 count per outcome of that dict, in its order.  `nonzero_amplitudes`
 lists either state's nonzero amplitudes; for a spec it yields the
-closed form's 2k entries, the one place they are written down.  Only the gate path and `CircuitSpec.to_statevector()`
-write a dense amplitude array.  `QUBIT_CAP` is checked only where
-amplitudes are allocated, in `StateVector`, so the fast path has no
-qubit cap.
+closed form's 2k entries, the one place they are written down.  Only
+the gate path and `CircuitSpec.to_statevector()` write a dense
+amplitude array.  `QUBIT_CAP` is checked only where amplitudes are
+allocated, in `StateVector`, so the fast path has no qubit cap.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from multikey_bv import (
-    BitSumProfile,
     CapacityError,
     InputError,
     KeySet,
@@ -124,12 +123,12 @@ class TestSurjectionCount:
 
 class TestProbAllKeys:
     def test_matches_two_key_closed_form(self):
-        assert prob_all_keys(2, 3).exact == Fraction(3, 4)
-        assert prob_all_keys(2, 3).value == 0.75
+        assert prob_all_keys(2, 3) == Fraction(3, 4)
+        assert float(prob_all_keys(2, 3)) == 0.75
 
     def test_zero_below_k(self):
-        assert prob_all_keys(4, 3).exact == 0
-        assert prob_all_keys(4, 3).value == 0.0
+        assert prob_all_keys(4, 3) == 0
+        assert float(prob_all_keys(4, 3)) == 0.0
 
     def test_three_keys_five_draws_frozen(self):
         # brute force over all 3^5 index sequences
@@ -139,18 +138,18 @@ class TestProbAllKeys:
             if len(set(seq)) == 3
         )
         assert hits == 150
-        assert prob_all_keys(3, 5).exact == Fraction(150, 243)
+        assert prob_all_keys(3, 5) == Fraction(150, 243)
 
     def test_double_rendering(self):
         p = prob_all_keys(3, 5)
-        assert abs(p.value - 150 / 243) < 1e-12
+        assert abs(float(p) - 150 / 243) < 1e-12
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(2024)
         trials = 100_000
         for k in (2, 3, 4, 6):
             for m in (k, k + 2, 2 * k, 20):
-                p = prob_all_keys(k, m).value
+                p = float(prob_all_keys(k, m))
                 draws = rng.integers(k, size=(trials, m))
                 ordered = np.sort(draws, axis=1)
                 distinct = (np.diff(ordered, axis=1) != 0).sum(axis=1) + 1
@@ -163,20 +162,20 @@ class TestRecoveryGrid:
     def test_matches_stirling_small(self):
         # every k <= 9 and m <= 14, including m < k, m = 0 and k = 1
         cells = list(recovery_grid(range(1, 10), range(15)))
-        assert [(p.k, p.m) for p in cells] == [
+        assert [(k, m) for k, m, _ in cells] == [
             (k, m) for k in range(1, 10) for m in range(15)
         ]
-        for p in cells:
-            assert p.exact == recovery_by_stirling(p.k, p.m), (p.k, p.m)
+        for k, m, p in cells:
+            assert p == recovery_by_stirling(k, m), (k, m)
 
     def test_non_consecutive_and_unordered_ms(self):
         for ms in ([3, 9, 20], [20, 9, 9, 3, 20]):
             cells = list(recovery_grid([1, 2, 5, 9], ms))
-            assert [(p.k, p.m) for p in cells] == [
+            assert [(k, m) for k, m, _ in cells] == [
                 (k, m) for k in (1, 2, 5, 9) for m in ms
             ]
-            for p in cells:
-                assert p.exact == recovery_by_stirling(p.k, p.m), (p.k, p.m)
+            for k, m, p in cells:
+                assert p == recovery_by_stirling(k, m), (k, m)
 
     @pytest.mark.parametrize(
         "ks,ms",
@@ -190,18 +189,18 @@ class TestRecoveryGrid:
         # The power list is shared across ks and the terms are stepped
         # both up and down in m, so no order of either may change a cell.
         cells = list(recovery_grid(ks, ms))
-        assert [(p.k, p.m) for p in cells] == [(k, m) for k in ks for m in ms]
-        for p in cells:
-            assert p.exact == recovery_by_stirling(p.k, p.m), (p.k, p.m)
+        assert [(k, m) for k, m, _ in cells] == [(k, m) for k in ks for m in ms]
+        for k, m, p in cells:
+            assert p == recovery_by_stirling(k, m), (k, m)
 
     def test_large_cell_matches_stirling(self):
-        (p,) = recovery_grid([300], [1700])
-        assert p.exact == recovery_by_stirling(300, 1700)
+        ((_, _, p),) = recovery_grid([300], [1700])
+        assert p == recovery_by_stirling(300, 1700)
 
     def test_prob_all_keys_and_surjection_count_agree(self):
-        for p in recovery_grid(range(1, 7), range(0, 12, 2)):
-            assert prob_all_keys(p.k, p.m) == p
-            assert p.exact == Fraction(surjection_count(p.m, p.k), p.k**p.m)
+        for k, m, p in recovery_grid(range(1, 7), range(0, 12, 2)):
+            assert prob_all_keys(k, m) == p
+            assert p == Fraction(surjection_count(m, k), k**m)
 
     @pytest.mark.parametrize(
         "ks,ms,error,message",
@@ -247,20 +246,23 @@ class TestProbTwoKeys:
 
     def test_identical_to_general_formula(self):
         for m in range(0, 65):
-            assert prob_two_keys(m) == prob_all_keys(2, m).exact
+            assert prob_two_keys(m) == prob_all_keys(2, m)
 
 
 class TestCountConsistent:
     def test_worked_example(self):
-        profile = BitSumProfile((3, 3, 1, 2))
-        count = count_consistent_keysets(profile, 4, include_multisets=True)
+        profile = (3, 3, 1, 2)
+        count = count_consistent_keysets(profile, 4)
         # product of binomials, cross-checked below by brute force
         assert count.ordered_count == prod(comb(4, r) for r in (3, 3, 1, 2))
         assert count.ordered_count == 384
         assert count.distinct_multiset_count == 12
         assert count.multiset_count == 20
         truth = tuple(sorted((0b0001, 0b0011, 0b1011, 0b1110)))
+        # sorted on first read, not by the fold, and then kept
+        assert "multisets" not in vars(count)
         assert truth in count.multisets
+        assert count.multisets is count.multisets
         assert truth in count.distinct_multisets()
 
     def test_ordered_count_brute_force(self):
@@ -268,17 +270,13 @@ class TestCountConsistent:
         assert total == 384
 
     def test_all_zero_profile(self):
-        count = count_consistent_keysets(
-            BitSumProfile((0, 0, 0)), 4, include_multisets=True
-        )
+        count = count_consistent_keysets((0, 0, 0), 4)
         assert count.multiset_count == 1
         assert count.multisets == (((0, 0, 0, 0)),)
         assert count.ordered_count == 1
 
     def test_canonical_sorted_order(self):
-        count = count_consistent_keysets(
-            BitSumProfile((1, 1)), 2, include_multisets=True
-        )
+        count = count_consistent_keysets((1, 1), 2)
         for ms in count.multisets:
             assert tuple(sorted(ms)) == ms
         assert count.multisets == tuple(sorted(count.multisets))
@@ -289,9 +287,7 @@ class TestCountConsistent:
         for k in range(1, 5):
             for n in range(1, 4):
                 for counts in itertools.product(range(k + 1), repeat=n):
-                    cc = count_consistent_keysets(
-                        BitSumProfile(counts), k, include_multisets=True
-                    )
+                    cc = count_consistent_keysets(counts, k)
                     orbit_sum = 0
                     for ms in cc.multisets:
                         orbit = factorial(k)
@@ -312,9 +308,7 @@ class TestCountConsistent:
                     by_profile.setdefault(counts, []).append(ms)
                 for counts in itertools.product(range(k + 1), repeat=n):
                     expected = tuple(by_profile.get(counts, ()))
-                    cc = count_consistent_keysets(
-                        BitSumProfile(counts), k, include_multisets=True
-                    )
+                    cc = count_consistent_keysets(counts, k)
                     assert cc.multisets == expected
                     assert cc.multiset_count == len(expected)
                     assert cc.distinct_multiset_count == sum(
@@ -322,34 +316,66 @@ class TestCountConsistent:
                     )
 
     def test_work_bound_refusal(self):
-        profile = BitSumProfile(tuple([10] * 12))
+        profile = (10,) * 12
         with pytest.raises(CapacityError, match="work bound"):
             count_consistent_keysets(profile, 20, work_bound=1000)
 
     def test_work_bound_one_answers_a_single_assignment(self):
-        count = count_consistent_keysets(BitSumProfile((0, 1)), 1, work_bound=1)
+        count = count_consistent_keysets((0, 1), 1, work_bound=1)
         assert count.ordered_count == 1
         assert count.multiset_count == 1
 
     def test_rejects_count_above_k(self):
         with pytest.raises(InputError):
-            count_consistent_keysets(BitSumProfile((3,)), 2)
+            count_consistent_keysets((3,), 2)
+
+
+# Every reader of a profile, each at k = 2.
+PROFILE_READERS = {
+    "check_work_bound": lambda profile: analytics.check_work_bound(
+        profile, 2, analytics.DEFAULT_WORK_BOUND
+    ),
+    "count_consistent_keysets": lambda profile: count_consistent_keysets(profile, 2),
+    "classical_guess_bound": lambda profile: classical_guess_bound(profile, 2),
+    "classical_guess_exact": lambda profile: classical_guess_exact(
+        profile, multiplicity(KeySet((0, 1), 1))
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", PROFILE_READERS)
+@pytest.mark.parametrize(
+    "profile,message",
+    [
+        ((), "profile needs at least one position"),
+        ((1, -1), "negative count -1 at position 1"),
+        ((3,), "profile count 3 at position 0 exceeds k=2"),
+    ],
+)
+def test_every_profile_reader_refuses_an_invalid_profile(reader, profile, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        PROFILE_READERS[reader](profile)
+
+
+def test_work_bound_checked_before_the_profile():
+    with pytest.raises(InputError, match="^work bound must be >= 1, got 0$"):
+        analytics.check_work_bound((-1,), 2, 0)
 
 
 class TestGuessBound:
     def test_worked_example(self):
-        bound = classical_guess_bound(BitSumProfile((3, 3, 1, 2)), 4)
+        bound = classical_guess_bound((3, 3, 1, 2), 4)
         assert bound == Fraction(1, 16)
 
     def test_pinned_profile(self):
-        assert classical_guess_bound(BitSumProfile((0, 4, 4, 0)), 4) == 1
+        assert classical_guess_bound((0, 4, 4, 0), 4) == 1
 
     def test_single_key(self):
-        assert classical_guess_bound(BitSumProfile((1, 0, 1)), 1) == 1
+        assert classical_guess_bound((1, 0, 1), 1) == 1
 
     def test_capped_at_one(self):
         # k! above the assignment count must clip to 1
-        assert classical_guess_bound(BitSumProfile((1,)), 3) <= 1
+        assert classical_guess_bound((1,), 3) <= 1
 
 
 class TestBeyondEnumerationCap:

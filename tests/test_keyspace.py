@@ -111,22 +111,23 @@ class TestBitSumProfile:
     def test_worked_example(self):
         ks = KeySet.from_strings(["0001", "0011", "1011", "1110"])
         # counts are little-endian: positions 0..3
-        assert bit_sum_profile(ks).counts == (3, 3, 1, 2)
+        profile = bit_sum_profile(ks)
+        assert profile == (3, 3, 1, 2)
+        assert all(type(c) is int for c in profile)
 
     def test_zero_keys(self):
         ks = KeySet.from_strings(["0000", "0000"])
-        assert bit_sum_profile(ks).counts == (0, 0, 0, 0)
+        assert bit_sum_profile(ks) == (0, 0, 0, 0)
 
     def test_single_key_is_its_bits(self):
         ks = KeySet.from_strings(["111"])
-        assert bit_sum_profile(ks).counts == (1, 1, 1)
+        assert bit_sum_profile(ks) == (1, 1, 1)
 
     def test_double_counting_identity(self):
         # sum of per-position counts equals total popcount over keys
         for values in itertools.combinations_with_replacement(range(8), 3):
             ks = KeySet(tuple(values), 3)
-            profile = bit_sum_profile(ks)
-            assert sum(profile.counts) == sum(v.bit_count() for v in values)
+            assert sum(bit_sum_profile(ks)) == sum(v.bit_count() for v in values)
 
 
 class TestMultiplicity:
@@ -140,13 +141,13 @@ class TestMultiplicity:
     def test_all_distinct_gives_k_factorial(self):
         ks = KeySet.from_strings(["011", "101"])
         mult = multiplicity(ks)
-        assert mult.c == 2
+        assert len(mult.distinct) == 2
         assert mult.permutations == 2
 
     def test_identical_keys(self):
         ks = KeySet.from_strings(["01", "01"])
         mult = multiplicity(ks)
-        assert mult.c == 1
+        assert len(mult.distinct) == 1
         assert mult.counts == (2,)
         assert mult.permutations == 1
 
