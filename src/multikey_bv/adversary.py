@@ -122,9 +122,11 @@ def classical_guess_attack(
     bit-sum estimation), so the attack is charged zero oracle queries.
     The candidate pool is duplicate-free exactly when the true keys
     are, so it always holds the truth, and the success frequency over
-    the runs converges to 1 / (pool size).  Guesses are drawn from
+    the runs converges to 1 / (pool size).  The pool is the rows of the
+    enumeration's table, in its order; the truth's row is found by
+    comparing rows.  Guesses are drawn as row indices from
     `np.random.default_rng(seed)`, `simulator._SHOT_CHUNK` at a time;
-    the last one is reported as `recovered`.
+    only the last one is expanded to keys and reported as `recovered`.
     """
     if runs < 1:
         raise InputError(f"runs must be >= 1, got {runs}")
@@ -133,14 +135,16 @@ def classical_guess_attack(
     count = count_consistent_keysets(
         bit_sum_profile(true_keys), true_keys.k, work_bound=work_bound
     )
-    pool = count.distinct_multisets() if distinct else count.multisets
-    truth_idx = pool.index(tuple(sorted(true_keys.values)))
+    pool = count.table[count.duplicate_free] if distinct else count.table
+    truth = np.array(count.compress(sorted(true_keys.values)), dtype=np.uint64)
+    truth_idx = int(np.flatnonzero((pool == truth).all(axis=1))[0])
     rng = np.random.default_rng(seed)
     successes = 0
     chunk = simulator._SHOT_CHUNK
     for start in range(0, runs, chunk):
         draws = rng.integers(len(pool), size=min(chunk, runs - start))
         successes += int(np.count_nonzero(draws == truth_idx))
+    guess = count.expand(pool[int(draws[-1])].tolist())
     return ExperimentReport(
         strategy="uniform-guess-among-consistent-multisets",
         queries=0,
@@ -148,7 +152,7 @@ def classical_guess_attack(
         claims_certainty=False,
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
-        recovered=[format_key(v, true_keys.n) for v in pool[int(draws[-1])]],
+        recovered=[format_key(v, true_keys.n) for v in guess],
         notes=(
             "profile assumed exact (infinite-query limit); "
             + (

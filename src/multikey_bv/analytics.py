@@ -11,18 +11,24 @@ instead of grinding through million-digit numbers.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, log10, prod
 
+import numpy as np
+
 from .errors import CapacityError, InputError
 from .keyspace import KeyMultiplicity
 
 MAX_EXACT_ARG = 4096
 DEFAULT_WORK_BOUND = 10_000_000
+# Bits in one enumeration table value: the most branching positions.
+_VALUE_BITS = 64
+# Entries per temporary block of the enumeration fold.
+_FOLD_BLOCK = 1 << 16
 
 
 def _check_grid(ks: Sequence[int], ms: Sequence[int]) -> None:
@@ -136,9 +142,10 @@ def prob_two_keys(m: int) -> Fraction:
     return 1 - Fraction(1, 1 << (m - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsistencyCount:
-    """Counts of key assignments consistent with a bit-sum profile.
+    """Counts of key assignments consistent with a bit-sum profile, and
+    the multisets themselves.
 
     `ordered_count` is the product over positions of C(k, r_q): the
     number of ways to pick, independently per bit position, which of the
@@ -146,30 +153,90 @@ class ConsistencyCount:
     unordered multisets those assignments produce (duplicate keys
     allowed inside a multiset); `distinct_multiset_count` counts only
     the duplicate-free ones, which is the combination count a guesser
-    who knows the keys are pairwise distinct would work from.  `found`
-    is the fold's own set of multisets, kept as built; `multisets`
-    sorts it on first read.
+    who knows the keys are pairwise distinct would work from.
+
+    `table` holds one row of k uint64 values per multiset.  A value
+    keeps only the branching positions, those with 0 < r_q < k: its bit
+    i is bit `positions[i]` of the key.  Every key has a 1 at each
+    position with r_q = k, held once as the mask `constant`, and a 0
+    where r_q = 0.  `expand` and `compress` map between the two forms
+    and keep order, so each row is sorted ascending and the rows are in
+    the lexicographic order of the sorted key tuples.  `multisets`
+    expands the table into Python int tuples on first read.
     """
 
     ordered_count: int
-    found: Set[tuple[int, ...]] = field(repr=False)
+    table: np.ndarray = field(repr=False)
+    positions: tuple[int, ...]
+    constant: int
 
     @property
     def multiset_count(self) -> int:
-        return len(self.found)
+        return len(self.table)
+
+    @cached_property
+    def duplicate_free(self) -> np.ndarray:
+        """Mask of the table rows whose k values all differ."""
+        # A column loop: numpy reduces along a short row slowly.
+        free = np.ones(len(self.table), dtype=bool)
+        for j in range(1, self.table.shape[1]):
+            free &= self.table[:, j] != self.table[:, j - 1]
+        return free
 
     @cached_property
     def distinct_multiset_count(self) -> int:
-        return sum(1 for ms in self.found if len(set(ms)) == len(ms))
+        return int(np.count_nonzero(self.duplicate_free))
 
     @cached_property
     def multisets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.found))
+        values, index = self.key_values()
+        return tuple(tuple(map(values.__getitem__, row)) for row in index.tolist())
 
     def distinct_multisets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
-            ms for ms in self.multisets if len(set(ms)) == len(ms)
+            ms
+            for ms, free in zip(self.multisets, self.duplicate_free.tolist())
+            if free
         )
+
+    @cached_property
+    def _runs(self) -> tuple[tuple[int, int, int], ...]:
+        """(first value bit, mask, first key position) per run of
+        consecutive branching positions."""
+        runs: list[list[int]] = []  # [first value bit, length, first position]
+        for i, q in enumerate(self.positions):
+            if runs and runs[-1][2] + runs[-1][1] == q:
+                runs[-1][1] += 1
+            else:
+                runs.append([i, 1, q])
+        return tuple((i, (1 << n) - 1, q) for i, n, q in runs)
+
+    def expand(self, values: Iterable[int]) -> list[int]:
+        """The key value of each table value."""
+        out = []
+        for c in values:
+            v = self.constant
+            for low, mask, q in self._runs:
+                v |= ((c >> low) & mask) << q
+            out.append(v)
+        return out
+
+    def compress(self, keys: Iterable[int]) -> list[int]:
+        """The table value of each consistent key value."""
+        return [
+            sum(((v >> q) & mask) << low for low, mask, q in self._runs)
+            for v in keys
+        ]
+
+    def key_values(self) -> tuple[list[int], np.ndarray]:
+        """The distinct key values in the table, ascending, and the table
+        with each value replaced by its index among them."""
+        flat = np.sort(self.table, axis=None)
+        first = np.empty(flat.size, dtype=bool)
+        first[0] = True
+        np.not_equal(flat[1:], flat[:-1], out=first[1:])
+        distinct = flat[first]
+        return self.expand(distinct.tolist()), np.searchsorted(distinct, self.table)
 
 
 def _ordered_count(profile: tuple[int, ...], k: int) -> int:
@@ -191,10 +258,13 @@ def _ordered_count(profile: tuple[int, ...], k: int) -> int:
 def check_work_bound(profile: tuple[int, ...], k: int, work_bound: int) -> int:
     """The ordered assignment count prod_q C(k, r_q), which bounds the
     work of `count_consistent_keysets`, refused above `work_bound`.  Every
-    such count is at least 1, so a `work_bound` below 1 is an input error."""
+    such count is at least 1, so a `work_bound` below 1 is an input error.
+    A profile with more branching positions (0 < r_q < k) than a table
+    value holds bits is refused too; each one multiplies the count by at
+    least 2, so only a work bound of 2^65 or more lets one through."""
     if work_bound < 1:
         raise InputError(f"work bound must be >= 1, got {work_bound}")
-    # The fold sorts a k-row tuple per ordered assignment, so k is
+    # Each enumeration step handles k columns per candidate row, so k is
     # capped even where the count itself is small.
     if k > MAX_EXACT_ARG:
         raise CapacityError(
@@ -209,7 +279,75 @@ def check_work_bound(profile: tuple[int, ...], k: int, work_bound: int) -> int:
             f"enumeration needs {size} ordered assignments, "
             f"work bound is {work_bound}"
         )
+    branching = sum(1 for r in profile if 0 < r < k)
+    if branching > _VALUE_BITS:
+        raise CapacityError(
+            f"enumeration supports at most {_VALUE_BITS} branching positions "
+            f"(0 < ones < k), got {branching}"
+        )
     return ordered
+
+
+def _subset_blocks(k: int, r: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The r-subsets of k rows, in blocks of at most max(1, _FOLD_BLOCK // k).
+
+    Per subset, a row of `order` lists the rows left out, then the rows
+    picked, each ascending, and a column of `ends` marks each j whose
+    row is picked while row j + 1 is not.
+    """
+    subsets = itertools.combinations(range(k), r)
+    size = max(1, _FOLD_BLOCK // k)
+    while block := list(itertools.islice(subsets, size)):
+        picked = np.zeros((len(block), k), dtype=bool)
+        picked[np.arange(len(block)).repeat(r), np.ravel(block)] = True
+        ends = picked[:, :-1] & ~picked[:, 1:]
+        yield picked.argsort(axis=1, kind="stable"), ends.T
+
+
+def _next_level(table: np.ndarray, r: int, bit: np.uint64) -> np.ndarray:
+    """Every child of the sorted rows of `table`, each made once: `bit`,
+    above every value bit so far, set on r of a row's k values.
+
+    The child lists the values left out, then those picked, so it is
+    sorted as built.  Within a run of equal values only subsets picking
+    the run's last ones are kept, so no child multiset repeats.
+    """
+    k = table.shape[1]
+    # equal[p, j]: value j of row p equals value j + 1, compared in one
+    # contiguous pass over the flat table (a strided 2-D compare is slower).
+    flat = table.reshape(-1)
+    equal = np.empty(flat.size, dtype=bool)
+    np.equal(flat[1:], flat[:-1], out=equal[:-1])
+    equal = equal.reshape(table.shape)[:, :-1]
+    children = []
+    for order, ends in _subset_blocks(k, r):
+        step = max(1, _FOLD_BLOCK // order.size)
+        for start in range(0, len(table), step):
+            stop = start + step
+            # Picking a value but not the next, equal one repeats a child.
+            keep = ~(equal[start:stop] @ ends)
+            child = table[start:stop, order][keep]
+            child[:, k - r:] |= bit
+            children.append(child)
+    return np.concatenate(children)
+
+
+def _lexicographic(table: np.ndarray, bits: int) -> np.ndarray:
+    """The rows of `table`, whose values are below 2**bits, in
+    lexicographic order: each row's values are packed, `bits` apiece,
+    into as few uint64 words as hold them, and the rows are sorted by
+    their words, first word first."""
+    k = table.shape[1]
+    per = _VALUE_BITS // max(bits, 1)
+    words = []
+    for first in range(0, k, per):
+        word = table[:, first].copy()
+        for j in range(first + 1, min(first + per, k)):
+            word <<= np.uint64(bits)
+            word |= table[:, j]
+        words.append(word)
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+    return table[order]
 
 
 def count_consistent_keysets(
@@ -217,28 +355,27 @@ def count_consistent_keysets(
 ) -> ConsistencyCount:
     """Enumerate every key multiset consistent with a bit-sum profile.
 
-    Folds over bit positions: starting from k zero rows, position q
-    turns each partial multiset (a sorted tuple of row values) into its
-    children by setting bit q on every r_q-subset of rows, and merges
-    duplicates before the next position.  Rows are interchangeable, so
-    merging early yields exactly the multisets of the full ordered
-    walk.  Instances the work bound refuses (`check_work_bound`) are
+    Folds over the branching positions (0 < r_q < k) in ascending
+    order; positions with r_q = k join the mask `constant` and those
+    with r_q = 0 add nothing.  Starting from one row of k zeros, step i
+    turns each partial multiset, a sorted row, into its children by
+    setting bit i on each r_q-subset of its values (`_next_level`).
+    Children of different parents differ below bit i, so no level holds
+    a repeat, and one sort at the end puts the rows in lexicographic
+    order.  Parents and subsets are taken a block at a time, so each
+    temporary beside the levels themselves holds about _FOLD_BLOCK
+    entries.  Instances the work bound refuses (`check_work_bound`) are
     refused before the fold.
     """
     ordered = check_work_bound(profile, k, work_bound)
-    level = {(0,) * k}
-    for q, r in enumerate(profile):
-        bit = 1 << q
-        children = set()
-        for ms in level:
-            for rows in itertools.combinations(range(k), r):
-                child = list(ms)
-                for i in rows:
-                    child[i] |= bit
-                child.sort()
-                children.add(tuple(child))
-        level = children
-    return ConsistencyCount(ordered, level)
+    positions = tuple(q for q, r in enumerate(profile) if 0 < r < k)
+    table = np.zeros((1, k), dtype=np.uint64)
+    for i, q in enumerate(positions):
+        table = _next_level(table, profile[q], np.uint64(1 << i))
+    constant = sum(1 << q for q, r in enumerate(profile) if r == k)
+    return ConsistencyCount(
+        ordered, _lexicographic(table, len(positions)), positions, constant
+    )
 
 
 def classical_guess_bound(profile: tuple[int, ...], k: int) -> Fraction:

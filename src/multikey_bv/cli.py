@@ -238,8 +238,11 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
             "uniform_multiset_model": uniform_pick,
         }
         if args.enumerate:
+            # Each distinct key value is rendered once.
+            values, index = count.key_values()
+            names = [format_key(v, keys.n) for v in values]
             results["key_analysis"]["multisets"] = [
-                [format_key(v, keys.n) for v in ms] for ms in count.multisets
+                [names[i] for i in row] for row in index.tolist()
             ]
         for q, c in enumerate(profile):
             rows.append(

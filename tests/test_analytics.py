@@ -298,10 +298,10 @@ class TestCountConsistent:
                     assert cc.multiset_count <= cc.ordered_count
 
     def test_matches_brute_force_filter(self):
-        # every profile for k <= 5, n <= 3 against a direct filter of all
+        # every profile for k <= 5, n <= 4 against a direct filter of all
         # sorted k-tuples of n-bit values by their bit sums
         for k in range(1, 6):
-            for n in range(1, 4):
+            for n in range(1, 5):
                 by_profile: dict[tuple[int, ...], list] = {}
                 for ms in itertools.combinations_with_replacement(range(1 << n), k):
                     counts = tuple(sum((v >> q) & 1 for v in ms) for q in range(n))
@@ -328,6 +328,57 @@ class TestCountConsistent:
     def test_rejects_count_above_k(self):
         with pytest.raises(InputError):
             count_consistent_keysets((3,), 2)
+
+    def test_more_than_64_branching_positions_refused(self, monkeypatch):
+        # A table value holds one bit per position with 0 < r_q < k.  65
+        # such positions pass only a work bound of at least 2^65, and are
+        # refused before the fold allocates anything.
+        def fail(*args):
+            raise AssertionError("the fold ran")
+
+        monkeypatch.setattr(analytics, "_next_level", fail)
+        monkeypatch.setattr(analytics, "_lexicographic", fail)
+        message = (
+            "^enumeration supports at most 64 branching positions "
+            r"\(0 < ones < k\), got 65$"
+        )
+        profile = (1, 0, 2) + (1,) * 64
+        with pytest.raises(CapacityError, match=message):
+            count_consistent_keysets(profile, 2, work_bound=2**70)
+        with pytest.raises(CapacityError, match=message):
+            analytics.check_work_bound(profile, 2, 2**65)
+        # The work bound still refuses first, and 64 positions pass.
+        with pytest.raises(CapacityError, match="work bound is"):
+            analytics.check_work_bound(profile, 2, 2**65 - 1)
+        assert analytics.check_work_bound(profile[1:], 2, 2**64) == 2**64
+
+    @pytest.mark.parametrize(
+        "profile,k", [((1, 19, 1, 1), 20), ((2, 1, 30, 1), 30), ((1, 1, 0, 40, 1, 1), 40)]
+    )
+    def test_rows_wider_than_one_word(self, profile, k):
+        # k values of len(positions) bits each exceed 64 bits, so rows
+        # sort by several packed words.
+        count = count_consistent_keysets(profile, k)
+        assert k * len(count.positions) > 64
+        assert count.multisets == tuple(sorted(set(count.multisets)))
+        assert all(tuple(sorted(ms)) == ms for ms in count.multisets)
+        orbits = sum(
+            factorial(k) // prod(factorial(c) for c in Counter(ms).values())
+            for ms in count.multisets
+        )
+        assert orbits == count.ordered_count
+
+    def test_table_holds_only_branching_positions(self):
+        # Positions 1 and 3 have r = k, position 2 has r = 0.
+        count = count_consistent_keysets((1, 2, 0, 2, 1), 2)
+        assert count.positions == (0, 4)
+        assert count.constant == 0b01010
+        assert count.table.dtype == np.uint64
+        assert count.table.tolist() == [[0, 3], [1, 2]]
+        assert count.multisets == ((0b01010, 0b11011), (0b01011, 0b11010))
+        assert count.expand([3]) == [0b11011]
+        assert count.compress([0b11011, 0b01010]) == [3, 0]
+        assert count.duplicate_free.tolist() == [True, True]
 
 
 # Every reader of a profile, each at k = 2.
@@ -379,8 +430,8 @@ class TestGuessBound:
 
 
 class TestBeyondEnumerationCap:
-    """The closed-form guess bounds answer any k; only the enumeration
-    fold, which sorts a k-row tuple per assignment, is capped."""
+    """The closed-form guess bounds answer any k; only the enumeration,
+    whose subset blocks are k columns wide, is capped."""
 
     KEYS = KeySet.from_strings(["0000000000000"] * 5000)
 

@@ -1,9 +1,11 @@
 """CLI commands: record structure, formats, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -363,6 +365,24 @@ def test_toy_runs_import_no_thread_pool():
     assert_runs_fresh(script)
 
 
+def test_toy_analysis_imports_no_masked_arrays():
+    # The enumeration finds distinct rows and values by sorting and an
+    # adjacent compare; np.unique would load numpy.ma, 7-10 ms of every
+    # cold start.
+    script = (
+        "import contextlib, io, sys\n"
+        "from multikey_bv import cli\n"
+        "keys = ['--keys', '0001,0011,1011,1110', '--seed', '1']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['analyze', '--enumerate'],\n"
+        "                 ['adversary', '--m', '12', '--trials', '100', '--shots', '64']):\n"
+        "        code = cli.main(argv + keys)\n"
+        "        assert code == 0, code\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    assert_runs_fresh(script)
+
+
 def assert_runs_fresh(script: str) -> None:
     """Run `script` in a new interpreter with this package on the path."""
     src = os.path.dirname(os.path.dirname(multikey_bv.__file__))
@@ -523,6 +543,32 @@ def test_key_analysis_above_exact_range_names_only_k(capsys):
     assert out == ""
     assert err == (
         "capacity error: key analysis supports at most 4096 keys, got k=5000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("analyze",), ("adversary", "--oracle-path", "fast", "--trials", "10", "--shots", "10")],
+    ids=["analyze", "adversary"],
+)
+def test_more_than_64_branching_positions_refused(capsys, monkeypatch, command):
+    # Two complementary 65-bit keys branch at all 65 positions: 2^65
+    # ordered assignments, within this work bound, but one more bit than
+    # a table value holds.
+    def fail(*args, **kwargs):
+        raise AssertionError("work was done before the refusal")
+
+    monkeypatch.setattr(adversary, "estimate_bit_sums", fail)
+    monkeypatch.setattr(analytics, "_next_level", fail)
+    code, out, err = run(
+        capsys, *command, "--keys", "0" * 65 + "," + "1" * 65,
+        "--work-bound", str(2**65), "--seed", "1",
+    )
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert err == (
+        "capacity error: enumeration supports at most 64 branching "
+        "positions (0 < ones < k), got 65\n"
     )
 
 
@@ -701,6 +747,128 @@ class TestAdversary:
                 assert rep["success_probability"] < 1 or rep["strategy"].startswith(
                     "quantum"
                 )
+
+
+def python_fold(profile: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """Consistent multisets by a set-of-tuples fold over every position:
+    set the bit on each r_q-subset of a partial multiset's rows, sort
+    the rows, and merge equal tuples.  Returned in sorted order."""
+    level = {(0,) * k}
+    for q, r in enumerate(profile):
+        children = set()
+        for ms in level:
+            for rows in itertools.combinations(range(k), r):
+                child = list(ms)
+                for i in rows:
+                    child[i] |= 1 << q
+                children.add(tuple(sorted(child)))
+        level = children
+    return sorted(level)
+
+
+_WALL_TIME = re.compile(r'"wall_time_s": [-+0-9.eE]+')
+
+
+class TestEmbeddedProfiles:
+    """Small key sets embedded into 70- and 130-bit keys: the small bits
+    land on scattered positions, and every other position is a constant
+    column of all ones (r = k) or all zeros (r = 0).  The answers must be
+    the set-of-tuples fold's on the small profile, with bits remapped."""
+
+    SMALL = [
+        ("0001", "0011", "1011", "1110"),
+        ("011", "011", "101"),
+        ("01", "10", "10", "11", "00"),
+        ("110", "100", "010"),
+        ("0110", "0110"),
+        ("1", "0", "1"),
+    ]
+
+    @staticmethod
+    def embedding(small: tuple[str, ...], width: int):
+        """(wide keys, small values, position of each small bit, ones mask)."""
+        n = len(small[0])
+        rng = random.Random(f"{small}/{width}")
+        positions = sorted(rng.sample(range(width), n))
+        rest = [q for q in range(width) if q not in positions]
+        ones = sum(1 << q for q in rest[::2])  # alternate ones and zeros columns
+        values = [int(s, 2) for s in small]
+
+        def embed(v: int) -> int:
+            return ones | sum(((v >> j) & 1) << q for j, q in enumerate(positions))
+
+        wide = tuple(format(embed(v), f"0{width}b") for v in values)
+        return wide, values, positions, ones, embed
+
+    def reference(self, small, width):
+        """`count_consistent_keysets` answered from the small fold."""
+        _, values, positions, ones, _ = self.embedding(small, width)
+        k, n = len(values), len(small[0])
+        small_profile = tuple(sum((v >> q) & 1 for v in values) for q in range(n))
+        table = np.array(python_fold(small_profile, k), dtype=np.uint64).reshape(-1, k)
+
+        def count(profile, k, work_bound=analytics.DEFAULT_WORK_BOUND):
+            ordered = analytics.check_work_bound(profile, k, work_bound)
+            return analytics.ConsistencyCount(ordered, table, tuple(positions), ones)
+
+        return count
+
+    @pytest.mark.parametrize("width", [70, 130])
+    @pytest.mark.parametrize("small", SMALL, ids=",".join)
+    def test_multisets_and_counts(self, small, width):
+        wide, values, _, _, embed = self.embedding(small, width)
+        k, n = len(values), len(small[0])
+        keys = KeySet.from_strings(wide)
+        count = analytics.count_consistent_keysets(multikey_bv.bit_sum_profile(keys), k)
+        small_profile = tuple(sum((v >> q) & 1 for v in values) for q in range(n))
+        expected = tuple(
+            tuple(embed(v) for v in ms) for ms in python_fold(small_profile, k)
+        )
+        assert count.multisets == expected
+        assert count.multiset_count == len(expected)
+        free = tuple(ms for ms in expected if len(set(ms)) == k)
+        assert count.distinct_multisets() == free
+        assert count.distinct_multiset_count == len(free)
+        assert tuple(sorted(keys.values)) in count.multisets
+
+    @pytest.mark.parametrize("width", [70, 130])
+    @pytest.mark.parametrize("small", SMALL, ids=",".join)
+    def test_cli_output_matches_the_fold(self, capsys, monkeypatch, small, width):
+        wide = ",".join(self.embedding(small, width)[0])
+        runs = [
+            ["analyze", "--keys", wide, "--enumerate", "--seed", "3"],
+            ["adversary", "--keys", wide, "--oracle-path", "fast", "--trials", "300",
+             "--shots", "16", "--seed", "3"],
+        ]
+        outputs = []
+        for route in ("numpy", "fold"):
+            if route == "fold":
+                fold = self.reference(small, width)
+                monkeypatch.setattr(cli, "count_consistent_keysets", fold)
+                monkeypatch.setattr(adversary, "count_consistent_keysets", fold)
+            outputs.append(
+                [_WALL_TIME.sub('"wall_time_s": 0', run(capsys, *argv)[1]) for argv in runs]
+            )
+        assert outputs[0] == outputs[1]
+        # adversary refuses duplicate keys, printing nothing on either route
+        analyzed, attacked = outputs[0]
+        assert analyzed and bool(attacked) == (len(set(small)) == len(small))
+
+    @pytest.mark.parametrize("small", SMALL, ids=",".join)
+    def test_guess_attack_matches_the_fold(self, monkeypatch, small):
+        # The library attack also takes duplicate keys, whose pool keeps
+        # duplicate-key multisets.
+        keys = KeySet.from_strings(self.embedding(small, 130)[0])
+        reports = []
+        for route in ("numpy", "fold"):
+            if route == "fold":
+                monkeypatch.setattr(
+                    adversary, "count_consistent_keysets", self.reference(small, 130)
+                )
+            record = adversary.classical_guess_attack(keys, runs=500, seed=9).to_record()
+            record.pop("wall_time_s")
+            reports.append(record)
+        assert reports[0] == reports[1]
 
 
 class TestDeterminism:
