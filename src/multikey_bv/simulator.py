@@ -113,10 +113,11 @@ _MIN_RUN = _TILE >> _GROUP_BITS
 # Draws per rng call, for measurement shots here and for Monte Carlo
 # trials and oracle queries in `adversary`, so that memory stays bounded
 # however many are asked for.  At 2^16 draws a block's uniforms, bucket
-# numbers and indices (512 KB each) stay in a core's L2 cache through
-# the few passes an `OutcomeSampler` makes over them.  Chunked draws
-# read the same random stream in the same order as one call over all
-# of them.
+# numbers and indices (512 KB each), or in a coupon block of at most 64
+# keys its one-hot words (one per draw, at most 512 KB) and the OR of
+# each trial's words, stay in a core's L2 cache through the few passes
+# an `OutcomeSampler` makes over them.  Chunked draws read the same
+# random stream in the same order as one call over all of them.
 _SHOT_CHUNK = 1 << 16
 
 # An `OutcomeSampler`'s guide table has at most this many buckets (8 MB
@@ -751,7 +752,7 @@ class OutcomeSampler:
     stream read, are those of `choice` whatever T is.
     """
 
-    __slots__ = ("cdf", "buckets", "_table")
+    __slots__ = ("cdf", "buckets", "_table", "_onehot")
 
     def __init__(self, probs, draws: int | None = None):
         probs = np.asarray(probs, dtype=np.float64)
@@ -772,6 +773,7 @@ class OutcomeSampler:
         last = cdf.searchsorted(edges[1:], "left")
         # -1 marks a bucket that holds a cdf edge.
         self._table = np.where(first == last, first, -1)
+        self._onehot = None
 
     def lookup(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """`cdf.searchsorted(u, "right")` for an array of u in [0, 1).
@@ -789,6 +791,32 @@ class OutcomeSampler:
         flat = out.reshape(-1)
         edge = np.flatnonzero(flat < 0)
         flat[edge] = self.cdf.searchsorted(u.reshape(-1)[edge], "right")
+        return out
+
+    def onehot(
+        self, u: np.ndarray, out: np.ndarray, buckets: np.ndarray | None = None
+    ) -> np.ndarray:
+        """`1 << cdf.searchsorted(u, "right")` for an array of u in [0, 1).
+
+        The words are written into `out`, a C-contiguous array of u's
+        shape whose unsigned integer dtype holds at least `cdf.size`
+        bits.  `buckets`, a C-contiguous intp array of u's shape, takes
+        the bucket numbers when given, so that a caller drawing block
+        after block allocates nothing per block.  The guide table is
+        tabulated once as words of out's dtype, 0 marking an edge bucket.
+        """
+        one = out.dtype.type(1)
+        if self._onehot is None or self._onehot.dtype != out.dtype:
+            shifts = self._table.clip(0).astype(out.dtype)
+            self._onehot = np.where(self._table < 0, out.dtype.type(0), one << shifts)
+        if buckets is None:
+            buckets = np.empty(u.shape, dtype=np.intp)
+        np.multiply(u, self.buckets, out=buckets, casting="unsafe")
+        np.take(self._onehot, buckets, out=out, mode="clip")
+        flat = out.reshape(-1)
+        edge = np.flatnonzero(flat == 0)
+        index = self.cdf.searchsorted(u.reshape(-1)[edge], "right")
+        flat[edge] = one << index.astype(out.dtype)
         return out
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:

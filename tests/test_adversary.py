@@ -33,6 +33,11 @@ def keyset(*texts: str) -> KeySet:
     return KeySet.from_strings(texts)
 
 
+def _keys(k: int, n: int) -> tuple[str, ...]:
+    """The first k n-bit keys, 0 .. k - 1."""
+    return tuple(format(v, f"0{n}b") for v in range(k))
+
+
 def oracle_for(*texts: str, seed: int = 0) -> ClassicalOracle:
     return ClassicalOracle(keyset(*texts), np.random.default_rng(seed))
 
@@ -269,6 +274,7 @@ class TestChunkedDraws:
         assert peak < 64 * 2**20
         p = float(prob_all_keys(4, 12))
         assert abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / 10**6)
+        assert rate == 0.874597
 
     def test_coupon_memory_does_not_grow_with_m(self):
         # One trial of 2^23 draws would take 64 MiB of int64 at once.
@@ -288,6 +294,16 @@ class TestChunkedDraws:
             (("0001", "0011", "1011", "1110"), 12, 10**5),
             (("011", "101", "110"), (1 << 16) + 5, 3),
             (("001", "010", "011", "100", "101", "110", "111"), 20, 50_001),
+            # One-hot words: uint8 holds 8 keys, 9 take uint16, 33 a
+            # uint64 with edge buckets; 64 fill a uint64 and 65 take the
+            # bitmap.  Rows of 5000 or 2^16 draws are OR-folded by reduce.
+            (_keys(8, 4), 20, 20_001),
+            (_keys(9, 4), 24, 20_001),
+            (_keys(33, 6), 150, 5_001),
+            (_keys(64, 6), 320, 3_001),
+            (_keys(65, 7), 330, 3_001),
+            (_keys(33, 6), 5000, 27),
+            (_keys(64, 6), (1 << 16) + 5, 3),
         ],
     )
     def test_coupon_rate_equals_choice_blocks(self, texts, m, trials):

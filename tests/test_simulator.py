@@ -914,6 +914,8 @@ class TestOutcomeSampler:
             (2.0 ** -np.arange(60)).tolist(),
             np.random.default_rng(3).random(1000).tolist(),
             np.random.default_rng(4).random(70_000).tolist(),
+            [1.0] * 9,
+            np.random.default_rng(5).random(64).tolist(),
         ],
     )
     def test_lookup_equals_searchsorted_at_every_edge(self, weights):
@@ -941,6 +943,13 @@ class TestOutcomeSampler:
         assert np.array_equal(sampler.lookup(u), cdf.searchsorted(u, "right"))
         grid = u[: u.size // 2 * 2].reshape(2, -1)
         assert np.array_equal(sampler.lookup(grid), cdf.searchsorted(grid, "right"))
+        if probs.size <= 64:
+            # One-hot words of the narrowest unsigned dtype of k bits.
+            word = np.min_scalar_type((1 << probs.size) - 1)
+            for draws in (u, grid):
+                expected = word.type(1) << cdf.searchsorted(draws, "right").astype(word)
+                words = sampler.onehot(draws, out=np.empty(draws.shape, dtype=word))
+                assert np.array_equal(words, expected)
 
     def test_table_memory_is_bounded_for_a_million_outcomes(self):
         probs = np.random.default_rng(5).random(10**6)
