@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial, log10, prod
+from math import comb, factorial, isqrt, log10, prod
 
 import numpy as np
 
@@ -55,6 +55,11 @@ def _check_grid(ks: Sequence[int], ms: Sequence[int]) -> None:
         )
 
 
+def _smallest_prime(j: int) -> int:
+    """The smallest prime factor of j >= 2."""
+    return next((p for p in range(2, isqrt(j) + 1) if j % p == 0), j)
+
+
 def _surjection_grid(
     ks: Iterable[int], ms: Sequence[int]
 ) -> Iterator[tuple[int, int, int, int]]:
@@ -62,15 +67,17 @@ def _surjection_grid(
 
     Inclusion-exclusion: surjections(m, k) = sum_j (-1)^(k-j) C(k,j) j^m
     over j = 1..k, which holds for m >= 1; m < k gives 0 directly.  The
-    powers j^m0, m0 the first computed cell's m, are raised once per
-    grid and extended as k grows.  Per k the signed terms
-    (-1)^(k-j) C(k,j) j^m0 are built from them once, the binomials by
-    the recurrence C(k,j) = C(k,j-1) (k-j+1) / j, and stepped to each
-    later m by j^(m - prev), multiplying up or dividing exactly down.
-    So a cell one m after the last costs k small multiplies and k
-    additions, and the term at j = k is k^m.  Memory holds the power
-    list of the largest k so far and, while stepping, two lists of one
-    k's terms.
+    powers j^m0, m0 the first computed cell's m, are built once per
+    grid and extended as k grows, each from smaller ones: j^m0 is
+    (j/2)^m0 << m0 for even j and p^m0 (j/p)^m0 for odd composite j, p
+    its smallest prime factor, so only primes are raised with `**`.
+    Per k the signed terms (-1)^(k-j) C(k,j) j^m0 are built from them
+    once, the binomials by the recurrence C(k,j) = C(k,j-1) (k-j+1) / j,
+    and stepped to each later m by j^(m - prev), multiplying up or
+    dividing exactly down.  So a cell one m after the last costs k small
+    multiplies and k additions, and the term at j = k is k^m.  Memory
+    holds the power list of the largest k so far and, while stepping,
+    two lists of one k's terms.
     """
     powers: list[int] = []  # powers[j - 1] == j**m0
     m0 = 0
@@ -83,7 +90,15 @@ def _surjection_grid(
             if not terms:
                 if not powers:
                     m0 = m
-                powers += [j**m0 for j in range(len(powers) + 1, k + 1)]
+                    powers.append(1)
+                for j in range(len(powers) + 1, k + 1):
+                    p = _smallest_prime(j)
+                    if p == 2:
+                        powers.append(powers[j // 2 - 1] << m0)
+                    elif p < j:
+                        powers.append(powers[p - 1] * powers[j // p - 1])
+                    else:
+                        powers.append(j**m0)
                 c = (-1) ** k  # (-1)^(k-j) C(k, j) at j = 0
                 for j, p in zip(range(1, k + 1), powers):
                     c = -c * (k - j + 1) // j
@@ -95,6 +110,68 @@ def _surjection_grid(
                 terms = [t // j ** (prev - m) for j, t in enumerate(terms, 1)]
             prev = m
             yield k, m, sum(terms), terms[-1]
+
+
+def _strip(n: int, p: int, limit: int) -> tuple[int, int]:
+    """(n / p^v, p^v) for v = min(v_p(n), limit) and n > 0.
+
+    Divides by p, p^2, p^4, ... while they divide and fit the limit,
+    then tries the same powers downwards, so v costs about 2 log2(v)
+    divisions instead of v.
+    """
+    squares = []
+    q, e = p, 1
+    while e <= limit:
+        d, r = divmod(n, q)
+        if r:
+            break
+        n, limit = d, limit - e
+        squares.append((q, e))
+        q, e = q * q, 2 * e
+    v = sum(e for _, e in squares)
+    for q, e in reversed(squares):
+        if e <= limit:
+            d, r = divmod(n, q)
+            if not r:
+                n, limit, v = d, limit - e, v + e
+    return n, p**v
+
+
+def _lowest_terms(count: int, k: int, m: int, total: int) -> Fraction:
+    """count / total in lowest terms, for total = k**m.
+
+    total has only k's primes, so the gcd is the product, over each p^e
+    exactly dividing k, of p^min(v_p(count), e m): a shift for p = 2,
+    `_strip` for odd p.  The coprime pair then becomes a Fraction
+    without the second gcd `Fraction(n, d)` would run.
+    """
+    if not count:
+        return _coprime_fraction(0, 1)
+    g = 1
+    while k > 1:
+        p = _smallest_prime(k)
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        if p == 2:
+            v = min((count & -count).bit_length() - 1, e * m)
+            count >>= v
+            g <<= v
+        else:
+            count, q = _strip(count, p, e * m)
+            g *= q
+    return _coprime_fraction(count, total // g)
+
+
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction of a coprime pair with a positive denominator, its two
+    slots set directly as Python 3.12's `Fraction._from_coprime_ints` does;
+    3.10 and 3.11 have the same slots but not that constructor."""
+    fraction = object.__new__(Fraction)
+    fraction._numerator = numerator
+    fraction._denominator = denominator
+    return fraction
 
 
 def surjection_count(m: int, k: int) -> int:
@@ -119,11 +196,13 @@ def recovery_grid(
     ranges for large grids.  `ms` is iterated once per k.  Each k's
     first cell multiplies k stored powers j^m0 by their binomials; each
     later cell steps those terms in m, which for consecutive ms is k
-    small multiplies, so ascending ranges are the cheapest order.
+    small multiplies, so ascending ranges are the cheapest order.  Each
+    cell's fraction is reduced by dividing out k's own primes, the only
+    ones k**m has, instead of by a general gcd.
     """
     _check_grid(ks, ms)
     return (
-        (k, m, Fraction(count, total))
+        (k, m, _lowest_terms(count, k, m, total))
         for k, m, count, total in _surjection_grid(ks, ms)
     )
 

@@ -748,11 +748,13 @@ class OutcomeSampler:
     agree every u in the bucket maps to that index, read with one
     gather.  Only draws in the at most k - 1 buckets holding a cdf edge,
     at most 1/16 of the mass up to 2^16 outcomes when the table is not
-    capped, go through `searchsorted`.  The indices, and the random
-    stream read, are those of `choice` whatever T is.
+    capped, go through `searchsorted`; a table without such a bucket,
+    as for k equal weights with k a power of two, skips the scan for
+    them.  The indices, and the random stream read, are those of
+    `choice` whatever T is.
     """
 
-    __slots__ = ("cdf", "buckets", "_table", "_onehot")
+    __slots__ = ("cdf", "buckets", "_table", "_edges", "_onehot")
 
     def __init__(self, probs, draws: int | None = None):
         probs = np.asarray(probs, dtype=np.float64)
@@ -772,7 +774,9 @@ class OutcomeSampler:
         first = cdf.searchsorted(edges[:-1], "right")
         last = cdf.searchsorted(edges[1:], "left")
         # -1 marks a bucket that holds a cdf edge.
-        self._table = np.where(first == last, first, -1)
+        inside = first == last
+        self._table = np.where(inside, first, -1)
+        self._edges = not inside.all()
         self._onehot = None
 
     def lookup(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -788,9 +792,10 @@ class OutcomeSampler:
         # take reads an element's bucket before writing its index.
         np.multiply(u, self.buckets, out=out, casting="unsafe")
         np.take(self._table, out, out=out, mode="clip")
-        flat = out.reshape(-1)
-        edge = np.flatnonzero(flat < 0)
-        flat[edge] = self.cdf.searchsorted(u.reshape(-1)[edge], "right")
+        if self._edges:
+            flat = out.reshape(-1)
+            edge = np.flatnonzero(flat < 0)
+            flat[edge] = self.cdf.searchsorted(u.reshape(-1)[edge], "right")
         return out
 
     def onehot(
@@ -813,10 +818,11 @@ class OutcomeSampler:
             buckets = np.empty(u.shape, dtype=np.intp)
         np.multiply(u, self.buckets, out=buckets, casting="unsafe")
         np.take(self._onehot, buckets, out=out, mode="clip")
-        flat = out.reshape(-1)
-        edge = np.flatnonzero(flat == 0)
-        index = self.cdf.searchsorted(u.reshape(-1)[edge], "right")
-        flat[edge] = one << index.astype(out.dtype)
+        if self._edges:
+            flat = out.reshape(-1)
+            edge = np.flatnonzero(flat == 0)
+            index = self.cdf.searchsorted(u.reshape(-1)[edge], "right")
+            flat[edge] = one << index.astype(out.dtype)
         return out
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:

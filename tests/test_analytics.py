@@ -5,7 +5,7 @@ import itertools
 import re
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import numpy as np
 import pytest
@@ -196,6 +196,74 @@ class TestRecoveryGrid:
     def test_large_cell_matches_stirling(self):
         ((_, _, p),) = recovery_grid([300], [1700])
         assert p == recovery_by_stirling(300, 1700)
+
+    @pytest.mark.parametrize("ms", [range(301), range(300, -1, -1)])
+    def test_reduced_pairs_equal_fraction(self, ms):
+        # Every k <= 64, so m < k, m = 0, k = 1, prime k (61), prime
+        # powers (32, 27, 49) and k of several primes (60) all appear,
+        # against surjection counts k! S(m, k) from the Stirling rows.
+        ks = range(1, 65)
+        stirling = {}
+        row = [1] + [0] * 64  # S(m, 0..64)
+        for m in range(301):
+            stirling[m] = row
+            row = [0] + [i * row[i] + row[i - 1] for i in range(1, 65)]
+        cells = recovery_grid(ks, ms)
+        for (k, m, p), (k0, m0) in zip(cells, itertools.product(ks, ms)):
+            assert (k, m) == (k0, m0)
+            expected = Fraction(factorial(k) * stirling[m][k], k**m)
+            assert (p.numerator, p.denominator) == (
+                expected.numerator,
+                expected.denominator,
+            ), (k, m)
+
+    def test_largest_cell_is_reduced(self):
+        # surjections(k, k) = k!, and 4096 = 2^12: the reduced
+        # denominator is a power of two and the numerator is odd.
+        ((_, _, p),) = recovery_grid([4096], [4096])
+        expected = Fraction(factorial(4096), 4096**4096)
+        assert (p.numerator, p.denominator) == (
+            expected.numerator,
+            expected.denominator,
+        )
+        assert p.denominator & (p.denominator - 1) == 0
+        assert p.numerator % 2 == 1
+
+    @pytest.mark.parametrize(
+        "count,k,m",
+        [
+            (3**10, 6, 2),  # v_3 = 10 above e m = 2
+            (2**9 * 5, 12, 3),  # v_2 = 9 above e m = 6
+            (7**40 * 11, 49, 3),  # v_7 = 40 above e m = 6
+            (3**37 * 2**5 * 13, 60, 20),
+            (5**64, 25, 40),  # v_5 = 64 below e m = 80
+            (9, 3, 1),  # v_3 = 2 above e m = 1
+            (2**3 * 5**7, 10, 3),  # v_5 = 7 above e m = 3
+            (17, 1, 9),
+            (0, 30, 4),
+        ],
+    )
+    def test_lowest_terms_caps_each_prime_at_k_to_the_m(self, count, k, m):
+        p = analytics._lowest_terms(count, k, m, k**m)
+        expected = Fraction(count, k**m)
+        assert (p.numerator, p.denominator) == (
+            expected.numerator,
+            expected.denominator,
+        )
+
+    def test_cells_are_real_fractions(self):
+        # Unordered ks extend the shared power list over even, odd
+        # composite, prime-power and prime j (9, 25, 27, 49, 81, 97).
+        ks, ms = [7, 64, 30, 97], [0, 7, 130, 64, 97, 200]
+        cells = list(recovery_grid(ks, ms))
+        assert [(k, m) for k, m, _ in cells] == [(k, m) for k in ks for m in ms]
+        for k, m, p in cells:
+            n, d = p.numerator, p.denominator
+            assert type(p) is Fraction
+            assert d > 0 and gcd(n, d) == 1
+            assert hash(p) == hash(Fraction(n, d))
+            assert p + 0 == p and p * 1 == p
+            assert p == recovery_by_stirling(k, m), (k, m)
 
     def test_prob_all_keys_and_surjection_count_agree(self):
         for k, m, p in recovery_grid(range(1, 7), range(0, 12, 2)):

@@ -916,6 +916,7 @@ class TestOutcomeSampler:
             np.random.default_rng(4).random(70_000).tolist(),
             [1.0] * 9,
             np.random.default_rng(5).random(64).tolist(),
+            [1.0] * 64,
         ],
     )
     def test_lookup_equals_searchsorted_at_every_edge(self, weights):
@@ -924,6 +925,11 @@ class TestOutcomeSampler:
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         assert np.array_equal(sampler.cdf, cdf)
+        # Equal weights of a power-of-two count put every cdf edge on a
+        # bucket boundary, so their tables skip the edge scan.
+        assert sampler._edges == bool((sampler._table < 0).any())
+        if len(weights) in (1, 4, 64) and len(set(weights)) == 1:
+            assert not sampler._edges
         buckets = sampler.buckets
         assert buckets & (buckets - 1) == 0
         if buckets < simulator._MAX_BUCKETS:
