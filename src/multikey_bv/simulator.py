@@ -44,7 +44,16 @@ layer on qubits below t mixes amplitudes only within aligned blocks of
 2^t).  A state of any size takes this walk, so the first data layer of
 a small circuit transforms the data register of one ancilla row, not
 the whole state.  The X gate swaps amplitude pairs through the same
-tiled layer, with the same skip.  A layer over 4 tiles or more splits
+tiled layer, with the same skip.  The skip extends to halves: after a
+gate on a qubit the layer does not list again, a whole tile whose
+blocks each have an all +0.0 half along that qubit takes the layer's
+later gates on the other halves alone, and is zeroed and written back
+once at the end (`_Layout`).  The final data layer leaves such a half
+at every qubit, as it interferes control branch i onto |s_i>, so it
+transforms about two tiles' worth of amplitudes per nonzero tile, not
+one per gate; parts shrunk that way are stacked to take the rest of
+the layer together (`_Stack`).  The test reads the amplitudes' bits
+only, so it holds for any state.  A layer over 4 tiles or more splits
 them into interleaved shares, one per usable CPU, and walks all but the
 first on threads (`_in_shares`); tile w of every W, because the nonzero
 tiles sit in the first control rows.  Smaller states, every circuit up
@@ -109,6 +118,12 @@ _TILE_BITS = 16
 _TILE = 1 << _TILE_BITS
 _GROUP_BITS = 4
 _MIN_RUN = _TILE >> _GROUP_BITS
+
+# `_is_zero` counts the nonzero words of a scan shorter than this, and
+# takes the max of a longer one: in cache, counting 64-512 words took
+# 0.5-0.9 us against 1.7-1.9 us for the max, and at 32K-64K words
+# 11-21 us against 4.4-6.7 us, with the two even at about 4K words.
+_COUNT_WORDS = 1 << 12
 
 # Draws per rng call, for measurement shots here and for Monte Carlo
 # trials and oracle queries in `adversary`, so that memory stays bounded
@@ -360,7 +375,10 @@ class StateVector:
         chunk is that many whole rows: row 0 of its buffer carries the
         running total, and numpy adds the rows of an axis-0 sum in order.
         Otherwise a chunk is one _TILE-column block of one row, whose
-        squared magnitudes are added to that block of the total.
+        squared magnitudes are added to that block of the total; such a
+        chunk whose every bit is zero (`_is_zero`), as most of a wide
+        final state is, is skipped: the total holds sums of squares, all
+        +0.0 or above, and adding +0.0 to one changes no bit.
         """
         rows = self.amps.reshape(-1, 1 << self.n)
         width = min(rows.shape[1], _TILE)
@@ -371,6 +389,8 @@ class StateVector:
             for col in range(0, rows.shape[1], width):
                 block = total[col:col + width]
                 for row in rows[:, col:col + width]:
+                    if _is_zero(row):
+                        continue
                     np.abs(row, out=buf)
                     np.square(buf, out=buf)
                     block += buf
@@ -441,11 +461,16 @@ def _x_row_bit(block: np.ndarray, bit: int, scratch: np.ndarray) -> None:
 def _is_zero(tile: np.ndarray) -> bool:
     """True when every bit of the tile is 0 (so -0.0 counts as nonzero).
 
-    The first amplitude settles most nonzero tiles without a scan.  The
-    scan is a max over the uint64 words, which numpy reduces about twice
-    as fast as it counts nonzero words once a tile holds thousands.
+    The first amplitude settles most nonzero tiles without a scan.  Under
+    _COUNT_WORDS uint64 words the scan counts the nonzero words, above it
+    takes their max.
     """
-    return tile.item(0) == 0 and not tile.view(np.uint64).max()
+    if tile.item(0) != 0:
+        return False
+    words = tile.view(np.uint64)
+    if words.size < _COUNT_WORDS:
+        return not np.count_nonzero(words)
+    return not words.max()
 
 
 def _sum_squares(rows: np.ndarray) -> float:
@@ -485,7 +510,8 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     last block with a set bit (`_live_length`); the blocks after it are
     all +0.0.  A part of fewer than 2 _MIN_RUN amplitudes, too small to
     repay a copy, takes each gate in its natural order; a larger one goes
-    through `_regrouped_pass`.
+    through `_regrouped_pass`, which may hand what is left of it to the
+    share's `_Stack`.
     """
     top = max(qubits) + 1
     width = min(amps.size, _TILE)
@@ -493,50 +519,240 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     def walk(starts: range) -> None:
         scratch = np.empty(width // 2, amps.dtype)
         spare = None
+        # Only parts of a whole tile drop halves (`_regrouped_pass`).
+        stack = _Stack(width, top, qubits, kernel, scratch) if width == _TILE else None
         for start in starts:
             tile = amps[start:start + width]
             end = _live_length(tile, 1 << top)
             if end >= 2 * _MIN_RUN:
                 if spare is None:
                     spare = np.empty(width, amps.dtype)
-                _regrouped_pass(tile[:end], spare[:end], top, qubits, kernel, scratch)
+                _regrouped_pass(tile[:end], spare[:end], top, qubits, kernel, scratch, stack)
             elif end:
                 column = tile[:end].reshape(-1, 1)
                 for qubit in qubits:
                     kernel(column, qubit, scratch)
+        if stack is not None:
+            stack.flush()
 
     _in_shares(range(0, amps.size, width), walk)
 
 
 def _regrouped_pass(
-    part: np.ndarray, spare: np.ndarray, top: int, qubits: tuple[int, ...], kernel, scratch
+    part: np.ndarray,
+    spare: np.ndarray,
+    top: int,
+    qubits: tuple[int, ...],
+    kernel,
+    scratch: np.ndarray,
+    stack: _Stack | None,
 ) -> None:
     """The gates on `part`, whole blocks of 2^top amplitudes, with long runs.
 
-    The part is seen as its blocks (one axis, if more than one) and the
-    qubit groups of _GROUP_BITS below `top` (one axis each, the top one
-    possibly narrower).  A gate whose pairs run shorter than _MIN_RUN
-    contiguous amplitudes first copies the part, alternately into `spare`
-    and back in place, with its group as the outermost axis; the part
-    ends in its natural order.
+    The part is worked on as a `_Layout`, in place and in `spare`.  A
+    part of a whole tile or more may drop zero halves; a smaller one,
+    where the tests and copies would cost more than the work they save,
+    never does.  Once a half of it has been dropped, the part goes to
+    `stack` when it has shrunk below 2 _MIN_RUN amplitudes or the layer
+    is done, and the stack runs the rest of the layer on it and writes
+    it back.  Without a drop the part ends in its natural order, in
+    place.
     """
-    lows = range(0, top, _GROUP_BITS)
-    sizes = {g: 1 << min(_GROUP_BITS, top - low) for g, low in enumerate(lows)}
-    if part.size >> top > 1:
-        sizes[len(sizes)] = part.size >> top
-    natural = tuple(reversed(range(len(sizes))))
-    buf, order, inner = part, natural, _inner_sizes(natural, sizes)
-    for qubit in qubits:
+    groups = -(-top // _GROUP_BITS)
+    sizes = {g: 1 << min(_GROUP_BITS, top - g * _GROUP_BITS) for g in range(groups)}
+    sizes[groups] = part.size >> top
+    layout = _Layout(part, spare, sizes)
+    drops = part.size >= _TILE
+    for j, qubit in enumerate(qubits):
+        layout.gate(qubit, kernel, scratch, drops and j + 1 < len(qubits) and qubit not in qubits[j + 1:])
+        if layout.dropped and (layout.buf.size < 2 * _MIN_RUN or j + 1 == len(qubits)):
+            stack.add(part, layout, j + 1)
+            return
+    layout.restore()
+    if layout.side:
+        part[...] = layout.buf
+
+
+class _Layout:
+    """A layer's working copy of whole blocks of 2^top amplitudes.
+
+    The amplitudes sit in one of two buffers as axes, outermost first in
+    `order`: the blocks (the axis last in `sizes`, outermost in the
+    natural order) and the qubit groups of _GROUP_BITS below top (one
+    axis each, the top one possibly narrower).  A gate whose pairs run
+    shorter than _MIN_RUN contiguous amplitudes first copies them into
+    the other buffer with its group as the outermost axis, if there are
+    at least 2 _MIN_RUN of them to repay the copy.
+
+    After a gate on a qubit that the rest of the layer does not list
+    again, a half of each block along that qubit may be all +0.0, as
+    interference leaves it in a circuit's final layer.  If every block
+    has one (`_drop_zero_halves`), the other halves are copied to the
+    other buffer and the later gates run on them alone: they pair
+    amplitudes that agree on the dropped qubit, and a pair of +0.0 stays
+    +0.0 under H and X.  `dropped` holds the dropped qubits, and bit q of
+    kept[b] the half of block b kept along qubit q.
+    """
+
+    __slots__ = ("buffers", "side", "buf", "sizes", "natural", "order", "inner", "dropped", "kept")
+
+    def __init__(self, buf: np.ndarray, other: np.ndarray, sizes: dict[int, int], dropped=0, kept=0):
+        self.buffers, self.side, self.buf = (buf, other), 0, buf
+        self.sizes = sizes
+        self.natural = self.order = tuple(reversed(range(len(sizes))))
+        self.inner = _inner_sizes(self.order, sizes)
+        self.dropped, self.kept = dropped, kept
+
+    def move(self, order: tuple[int, ...]) -> None:
+        """Copy the amplitudes into the other buffer, with axes in `order`."""
+        self.side = 1 - self.side
+        dst = self.buffers[self.side][:self.buf.size]
+        self.buf, self.order = _regroup(self.buf, self.order, order, self.sizes, dst)
+        self.inner = _inner_sizes(order, self.sizes)
+
+    def restore(self) -> None:
+        """Bring the amplitudes back to the natural order, unless only
+        axes of size 1 are out of place."""
+        if self.order != self.natural and (
+            [a for a in self.order if self.sizes[a] > 1] != [a for a in self.natural if self.sizes[a] > 1]
+        ):
+            self.move(self.natural)
+
+    def gate(self, qubit: int, kernel, scratch: np.ndarray, drop: bool) -> None:
+        """The gate on `qubit`; then, if `drop`, drop a zero half along it."""
         group, bit = divmod(qubit, _GROUP_BITS)
-        if inner[group] << bit < _MIN_RUN and order[0] != group:
-            new = (group,) + tuple(a for a in natural if a != group)
-            buf, order = _regroup(buf, order, new, sizes, spare if buf is part else part)
-            inner = _inner_sizes(order, sizes)
-        kernel(buf.reshape(-1, inner[group]), bit, scratch)
-    if order != natural:
-        buf, order = _regroup(buf, order, natural, sizes, spare if buf is part else part)
-    if buf is not part:
-        part[...] = buf
+        if self.dropped:
+            bit -= (self.dropped >> (qubit - bit) & ((1 << bit) - 1)).bit_count()
+        inner, size = self.inner[group], self.buf.size
+        # Regroup unless the group is outermost already, but for axes of
+        # size 1 such as the block axis of a part of one block.
+        if inner << bit < _MIN_RUN <= size >> 1 and inner * self.sizes[group] < size:
+            self.move((group,) + tuple(a for a in self.natural if a != group))
+            inner = self.inner[group]
+        kernel(self.buf.reshape(-1, inner), bit, scratch)
+        # The first amplitude of each half of the first block settles a
+        # dense layer with two reads.
+        if not drop or self.buf.item(0) and self.buf.item(inner << bit):
+            return
+        dst = self.buffers[1 - self.side][:self.buf.size // 2]
+        keep = _drop_zero_halves(self.buf, self.sizes, self.inner, group, bit, dst)
+        if keep is not None:
+            self.side, self.buf = 1 - self.side, dst
+            self.dropped |= 1 << qubit
+            self.kept = self.kept | keep << qubit
+            self.sizes[group] //= 2
+            self.inner = _inner_sizes(self.order, self.sizes)
+
+
+class _Stack:
+    """Parts of one share of a gate layer with dropped halves, gathered as
+    the blocks of one `_Layout` to take the rest of the layer together.
+
+    A part arrives once it has shrunk below 2 _MIN_RUN amplitudes, where
+    each gate's fixed cost outweighs its work, or once the layer is done.
+    Parts stack while they agree on the gates left and the qubits
+    dropped, up to `width` amplitudes.  `flush` runs the gates left and
+    writes each part back: every amplitude is zeroed, then the kept ones
+    are written to their places (`_places`).  The stack's two buffers
+    are allocated at the first part, and the kernel shares `scratch`.
+    """
+
+    def __init__(self, width: int, top: int, qubits: tuple[int, ...], kernel, scratch):
+        self.width, self.top, self.qubits = width, top, qubits
+        self.kernel, self.scratch = kernel, scratch
+        self.buffers = self.sizes = None
+        self.key, self.used, self.parts, self.kept = None, 0, [], []
+
+    def add(self, part: np.ndarray, layout: _Layout, j: int) -> None:
+        """Take `part`, whose first j gates are done, from `layout`."""
+        key = (j, layout.dropped)
+        size = layout.buf.size
+        if self.parts and (key != self.key or self.used + size > self.width):
+            self.flush()
+        if self.buffers is None:
+            self.buffers = tuple(np.empty(self.width, part.dtype) for _ in range(2))
+        dst = self.buffers[0][self.used:self.used + size]
+        _regroup(layout.buf, layout.order, layout.natural, layout.sizes, dst)
+        self.key, self.sizes = key, layout.sizes
+        self.used += size
+        self.parts.append(part)
+        self.kept.append(layout.kept)
+
+    def flush(self) -> None:
+        """Run the gates left on the stacked parts and write them back."""
+        if not self.parts:
+            return
+        j, dropped = self.key
+        sizes = dict(self.sizes)
+        sizes[len(sizes) - 1] = sum(part.size for part in self.parts) >> self.top
+        kept = np.concatenate(self.kept)
+        layout = _Layout(self.buffers[0][:self.used], self.buffers[1][:self.used], sizes, dropped, kept)
+        qubits = self.qubits
+        for i in range(j, len(qubits)):
+            drop = i + 1 < len(qubits) and qubits[i] not in qubits[i + 1:]
+            layout.gate(qubits[i], self.kernel, self.scratch, drop)
+        layout.restore()
+        places = _places(self.top, layout.dropped)
+        rows = layout.buf.reshape(-1, places.size)
+        first = 0
+        for part in self.parts:
+            count = part.size >> self.top
+            index = np.add.outer(np.arange(count) << self.top | layout.kept[first:first + count], places)
+            part.fill(0)
+            part[index.reshape(-1)] = rows[first:first + count].reshape(-1)
+            first += count
+        self.key, self.used, self.parts, self.kept = None, 0, [], []
+
+
+def _drop_zero_halves(
+    buf: np.ndarray,
+    sizes: dict[int, int],
+    inner: dict[int, int],
+    group: int,
+    bit: int,
+    dst: np.ndarray,
+) -> np.ndarray | None:
+    """Split each block of `buf` (the axis last in `sizes`) into its halves
+    along row bit `bit` of axis `group`.  If every block has a half whose
+    every bit is zero (-0.0 and NaN payloads count as nonzero), copy each
+    block's other half to `dst`, in the same layout less that bit, and
+    return per block the bit of the half kept; otherwise return None and
+    copy nothing.
+
+    The test is `_is_zero`'s scan, a max over uint64 words, taken per
+    block and half.  The copy is the OR of the two halves' words, which
+    is the kept half bit for bit when the other is all zero.
+    """
+    half = inner[group] << bit
+    blocks = len(sizes) - 1
+    count, step = sizes[blocks], inner[blocks]
+    # (outer, half, between, block, inner) or (outer, block, between, half, inner)
+    if half >= count * step:
+        at, shape = 1, [buf.size // (2 * half), 2, half // (count * step), count, step]
+    else:
+        at, shape = 3, [buf.size // (count * step), count, step // (2 * half), 2, half]
+    shape[-1] *= buf.itemsize // 8
+    halves = buf.view(np.uint64).reshape(shape)
+    peaks = halves.max(axis=(0, 2, 4))
+    if at == 1:
+        peaks = peaks.T
+    if peaks.min(axis=1).any():
+        return None
+    lead = (slice(None),) * at
+    shape[at] = 1
+    out = dst.view(np.uint64).reshape(shape)
+    np.bitwise_or(halves[lead + (0,)], halves[lead + (1,)], out=out[lead + (0,)])
+    return peaks[:, 1] != 0
+
+
+def _places(top: int, dropped: int) -> np.ndarray:
+    """Place in its block of 2^top of each amplitude a block keeps when
+    the `dropped` qubits' bits are 0, in natural order."""
+    places = np.zeros(1, np.intp)
+    for q in range(top):
+        if not dropped >> q & 1:
+            places = np.concatenate([places, places | 1 << q])
+    return places
 
 
 def _live_length(tile: np.ndarray, block: int) -> int:

@@ -129,6 +129,20 @@ def pair_formula(amps: np.ndarray, qubits, gate: str) -> np.ndarray:
     return out
 
 
+def planted_state(total: int, planted: dict[int, bool], seed: int, dtype) -> np.ndarray:
+    """Random amplitudes whose pairs along each planted qubit are equal, or
+    opposite where its value is True, so that H on it leaves one half
+    all +0.0 bit for bit, whatever other planted qubits it follows."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << total)
+    if dtype is np.complex128:
+        amps = amps + 1j * rng.normal(size=1 << total)
+    for q, negate in planted.items():
+        pairs = amps.reshape(-1, 2, 1 << q)
+        pairs[:, 1] = -pairs[:, 0] if negate else pairs[:, 0]
+    return amps
+
+
 def apply_layer(amps: np.ndarray, qubits, gate: str) -> np.ndarray:
     """`apply_hadamard(*qubits)`, or `apply_x` once per qubit, on a copy.
 
@@ -397,6 +411,143 @@ class TestGates:
         qubits = tuple(reversed(range(top)))
         StateVector(total - 1, 0, amps).apply_hadamard(*qubits).apply_x(top - 1)
         assert sizes == [1 << top] * (top + 1)
+
+    # Halves along a qubit that a layer leaves all +0.0, as interference
+    # does in the circuit's final layer, are dropped from its later gates.
+
+    @pytest.mark.parametrize(
+        "total,qubits,signs",
+        [
+            (16, tuple(range(16)), "+-+-+-+-+-+-+-+-"),
+            (16, (3, 0, 9, 12, 1, 2, 14, 4, 5, 6, 15, 7, 8, 10, 11, 13), "--+-++-+--+-++-+"),
+            # Qubit 0 is listed again after qubits already dropped, and
+            # qubit 5 before and after: each is dropped at its last listing.
+            (16, (5, 0, 1, 2, 0, 3, 4, 5, 7), "+++++++++"),
+            # Qubit 9 is listed twice after the part has shrunk to 2^12.
+            (16, (0, 1, 2, 3, 9, 4, 9, 5, 6), "+-+-+-+-+"),
+            (17, (15, 14, 13, 12, 0, 1, 2, 3, 11, 10, 9, 8, 4, 5, 6, 7), "-+-+-+-+-+-+-+-+"),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_layer_drops_planted_zero_halves(self, monkeypatch, total, qubits, signs, dtype):
+        # Pairs along each listed qubit equal or opposite, so H leaves a
+        # half of each all +0.0: the layer ends as the pair formula does,
+        # and the kernel sees fewer amplitudes than one full pass per gate.
+        sizes = self.spy_sizes(monkeypatch)
+        amps = planted_state(total, {q: s == "-" for q, s in zip(qubits, signs)}, total, dtype)
+        expected = pair_formula(amps, qubits, "h")
+        layer = apply_layer(amps, qubits, "h")
+        assert np.array_equal(bits(layer), bits(expected))
+        assert sum(sizes) < len(qubits) * amps.size // 2
+
+    def test_parts_under_a_tile_drop_nothing(self, monkeypatch):
+        # Below a tile the tests would cost more than they save: every
+        # gate still gets the whole part, in today's regrouped walk.
+        total = simulator._TILE_BITS - 1
+        sizes = self.spy_sizes(monkeypatch)
+        amps = planted_state(total, dict.fromkeys(range(total), True), total, np.float64)
+        layer = apply_layer(amps, range(total), "h")
+        assert np.array_equal(bits(layer), bits(pair_formula(amps, range(total), "h")))
+        assert sizes == [amps.size] * total
+
+    @pytest.mark.parametrize("planted", ["negative-zero", "nan"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_half_with_one_nonzero_word_is_kept(self, planted, dtype):
+        # One pair along qubit 3 gives a -0.0 or a NaN in the half that H
+        # otherwise zeroes: that half must still take the later gates.  A
+        # -0.0 survives a gate as the lower member of a pair, so it sits
+        # where every later qubit's bit is 0.
+        total, qubits = 16, (3, 0, 1, 2, 4, 8, 14)
+        amps = planted_state(total, dict.fromkeys(qubits, False), 7, dtype)
+        pairs = bits(amps).reshape(-1, 2, 1 << 3, amps.itemsize // 8)
+        where = (2, slice(None), 0, 0)
+        if planted == "negative-zero":
+            pairs[where] = (np.uint64(1 << 63), np.uint64(0))  # (lo, hi) = (-0.0, +0.0)
+        else:
+            pairs[where] = NAN_WORD
+        expected = pair_formula(amps, qubits, "h")
+        layer = apply_layer(amps, qubits, "h")
+        assert np.array_equal(bits(layer), bits(expected))
+        half = bits(expected).reshape(-1, 2, 1 << 3, amps.itemsize // 8)[:, 1]
+        assert half.any()
+
+    @pytest.mark.parametrize("flip", [None, 0, 5])
+    def test_blocks_keep_different_halves(self, flip):
+        # Blocks of 2^11 amplitudes, each with its own signs: every block
+        # has a zero half along each qubit, not always the same one.  With
+        # `flip`, one block is dense along that qubit, so nothing is dropped
+        # there; the result is the pair formula's either way.
+        total, top = 16, 11
+        rng = np.random.default_rng(top)
+        blocks = [
+            planted_state(top, {q: bool(rng.integers(2)) for q in range(top)}, b, np.float64)
+            for b in range(1 << (total - top))
+        ]
+        if flip is not None:
+            blocks[3] = planted_state(top, {q: False for q in range(top) if q != flip}, 99, np.float64)
+        amps = np.concatenate(blocks)
+        qubits = tuple(range(top))
+        assert np.array_equal(bits(apply_layer(amps, qubits, "h")), bits(pair_formula(amps, qubits, "h")))
+
+    @pytest.mark.parametrize("workers", [1, 3], indirect=True)
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_multi_tile_layer_drops_bit_identical(self, workers, dtype):
+        # 2^19 amplitudes, 8 tiles: some tiles planted along every qubit,
+        # one only along the low qubits, one dense and one all +0.0.
+        total = LAYER_QUBITS
+        tile = 1 << simulator._TILE_BITS
+        parts = []
+        for t in range(1 << (total - simulator._TILE_BITS)):
+            if t == 2:
+                parts.append(planted_state(simulator._TILE_BITS, {}, t, dtype))
+            elif t == 5:
+                parts.append(np.zeros(tile, dtype))
+            else:
+                low = range(8 if t == 6 else simulator._TILE_BITS)
+                parts.append(planted_state(simulator._TILE_BITS, {q: (q + t) % 3 == 0 for q in low}, t, dtype))
+        amps = np.concatenate(parts)
+        for qubits in (tuple(range(total)), (2, 17, 0, 9, 15, 1, 18, 3, 14, 16, 4)):
+            expected = pair_formula(amps, qubits, "h")
+            layer = apply_layer(amps, qubits, "h")
+            assert np.array_equal(bits(layer), bits(expected)), qubits
+
+    @pytest.mark.parametrize("n,k", [(16, 2), (14, 6)])
+    def test_final_layer_hands_kernel_only_the_kept_halves(self, monkeypatch, n, k):
+        # An 18-qubit circuit's final data layer: interference zeroes a
+        # half of every block along each data qubit in turn, so the kernel
+        # is handed at most 3 times each nonzero tile's amplitudes, where
+        # a full pass per gate would hand it n times.
+        ks = random_keyset(np.random.default_rng(n), n, k)
+        spec = simulator.build_circuit(ks)
+        state = StateVector(spec.n, spec.r)
+        *gates, last = [list(g) for _, g in itertools.groupby(spec.gates, key=lambda g: g[0] == "h")]
+        for run in gates:
+            if run[0][0] == "h":
+                state.apply_hadamard(*(g[1] for g in run))
+            else:
+                for gate in run:
+                    simulator._apply_gate(state, spec, gate)
+        before = state.amps.copy()
+        width = min(before.size, simulator._TILE)
+        tiles = sum(bits(t).any() for t in before.reshape(-1, width))
+        sizes = self.spy_sizes(monkeypatch)
+        state.apply_hadamard(*(g[1] for g in last))
+        assert sum(sizes) <= 3 * tiles * width
+        assert np.array_equal(bits(state.amps), bits(pair_formula(before, range(n), "h")))
+        assert np.array_equal(bits(state.amps), bits(run_circuit(ks).amps))
+
+    @staticmethod
+    def spy_sizes(monkeypatch) -> list[int]:
+        """Sizes of the blocks handed to the H kernel from now on."""
+        sizes = []
+        kernel = simulator._hadamard_row_bit
+
+        def wrapped(block, bit, scratch):
+            sizes.append(block.size)
+            kernel(block, bit, scratch)
+
+        monkeypatch.setattr(simulator, "_hadamard_row_bit", wrapped)
+        return sizes
 
 
 class TestControlledKeyUnitary:
