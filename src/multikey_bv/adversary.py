@@ -173,6 +173,11 @@ def classical_guess_attack(
 # Up to this many keys a trial's seen keys are one unsigned word.
 _WORD_BITS = 64
 
+# Bit generators whose `advance(d)` skips exactly the d words that d
+# `random()` doubles read.  Philox's `advance` counts 4-word blocks, and
+# MT19937 and SFC64 have none, so they draw in one share.
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
 # Rows of fewer draws than this are OR-folded one column at a time,
 # longer ones by one reduce per row: on 2 vCPUs the column loop is
 # faster up to about 24 draws a row and the reduce from about 40.
@@ -208,11 +213,20 @@ def quantum_coupon_experiment(
     key, in the narrowest unsigned dtype of k bits, and each trial's
     words are OR-folded into one word, full when all k bits are set.
     For larger k each draw becomes a key index, marked in a seen bitmap
-    of one row of trials per key.  A block's buffers (uniforms, then
+    of one row of trials per key.  Every trial reads exactly m uniforms,
+    trial after trial, so trial t starts t * m words into the stream.
+    With a PCG64 or PCG64DXSM generator, whose `advance` skips exactly
+    that many words, the blocks are split into contiguous shares of
+    whole blocks (`simulator._share_count`: one per usable CPU, at most
+    half the blocks, and one under 4 blocks).  The first share draws
+    from `rng` itself and each other one, on its own thread, from a copy
+    advanced to its first trial (`simulator._run_shares`).  The
+    full-trial count and `rng`'s end state are those of one share, bit
+    for bit.  Each share allocates its block's buffers (uniforms, then
     bucket numbers, words and trial words, or indices and the bitmap)
-    are allocated once per call and sized for at most `trials` trials,
-    so memory grows with neither `trials` nor m and no block allocates
-    an array of its own.
+    once, sized for at most `trials` trials, so memory is the shares
+    times one block's buffers, growing with neither `trials` nor m, and
+    no block allocates an array of its own.
     Distinct keys required: see `_require_distinct`.
     """
     _require_distinct(keys)
@@ -233,8 +247,39 @@ def quantum_coupon_experiment(
     sampler = simulator.OutcomeSampler(p / total, m * trials)
     chunk = simulator._SHOT_CHUNK
     rows, cols = min(max(1, chunk // m), trials), min(m, chunk)
-    full_trials = _word_trials if k <= _WORD_BITS else _bitmap_trials
-    return full_trials(sampler, rng, k, m, trials, rows, cols) / trials
+    if k <= _WORD_BITS:
+        # Tabulated before any share draws, so the shares only read the sampler.
+        sampler.onehot_table(np.min_scalar_type((1 << k) - 1))
+        full_trials = _word_trials
+    else:
+        full_trials = _bitmap_trials
+    blocks = -(-trials // rows)
+    shares = simulator._share_count(blocks) if type(rng.bit_generator) in _JUMPABLE else 1
+    bounds = [blocks * w // shares * rows for w in range(shares)] + [trials]
+    rngs = [rng] + [_advanced(rng, first * m) for first in bounds[1:-1]]
+    counts: list[int] = []
+
+    def draw(share) -> None:
+        share_rng, first, stop = share
+        counts.append(full_trials(sampler, share_rng, k, m, stop - first, rows, cols))
+
+    simulator._run_shares(list(zip(rngs, bounds, bounds[1:])), draw)
+    if shares > 1:
+        # `rng` ends where the last share's copy does, keeping the
+        # buffered 32-bit half that `advance` clears and `random` never reads.
+        start = rng.bit_generator.state
+        end = rngs[-1].bit_generator.state
+        end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+        rng.bit_generator.state = end
+    return sum(counts) / trials
+
+
+def _advanced(rng: np.random.Generator, words: int) -> np.random.Generator:
+    """A copy of `rng` that has skipped `words` 64-bit outputs."""
+    copy = np.random.Generator(type(rng.bit_generator)())
+    copy.bit_generator.state = rng.bit_generator.state
+    copy.bit_generator.advance(words)
+    return copy
 
 
 def _word_trials(sampler, rng, k, m, trials, rows, cols) -> int:

@@ -60,16 +60,18 @@ tiles sit in the first control rows.  Smaller states, every circuit up
 to 17 qubits, stay in the calling thread.  The tiles are disjoint and
 each gets the same operations in the same order, so the result is
 bit-identical whatever the CPU count; `taskset` pins a run to one CPU.
-Each controlled key unitary swaps the odd-parity amplitudes of its
-branch one data tile at a time, as a masked XOR of the amplitudes'
-uint64 words, which moves every bit.  The gates give results
-bit-identical to the textbook pair formula applied one gate at a time,
-and no gate writes an amplitude the circuit leaves at zero.  The fast
-path (`oracle_path="fast"`) returns the `CircuitSpec`, which stands for
-the closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i> without gates
-or amplitudes; its only nonzero amplitudes are +1/sqrt(2k) at (control
-i, target 0, data s_i) and -1/sqrt(2k) at (control i, target 1, data
-s_i).
+The coupon experiment in `adversary` splits its trial blocks by the
+same rule (`_share_count`) and runs them through the same threads
+(`_run_shares`).  Each controlled key unitary swaps the odd-parity
+amplitudes of its branch one data tile at a time, as a masked XOR of
+the amplitudes' uint64 words, which moves every bit.  The gates give
+results bit-identical to the textbook pair formula applied one gate at
+a time, and no gate writes an amplitude the circuit leaves at zero.
+The fast path (`oracle_path="fast"`) returns the `CircuitSpec`, which
+stands for the closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i>
+without gates or amplitudes; its only nonzero amplitudes are
++1/sqrt(2k) at (control i, target 0, data s_i) and -1/sqrt(2k) at
+(control i, target 1, data s_i).
 
 `exact_distribution` is the one route from either final state to
 outcome probabilities, keyed by outcome value; for a spec it reads the
@@ -844,29 +846,46 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _share_count(units: int) -> int:
+    """Shares to split `units` disjoint units of work into: one per usable
+    CPU, but at most half the units, so a share has at least two.  Under
+    4 units it is one, with no CPU count read."""
+    return 1 if units < 4 else min(_usable_cpus(), units // 2)
+
+
 def _in_shares(tiles, walk) -> None:
-    """Call `walk` on interleaved shares of `tiles`, one per usable CPU.
+    """Call `walk` on interleaved shares of `tiles` (`_share_count`).
 
     The tiles of a layer are disjoint, and `walk` makes its own buffers
     for each share, so every tile gets the same operations in the same
     order whatever the share count: the result is bit-identical.  Shares
     are interleaved (`tiles[w::W]`) because the nonzero tiles of a
     circuit state sit at the low end, in its first control rows;
-    contiguous shares would leave one CPU with most of them.  W is the
-    number of usable CPUs, but at most half the tiles, so a share has at
-    least two; under 4 tiles `walk` takes them all here, with no CPU
-    count read and no thread started.  numpy releases the interpreter
-    lock inside the kernels, so the shares overlap.  The calling thread
-    walks the first share, every thread is joined before this returns,
-    and the first error a worker share raised is raised here.
+    contiguous shares would leave one CPU with most of them.
     """
-    if len(tiles) < 4:
+    workers = _share_count(len(tiles))
+    if workers == 1:
+        # Most layers, those of small states, build no share list.
         walk(tiles)
+    else:
+        _run_shares([tiles[w::workers] for w in range(workers)], walk)
+
+
+def _run_shares(shares, walk) -> None:
+    """Call `walk` on each of `shares`, all but the first on threads.
+
+    One share is walked here, with no thread started.  numpy releases
+    the interpreter lock inside its kernels and rng calls, so the shares
+    overlap.  The calling thread walks the first share, every thread is
+    joined before this returns, and the first error a worker share
+    raised is raised here.
+    """
+    if len(shares) == 1:
+        walk(shares[0])
         return
-    # Imported here, so that a run with only small states never loads it.
+    # Imported here, so that a run with only small work never loads it.
     import threading
 
-    workers = min(_usable_cpus(), len(tiles) // 2)
     errors: list[BaseException] = []
 
     def guarded(share) -> None:
@@ -877,11 +896,11 @@ def _in_shares(tiles, walk) -> None:
 
     threads = []
     try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=guarded, args=(tiles[w::workers],))
+        for share in shares[1:]:
+            thread = threading.Thread(target=guarded, args=(share,))
             thread.start()
             threads.append(thread)
-        walk(tiles[::workers])
+        walk(shares[0])
     finally:
         for thread in threads:
             thread.join()
@@ -1023,23 +1042,32 @@ class OutcomeSampler:
         shape whose unsigned integer dtype holds at least `cdf.size`
         bits.  `buckets`, a C-contiguous intp array of u's shape, takes
         the bucket numbers when given, so that a caller drawing block
-        after block allocates nothing per block.  The guide table is
-        tabulated once as words of out's dtype, 0 marking an edge bucket.
+        after block allocates nothing per block.  The words are read from
+        `onehot_table(out.dtype)`.
         """
-        one = out.dtype.type(1)
-        if self._onehot is None or self._onehot.dtype != out.dtype:
-            shifts = self._table.clip(0).astype(out.dtype)
-            self._onehot = np.where(self._table < 0, out.dtype.type(0), one << shifts)
         if buckets is None:
             buckets = np.empty(u.shape, dtype=np.intp)
         np.multiply(u, self.buckets, out=buckets, casting="unsafe")
-        np.take(self._onehot, buckets, out=out, mode="clip")
+        np.take(self.onehot_table(out.dtype), buckets, out=out, mode="clip")
         if self._edges:
             flat = out.reshape(-1)
             edge = np.flatnonzero(flat == 0)
             index = self.cdf.searchsorted(u.reshape(-1)[edge], "right")
-            flat[edge] = one << index.astype(out.dtype)
+            flat[edge] = out.dtype.type(1) << index.astype(out.dtype)
         return out
+
+    def onehot_table(self, dtype: np.dtype) -> np.ndarray:
+        """The guide table as one-hot words of the unsigned integer `dtype`,
+        0 marking an edge bucket.
+
+        It is tabulated on the first call for a dtype and kept, so a
+        caller drawing from several threads at once calls this before
+        they start: `onehot` then only reads the sampler.
+        """
+        if self._onehot is None or self._onehot.dtype != dtype:
+            shifts = self._table.clip(0).astype(dtype)
+            self._onehot = np.where(self._table < 0, dtype.type(0), dtype.type(1) << shifts)
+        return self._onehot
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Indices of `rng.choice(k, shape, p=probs)`, from the same stream."""

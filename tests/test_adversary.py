@@ -1,6 +1,8 @@
 """Classical baseline strategies and the quantum coupon experiment."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from multikey_bv import (
     prob_all_keys,
     quantum_coupon_experiment,
 )
-from multikey_bv import simulator
+from multikey_bv import adversary, simulator
 from multikey_bv.adversary import (
     ExperimentReport,
     rounded_bit_sums,
@@ -332,9 +334,11 @@ class TestChunkedDraws:
         "texts,m,trials",
         [(("0001", "0011", "1011", "1110"), 12, 10**6), (("011", "101", "110"), 1 << 23, 1)],
     )
-    def test_coupon_peak_stays_within_a_few_blocks(self, texts, m, trials):
+    def test_coupon_peak_stays_within_a_few_blocks(self, monkeypatch, texts, m, trials):
         # A block of 2^16 draws takes 512 KiB per array of uniforms,
-        # bucket numbers or indices.
+        # bucket numbers or indices, once per share: the 10^6 trials
+        # split into 4 shares here, the single trial into one.
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
         ks = keyset(*texts)
         tracemalloc.start()
         try:
@@ -343,6 +347,124 @@ class TestChunkedDraws:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.fixture
+    def shares_run(self, monkeypatch):
+        """Run the coupon experiment on the fast path at a given usable-CPU
+        count; return its rate and the number of shares it drew in.
+
+        A short thread switch interval makes the shares interleave finely.
+        """
+        used = []
+        run_shares = simulator._run_shares
+
+        def spy(shares, walk):
+            used.append(len(shares))
+            run_shares(shares, walk)
+
+        def run(cpus, ks, m, trials, rng):
+            monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+            rate = quantum_coupon_experiment(ks, m, trials, rng, oracle_path="fast")
+            return rate, used.pop()
+
+        monkeypatch.setattr(simulator, "_run_shares", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield run
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "texts,m,trials,buffered,shares",
+        [
+            # One-hot words, 3276 trials a block: 8 whole blocks and 7 trials.
+            (_keys(8, 4), 20, 8 * 3276 + 7, False, (1, 2, 3, 4)),
+            (_keys(8, 4), 20, 8 * 3276 + 7, True, (1, 2, 3, 4)),
+            # 5 blocks make at most 2 shares; 3 blocks start no thread.
+            (_keys(8, 4), 20, 4 * 3276 + 1, True, (1, 2, 2, 2)),
+            (_keys(8, 4), 20, 3 * 3276, True, (1, 1, 1, 1)),
+            # The bitmap of 65 keys, 198 trials a block.
+            (_keys(65, 7), 330, 8 * 198 + 5, True, (1, 2, 3, 4)),
+            # Past the chunk a block is one trial, drawn in column chunks.
+            (_keys(8, 4), (1 << 16) + 5, 9, True, (1, 2, 3, 4)),
+            (_keys(65, 7), (1 << 16) + 5, 9, False, (1, 2, 3, 4)),
+        ],
+    )
+    def test_coupon_shares_match_one_share(
+        self, shares_run, texts, m, trials, buffered, shares
+    ):
+        """At 1-4 usable CPUs, every share count gives the one-share rate
+        and end state, with or without a buffered 32-bit half in the
+        caller's generator."""
+        ks = keyset(*texts)
+
+        def generator():
+            rng = np.random.default_rng(17)
+            if buffered:
+                rng.integers(3)
+                assert rng.bit_generator.state["has_uint32"] == 1
+            return rng
+
+        reference = generator()
+        rate, _ = shares_run(1, ks, m, trials, reference)
+        for cpus, used in zip((1, 2, 3, 4), shares):
+            rng = generator()
+            assert shares_run(cpus, ks, m, trials, rng) == (rate, used)
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "bit_generator,shares",
+        [
+            (np.random.PCG64DXSM, 3),
+            # Philox's advance counts 4-word blocks; the others have none.
+            (np.random.Philox, 1),
+            (np.random.MT19937, 1),
+            (np.random.SFC64, 1),
+        ],
+    )
+    def test_coupon_splits_only_exact_jump_ahead(self, shares_run, bit_generator, shares):
+        ks, m, trials = keyset(*_keys(8, 4)), 20, 8 * 3276 + 7
+        reference = np.random.Generator(bit_generator(17))
+        reference.integers(3)
+        rate, _ = shares_run(1, ks, m, trials, reference)
+        rng = np.random.Generator(bit_generator(17))
+        rng.integers(3)
+        assert shares_run(3, ks, m, trials, rng) == (rate, shares)
+        assert rng.integers(2**32, size=3).tolist() == reference.integers(2**32, size=3).tolist()
+        assert rng.random(3).tolist() == reference.random(3).tolist()
+
+    def test_coupon_shares_only_read_the_sampler(self, monkeypatch, shares_run):
+        # The one-hot table is tabulated before the shares start, so no
+        # two threads race to write it.
+        table = simulator.OutcomeSampler.onehot_table
+        caller = threading.current_thread()
+        built_in_worker = []
+
+        def spy(sampler, dtype):
+            if threading.current_thread() is not caller:
+                built = sampler._onehot is not None and sampler._onehot.dtype == dtype
+                built_in_worker.append(not built)
+            return table(sampler, dtype)
+
+        monkeypatch.setattr(simulator.OutcomeSampler, "onehot_table", spy)
+        shares_run(3, keyset(*_keys(8, 4)), 20, 8 * 3276 + 7, np.random.default_rng(17))
+        assert built_in_worker and not any(built_in_worker)
+
+    def test_coupon_worker_share_error_raised_in_caller(self, monkeypatch, shares_run):
+        word_trials = adversary._word_trials
+        caller = threading.current_thread()
+
+        def failing(sampler, rng, *args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("worker share failed")
+            return word_trials(sampler, rng, *args)
+
+        monkeypatch.setattr(adversary, "_word_trials", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker share failed"):
+            shares_run(3, keyset(*_keys(8, 4)), 20, 8 * 3276 + 7, np.random.default_rng(17))
+        assert threading.active_count() == before
 
     def test_small_experiment_allocates_for_its_own_size(self):
         # Ten trials of three draws: a full 2^16-draw block would take
