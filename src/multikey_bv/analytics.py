@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, factorial, isqrt, log10, prod
 
 import numpy as np
@@ -75,41 +74,62 @@ def _surjection_grid(
     once, the binomials by the recurrence C(k,j) = C(k,j-1) (k-j+1) / j,
     and stepped to each later m by j^(m - prev), multiplying up or
     dividing exactly down.  So a cell one m after the last costs k small
-    multiplies and k additions, and the term at j = k is k^m.  Memory
-    holds the power list of the largest k so far and, while stepping,
-    two lists of one k's terms.
+    multiplies and k additions, and the term at j = k is k^m.
+
+    When `ms` is consecutive and ascending and the k before was k - 1,
+    every cell of the row after its first comes instead from the
+    recurrence surjections(m, k) = k (surjections(m-1, k) +
+    surjections(m-1, k-1)), which also gives the zeros of m < k: one
+    addition and one small multiply, and k**m is the cell before's
+    total times k.  Only then is a row kept, and such ms lie in
+    [0, MAX_EXACT_ARG], so the two rows held, the previous k's and the
+    current one, hold at most MAX_EXACT_ARG + 1 counts each.  Memory
+    also holds the power list of the largest k so far and, while
+    stepping, two lists of one k's terms.
     """
     powers: list[int] = []  # powers[j - 1] == j**m0
     m0 = 0
+    consecutive = all(m == ms[0] + i for i, m in enumerate(ms))
+    row: list[int] | None = None  # the last k's counts, for consecutive ms
+    last_k = None
     for k in ks:
+        above = row if last_k == k - 1 else None
+        row = [] if consecutive else None
+        last_k = k
         terms: list[int] = []
-        for m in ms:
-            if m < k:
-                yield k, m, 0, k**m
-                continue
-            if not terms:
-                if not powers:
-                    m0 = m
-                    powers.append(1)
-                for j in range(len(powers) + 1, k + 1):
-                    p = _smallest_prime(j)
-                    if p == 2:
-                        powers.append(powers[j // 2 - 1] << m0)
-                    elif p < j:
-                        powers.append(powers[p - 1] * powers[j // p - 1])
-                    else:
-                        powers.append(j**m0)
-                c = (-1) ** k  # (-1)^(k-j) C(k, j) at j = 0
-                for j, p in zip(range(1, k + 1), powers):
-                    c = -c * (k - j + 1) // j
-                    terms.append(c * p)
-                prev = m0
-            if m > prev:
-                terms = [t * j ** (m - prev) for j, t in enumerate(terms, 1)]
-            elif m < prev:
-                terms = [t // j ** (prev - m) for j, t in enumerate(terms, 1)]
-            prev = m
-            yield k, m, sum(terms), terms[-1]
+        for i, m in enumerate(ms):
+            if above is not None and i:
+                count = k * (count + above[i - 1])
+                total *= k
+            elif m < k:
+                count, total = 0, k**m
+            else:
+                if not terms:
+                    if not powers:
+                        m0 = m
+                        powers.append(1)
+                    for j in range(len(powers) + 1, k + 1):
+                        p = _smallest_prime(j)
+                        if p == 2:
+                            powers.append(powers[j // 2 - 1] << m0)
+                        elif p < j:
+                            powers.append(powers[p - 1] * powers[j // p - 1])
+                        else:
+                            powers.append(j**m0)
+                    c = (-1) ** k  # (-1)^(k-j) C(k, j) at j = 0
+                    for j, p in zip(range(1, k + 1), powers):
+                        c = -c * (k - j + 1) // j
+                        terms.append(c * p)
+                    prev = m0
+                if m > prev:
+                    terms = [t * j ** (m - prev) for j, t in enumerate(terms, 1)]
+                elif m < prev:
+                    terms = [t // j ** (prev - m) for j, t in enumerate(terms, 1)]
+                prev = m
+                count, total = sum(terms), terms[-1]
+            if row is not None:
+                row.append(count)
+            yield k, m, count, total
 
 
 def _strip(n: int, p: int, limit: int) -> tuple[int, int]:
@@ -195,10 +215,13 @@ def recovery_grid(
     k-major order would give.  Cells then come one at a time, so pass
     ranges for large grids.  `ms` is iterated once per k.  Each k's
     first cell multiplies k stored powers j^m0 by their binomials; each
-    later cell steps those terms in m, which for consecutive ms is k
-    small multiplies, so ascending ranges are the cheapest order.  Each
-    cell's fraction is reduced by dividing out k's own primes, the only
-    ones k**m has, instead of by a general gcd.
+    later cell steps those terms in m, k small multiplies for the next
+    m.  When ms is consecutive and ascending and the k before was k - 1,
+    each later cell instead comes from the row before by the surjection
+    recurrence, one addition and one small multiply, so ascending ranges
+    of both are the cheapest order.  Each cell's fraction is reduced by
+    dividing out k's own primes, the only ones k**m has, instead of by
+    a general gcd.
     """
     _check_grid(ks, ms)
     return (
@@ -473,15 +496,40 @@ def classical_guess_exact(profile: tuple[int, ...], mult: KeyMultiplicity) -> Fr
     return Fraction(mult.permutations, ordered)
 
 
+@cache
+def _power_of_ten(digits: int) -> int:
+    """10**digits.  Every key is a multiple of 256 below half the digits
+    of the largest number rendered, so the cache stays small."""
+    return 10**digits
+
+
+def _decimal_digits(n: int) -> str:
+    """str(n) for an int n >= 0 of any size.
+
+    str() refuses ints of more than 4300 digits and is quadratic in
+    their length, so an n above 2048 bits is split by `divmod` at
+    10^d, d a multiple of 256 about half its digits, and its two parts
+    rendered the same way, the low one zero-padded to d digits.  The
+    parts given to str() have at most 2048 bits, about 617 digits.
+    """
+    if n.bit_length() <= 2048:
+        return str(n)
+    # n has at least int(bits * log10(2)) >= 2d digits, so high > 0.
+    d = 256 * max(1, int(n.bit_length() * log10(2)) // 512)
+    high, low = divmod(n, _power_of_ten(d))
+    return _decimal_digits(high) + _decimal_digits(low).zfill(d)
+
+
 def probability_record(formula: str, inputs: dict, exact: Fraction) -> dict:
     """Serialization shape shared by every exact probability result."""
     return {
         "formula": formula,
         "inputs": inputs,
         "rational": {
-            # Decimal renders ints of any size; str() stops at 4300 digits.
-            "num": str(Decimal(exact.numerator)),
-            "den": str(Decimal(exact.denominator)),
+            # Recovery-grid cells reach about 15,000 digits: rendered by
+            # splitting at powers of ten, as str() stops at 4300 digits.
+            "num": _decimal_digits(exact.numerator),
+            "den": _decimal_digits(exact.denominator),
         },
         "double": float(exact),
     }

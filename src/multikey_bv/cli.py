@@ -237,8 +237,9 @@ def cmd_analyze(args) -> tuple[dict, list[dict]]:
             "guess_exact": guess_exact,
             "uniform_multiset_model": uniform_pick,
         }
-        if args.enumerate:
-            # Each distinct key value is rendered once.
+        if args.enumerate and args.format == "json":
+            # Only JSON prints the list.  Each distinct key value is
+            # rendered once.
             values, index = count.key_values()
             names = [format_key(v, keys.n) for v in values]
             results["key_analysis"]["multisets"] = [

@@ -2,8 +2,11 @@
 profile-consistent enumeration, guessing bounds."""
 
 import itertools
+import random
 import re
+import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
@@ -158,6 +161,49 @@ class TestProbAllKeys:
                 assert abs(freq - p) <= 3 * sigma + 1e-12, (k, m, freq, p)
 
 
+class TestDecimalDigits:
+    @pytest.fixture(autouse=True)
+    def default_int_str_limit(self):
+        # The default limit: str() refuses an int above 4300 digits.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            yield
+            return
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def check(self, n):
+        assert analytics._decimal_digits(n) == str(Decimal(n)), n.bit_length()
+
+    def test_small_values(self):
+        for n in (0, 1, 9, 10, 2**2048 - 1, 2**2048, 2**2048 + 1):
+            self.check(n)
+
+    def test_around_powers_of_ten(self):
+        # Every split size up to 6,400 digits, the 617-digit leaf size
+        # and the 4300-digit str() limit.
+        sizes = [617, 4300] + list(range(256, 6401, 256))
+        for size in sizes:
+            for L in (size - 1, size, size + 1):
+                for n in (10**L - 1, 10**L, 10**L + 1):
+                    self.check(n)
+
+    def test_zeros_across_the_split(self):
+        # The low part has leading zeros, so it must be padded.
+        for size in (1024, 2048, 5000, 13000):
+            for low in (0, 1, 7 * 10**200, 10**255, 10**size // 3):
+                self.check(123456789 * 10**size + low)
+                self.check((10**size + low) * 10**size + low)
+
+    def test_random_values(self):
+        rng = random.Random(2023)
+        for digits in (700, 1500, 4300, 4301, 9000, 15000, 33333, 60000):
+            bits = int(digits * 3.3219280948873626)
+            for _ in range(2):
+                self.check(rng.getrandbits(bits) | 1 << (bits - 1))
+
+
 class TestRecoveryGrid:
     def test_matches_stirling_small(self):
         # every k <= 9 and m <= 14, including m < k, m = 0 and k = 1
@@ -192,6 +238,28 @@ class TestRecoveryGrid:
         assert [(k, m) for k, m, _ in cells] == [(k, m) for k in ks for m in ms]
         for k, m, p in cells:
             assert p == recovery_by_stirling(k, m), (k, m)
+
+    @pytest.mark.parametrize(
+        "ks,ms",
+        [
+            ([3, 4, 5, 9, 10], range(0, 20)),
+            (range(1, 30), range(25, 31)),
+            (range(60, 65), range(200, 206)),
+        ],
+    )
+    def test_rows_by_recurrence_match_cells_alone(self, ks, ms):
+        # Consecutive ms and ks one apart take each row after its first
+        # cell from the row before; a cell alone is pure
+        # inclusion-exclusion.  The runs of ks break at 5 -> 9, the first
+        # m lies below some k, and m = 0 and k = 1 appear.
+        cells = list(recovery_grid(ks, ms))
+        assert [(k, m) for k, m, _ in cells] == [(k, m) for k in ks for m in ms]
+        for k, m, p in cells:
+            ((_, _, alone),) = recovery_grid([k], [m])
+            assert (p.numerator, p.denominator) == (
+                alone.numerator,
+                alone.denominator,
+            ), (k, m)
 
     def test_large_cell_matches_stirling(self):
         ((_, _, p),) = recovery_grid([300], [1700])

@@ -442,6 +442,24 @@ class TestAnalyze:
         assert ka["uniform_multiset_model"]["rational"] == {"num": "1", "den": "12"}
         assert ["0001", "0011", "1011", "1110"] in ka["multisets"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_enumerate_builds_no_list_outside_json(self, capsys, monkeypatch, fmt):
+        # CSV and text rows never print the multisets, so --enumerate
+        # changes no byte of them and renders no key of the list.
+        argv = ["analyze", "--keys", "0001,0011,1011,1110", "--seed", "7",
+                "--format", fmt]
+        code, plain, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+
+        def no_list(self):
+            raise AssertionError("the multiset list was built")
+
+        if fmt == "csv":
+            monkeypatch.setattr(analytics.ConsistencyCount, "key_values", no_list)
+        code, listed, _ = run(capsys, *argv, "--enumerate")
+        assert code == EXIT_OK
+        assert listed == plain
+
     def test_grid_rationals_beyond_int_str_limit(self, capsys):
         # num and den have over 12k digits, past Python's default
         # 4300-digit int-to-str limit
