@@ -53,7 +53,10 @@ at every qubit, as it interferes control branch i onto |s_i>, so it
 transforms about two tiles' worth of amplitudes per nonzero tile, not
 one per gate; parts shrunk that way are stacked to take the rest of
 the layer together (`_Stack`).  The test reads the amplitudes' bits
-only, so it holds for any state.  A layer over 4 tiles or more splits
+only, so it holds for any state.  A live part under one tile, as every
+part of a state under 16 qubits is, drops nothing: it takes each run of
+ascending qubits as constant-geometry stages between two buffers
+(`_stages`).  A layer over 4 tiles or more splits
 them into interleaved shares, one per usable CPU, and walks all but the
 first on threads (`_in_shares`); tile w of every W, because the nonzero
 tiles sit in the first control rows.  Smaller states, every circuit up
@@ -113,9 +116,12 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # words and the chunks in which the data marginal is summed.
 # numpy runs a gate at full speed only when the paired amplitudes form
 # contiguous runs of at least 2^12 (shorter runs go through its ufunc
-# buffers, 2-10x slower), so the part of a tile a layer transforms is
-# copied with the gate's qubit group as the outermost axis whenever its
-# runs are shorter, if the part is large enough to repay the copies.
+# buffers, 2-10x slower).  A whole live tile is therefore copied with
+# the gate's qubit group as the outermost axis whenever its runs are
+# shorter, and may drop zero halves (`_regrouped_pass`).  A live part
+# under one tile, every part of a smaller state, takes each run of
+# ascending qubits as constant-geometry stages instead (`_stages`):
+# three ufunc calls per qubit, between two buffers, with no regroup.
 _TILE_BITS = 16
 _TILE = 1 << _TILE_BITS
 _GROUP_BITS = 4
@@ -510,34 +516,84 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     Gates on qubits below t = max(qubits) + 1 mix amplitudes only within
     aligned blocks of 2^t, so each tile is transformed only up to its
     last block with a set bit (`_live_length`); the blocks after it are
-    all +0.0.  A part of fewer than 2 _MIN_RUN amplitudes, too small to
-    repay a copy, takes each gate in its natural order; a larger one goes
-    through `_regrouped_pass`, which may hand what is left of it to the
-    share's `_Stack`.
+    all +0.0.  A whole live tile goes through `_regrouped_pass`, which
+    may hand what is left of it to the share's `_Stack`.  A shorter part,
+    every part of a state under one tile, takes `_stages` and drops
+    nothing.
     """
     top = max(qubits) + 1
     width = min(amps.size, _TILE)
+    # Stages are Hadamards; an X layer takes the kernel qubit by qubit.
+    runs = _ascending_runs(qubits) if kernel is _hadamard_row_bit else [(q, 1) for q in qubits]
 
     def walk(starts: range) -> None:
         scratch = np.empty(width // 2, amps.dtype)
-        spare = None
-        # Only parts of a whole tile drop halves (`_regrouped_pass`).
-        stack = _Stack(width, top, qubits, kernel, scratch) if width == _TILE else None
+        spare = np.empty(width, amps.dtype)
+        stack = _Stack(top, qubits, kernel, scratch)
         for start in starts:
             tile = amps[start:start + width]
             end = _live_length(tile, 1 << top)
-            if end >= 2 * _MIN_RUN:
-                if spare is None:
-                    spare = np.empty(width, amps.dtype)
-                _regrouped_pass(tile[:end], spare[:end], top, qubits, kernel, scratch, stack)
+            if end == _TILE:
+                _regrouped_pass(tile, spare, top, qubits, kernel, scratch, stack)
             elif end:
-                column = tile[:end].reshape(-1, 1)
-                for qubit in qubits:
-                    kernel(column, qubit, scratch)
-        if stack is not None:
-            stack.flush()
+                _stages(tile[:end], spare[:end], runs, kernel, scratch)
+        stack.flush()
 
     _in_shares(range(0, amps.size, width), walk)
+
+
+def _ascending_runs(qubits: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(first qubit, length) of each maximal run q, q + 1, ... of `qubits`."""
+    runs: list[tuple[int, int]] = []
+    for qubit in qubits:
+        if runs and qubit == sum(runs[-1]):
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((qubit, 1))
+    return runs
+
+
+def _stages(
+    part: np.ndarray,
+    spare: np.ndarray,
+    runs: list[tuple[int, int]],
+    kernel,
+    scratch: np.ndarray,
+) -> None:
+    """The layer's gates on `part`, a live part under one tile, one run
+    of `runs` at a time.
+
+    A run of one qubit takes `kernel` in place.  A run of L >= 2
+    Hadamards on qubits q0 .. q0 + L - 1 takes L constant-geometry stages
+    (Pease 1968) over `part` seen as (blocks, 2^L, 2^q0), each from one
+    buffer into the other: a stage pairs bit 0 of the middle index,
+    writes (lo + hi) s to the first half of that axis and (lo - hi) s to
+    the second, and so rotates the index right by one bit.  Stage i
+    thus pairs qubit q0 + i, with the ufuncs `_hadamard_row_bit` applies
+    to the same operands, so the result is bit-identical, and after L
+    stages the index is back in natural order.  The part ends in place.
+    """
+    buf, other = part, spare
+    for first, length in runs:
+        if length == 1:
+            kernel(buf.reshape(-1, 1), first, scratch)
+            continue
+        half = 1 << (length - 1)
+        shape = (-1, 2 * half, 1 << first)
+        # The views of a stage from each buffer into the other.
+        views = []
+        for src, out in ((buf, other), (other, buf)):
+            pairs, halves = src.reshape(shape), out.reshape(shape)
+            views.append((pairs[:, 0::2], pairs[:, 1::2], halves[:, :half], halves[:, half:], out))
+        for i in range(length):
+            lo, hi, sums, diffs, out = views[i & 1]
+            np.add(lo, hi, out=sums)
+            np.subtract(lo, hi, out=diffs)
+            np.multiply(out, _INV_SQRT2, out=out)
+        if length & 1:
+            buf, other = other, buf
+    if buf is not part:
+        part[...] = buf
 
 
 def _regrouped_pass(
@@ -547,26 +603,24 @@ def _regrouped_pass(
     qubits: tuple[int, ...],
     kernel,
     scratch: np.ndarray,
-    stack: _Stack | None,
+    stack: _Stack,
 ) -> None:
-    """The gates on `part`, whole blocks of 2^top amplitudes, with long runs.
+    """The gates on `part`, one whole tile of 2^top-amplitude blocks, with
+    long runs.
 
-    The part is worked on as a `_Layout`, in place and in `spare`.  A
-    part of a whole tile or more may drop zero halves; a smaller one,
-    where the tests and copies would cost more than the work they save,
-    never does.  Once a half of it has been dropped, the part goes to
-    `stack` when it has shrunk below 2 _MIN_RUN amplitudes or the layer
-    is done, and the stack runs the rest of the layer on it and writes
-    it back.  Without a drop the part ends in its natural order, in
-    place.
+    The tile is worked on as a `_Layout`, in place and in `spare`, and
+    may drop zero halves.  Once a half of it has been dropped, the part
+    goes to `stack` when it has shrunk below 2 _MIN_RUN amplitudes or the
+    layer is done, and the stack runs the rest of the layer on it and
+    writes it back.  Without a drop the part ends in its natural order,
+    in place.
     """
     groups = -(-top // _GROUP_BITS)
     sizes = {g: 1 << min(_GROUP_BITS, top - g * _GROUP_BITS) for g in range(groups)}
     sizes[groups] = part.size >> top
     layout = _Layout(part, spare, sizes)
-    drops = part.size >= _TILE
     for j, qubit in enumerate(qubits):
-        layout.gate(qubit, kernel, scratch, drops and j + 1 < len(qubits) and qubit not in qubits[j + 1:])
+        layout.gate(qubit, kernel, scratch, j + 1 < len(qubits) and qubit not in qubits[j + 1:])
         if layout.dropped and (layout.buf.size < 2 * _MIN_RUN or j + 1 == len(qubits)):
             stack.add(part, layout, j + 1)
             return
@@ -653,14 +707,14 @@ class _Stack:
     A part arrives once it has shrunk below 2 _MIN_RUN amplitudes, where
     each gate's fixed cost outweighs its work, or once the layer is done.
     Parts stack while they agree on the gates left and the qubits
-    dropped, up to `width` amplitudes.  `flush` runs the gates left and
+    dropped, up to one tile of amplitudes.  `flush` runs the gates left and
     writes each part back: every amplitude is zeroed, then the kept ones
     are written to their places (`_places`).  The stack's two buffers
     are allocated at the first part, and the kernel shares `scratch`.
     """
 
-    def __init__(self, width: int, top: int, qubits: tuple[int, ...], kernel, scratch):
-        self.width, self.top, self.qubits = width, top, qubits
+    def __init__(self, top: int, qubits: tuple[int, ...], kernel, scratch):
+        self.top, self.qubits = top, qubits
         self.kernel, self.scratch = kernel, scratch
         self.buffers = self.sizes = None
         self.key, self.used, self.parts, self.kept = None, 0, [], []
@@ -669,10 +723,10 @@ class _Stack:
         """Take `part`, whose first j gates are done, from `layout`."""
         key = (j, layout.dropped)
         size = layout.buf.size
-        if self.parts and (key != self.key or self.used + size > self.width):
+        if self.parts and (key != self.key or self.used + size > _TILE):
             self.flush()
         if self.buffers is None:
-            self.buffers = tuple(np.empty(self.width, part.dtype) for _ in range(2))
+            self.buffers = tuple(np.empty(_TILE, part.dtype) for _ in range(2))
         dst = self.buffers[0][self.used:self.used + size]
         _regroup(layout.buf, layout.order, layout.natural, layout.sizes, dst)
         self.key, self.sizes = key, layout.sizes

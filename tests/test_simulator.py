@@ -395,7 +395,8 @@ class TestGates:
     def test_layer_hands_kernel_only_the_nonzero_block(self, monkeypatch, total, top):
         # A layer on the qubits below `top` of a state nonzero only in its
         # first block of 2^top amplitudes transforms that block alone: in
-        # natural order below 2 _MIN_RUN amplitudes, regrouped from it up.
+        # natural order below a tile (the qubits descend, so each is a run
+        # of one and takes the kernel), regrouped in a whole tile.
         sizes = []
 
         def spy(kernel):
@@ -441,14 +442,76 @@ class TestGates:
         assert sum(sizes) < len(qubits) * amps.size // 2
 
     def test_parts_under_a_tile_drop_nothing(self, monkeypatch):
-        # Below a tile the tests would cost more than they save: every
-        # gate still gets the whole part, in today's regrouped walk.
+        # Below a tile the layer runs as constant-geometry stages: the part
+        # reaches neither the regrouped walk nor the zero-half test, so it
+        # drops nothing.  A whole tile, the control, reaches both.
+        reached = self.spy_calls(monkeypatch, "_regrouped_pass", "_drop_zero_halves")
         total = simulator._TILE_BITS - 1
-        sizes = self.spy_sizes(monkeypatch)
         amps = planted_state(total, dict.fromkeys(range(total), True), total, np.float64)
         layer = apply_layer(amps, range(total), "h")
         assert np.array_equal(bits(layer), bits(pair_formula(amps, range(total), "h")))
-        assert sizes == [amps.size] * total
+        assert reached == []
+        total = simulator._TILE_BITS
+        amps = planted_state(total, dict.fromkeys(range(total), True), total, np.float64)
+        apply_layer(amps, range(total), "h")
+        assert set(reached) == {"_regrouped_pass", "_drop_zero_halves"}
+
+    @pytest.mark.parametrize("total,dtype", with_dtypes(range(1, 16)))
+    def test_stages_bit_identical_to_pair_formula(self, total, dtype):
+        # Parts under a tile: runs of ascending qubits from 0 and from
+        # above it, of odd length (the result ends in the spare buffer and
+        # is copied back) and even length, unsorted and repeated qubits,
+        # single qubits and X layers, over random amplitudes with a random
+        # +0.0 tail that may hold a -0.0 or a NaN with a payload.
+        rng = np.random.default_rng(100 + total)
+        layers = [tuple(range(total)), tuple(range(1, total)), (0, 0, 1), (1, 2), (2, 3, 4),
+                  (3, 0, 1, 2, 4, 8, 14), (total - 1,), (total - 1, 0)]
+        layers = [qs for qs in layers if qs and max(qs) < total]
+        layers.append(tuple(int(q) for q in rng.integers(total, size=2 * total)))
+        for trial in range(3):
+            amps = self.zero_tail_state(rng, 1 << total, dtype, kind=trial)
+            for qubits in layers:
+                for gate in ("h", "x"):
+                    expected = pair_formula(amps, qubits, gate)
+                    layer = apply_layer(amps, qubits, gate)
+                    assert np.array_equal(bits(layer), bits(expected)), (trial, gate, qubits)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_whole_and_partial_tile_in_one_layer(self, monkeypatch, dtype):
+        # Two tiles: the first dense, taking the regrouped walk, the second
+        # live in its first half only, up to a +0.0 tail with a -0.0 or NaN
+        # planted in it, taking stages.
+        tile = simulator._TILE
+        rng = np.random.default_rng(17)
+        reached = self.spy_calls(monkeypatch, "_regrouped_pass", "_stages")
+        for kind in (1, 2):
+            amps = np.concatenate([
+                self.zero_tail_state(rng, tile, dtype, kind=0, cut=tile),
+                self.zero_tail_state(rng, tile // 2, dtype, kind=kind, cut=tile // 6),
+                np.zeros(tile // 2, dtype),
+            ])
+            for qubits in (tuple(range(15)), (3, 0, 1, 2, 4, 8, 14)):
+                reached.clear()
+                expected = pair_formula(amps, qubits, "h")
+                layer = apply_layer(amps, qubits, "h")
+                assert np.array_equal(bits(layer), bits(expected)), (kind, qubits)
+                assert sorted(reached) == ["_regrouped_pass", "_stages"]
+
+    @staticmethod
+    def zero_tail_state(rng, size: int, dtype, kind: int, cut: int | None = None) -> np.ndarray:
+        """Random amplitudes up to `cut` (random if not given), then +0.0,
+        with one -0.0 (kind 1) or NaN-with-payload word (kind 2) planted
+        in the tail."""
+        amps = rng.normal(size=size)
+        if dtype is np.complex128:
+            amps = amps + 1j * rng.normal(size=size)
+        cut = int(rng.integers(size)) if cut is None else cut
+        amps[cut:] = 0.0
+        if kind and cut < size:
+            words = amps.itemsize // 8
+            where = int(rng.integers(cut, size)) * words + int(rng.integers(words))
+            bits(amps)[where] = np.uint64(1 << 63) if kind == 1 else NAN_WORD
+        return amps
 
     @pytest.mark.parametrize("planted", ["negative-zero", "nan"])
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
@@ -535,6 +598,20 @@ class TestGates:
         assert sum(sizes) <= 3 * tiles * width
         assert np.array_equal(bits(state.amps), bits(pair_formula(before, range(n), "h")))
         assert np.array_equal(bits(state.amps), bits(run_circuit(ks).amps))
+
+    @staticmethod
+    def spy_calls(monkeypatch, *names: str) -> list[str]:
+        """Names of the listed simulator functions, once per call from now on."""
+        calls = []
+        for name in names:
+            original = getattr(simulator, name)
+
+            def wrapped(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(simulator, name, wrapped)
+        return calls
 
     @staticmethod
     def spy_sizes(monkeypatch) -> list[int]:
