@@ -43,23 +43,24 @@ tiles, and the blocks of a tile after the last one with a set bit (a
 layer on qubits below t mixes amplitudes only within aligned blocks of
 2^t).  A state of any size takes this walk, so the first data layer of
 a small circuit transforms the data register of one ancilla row, not
-the whole state.  The X gate swaps amplitude pairs through the same
-tiled layer, with the same skip.  The skip extends to halves: after a
-gate on a qubit the layer does not list again, a whole tile whose
-blocks each have an all +0.0 half along that qubit takes the layer's
-later gates on the other halves alone, and is zeroed and written back
-once at the end (`_Layout`).  The final data layer leaves such a half
-at every qubit, as it interferes control branch i onto |s_i>, so it
-transforms about two tiles' worth of amplitudes per nonzero tile, not
-one per gate; parts shrunk that way are stacked to take the rest of
-the layer together (`_Stack`).  The test reads the amplitudes' bits
-only, so it holds for any state.  A live part under one tile, as every
-part of a state under 16 qubits is, drops nothing: it takes each run of
-ascending qubits as constant-geometry stages between two buffers
-(`_stages`).  A layer over 4 tiles or more splits
-them into interleaved shares, one per usable CPU, and walks all but the
-first on threads (`_in_shares`); tile w of every W, because the nonzero
-tiles sit in the first control rows.  Smaller states, every circuit up
+the whole state.  Each live part takes each run of ascending qubits as
+constant-geometry stages between two buffers (`_stages`).  The X gate
+swaps amplitude pairs through the same tiled layer, with the same skip.
+The skip extends to halves: in the layer's last run of ascending
+qubits, after a stage on a qubit, a whole tile whose blocks each have
+an all +0.0 half along that qubit takes the run's later stages on the
+other halves alone, and is zeroed and written back once at the end.
+The final data layer, a single run, leaves such a half at every qubit,
+as it interferes control branch i onto |s_i>, so it transforms about
+two tiles' worth of amplitudes per nonzero tile, not one per gate;
+parts shrunk that way are stacked to take the rest of the run together
+(`_Stack`).  The test reads the amplitudes' bits only, so it holds for
+any state.  A part under one tile, as every part of a state under 16
+qubits is, drops nothing, and an unsorted layer drops only in its last
+run.  A layer over 4 tiles or more splits them into interleaved shares,
+one per usable CPU, and walks all but the first on threads
+(`_in_shares`); tile w of every W, because the nonzero tiles sit in the
+first control rows.  Smaller states, every circuit up
 to 17 qubits, stay in the calling thread.  The tiles are disjoint and
 each gets the same operations in the same order, so the result is
 bit-identical whatever the CPU count; `taskset` pins a run to one CPU.
@@ -108,24 +109,20 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # tile before moving to the next.  For qubits below _TILE_BITS a tile is
 # 2^16 contiguous amplitudes, or the whole state if that is smaller
 # (512 KB of float64, 1 MB for a complex state, within a core's L2
-# cache), seen as axes of 4 qubits each.  Tiles are also the unit a
-# layer splits across CPUs: a state of 4 tiles or more is walked in
-# interleaved shares, one per usable CPU, each with its own tile-sized
-# buffers (`_in_shares`), and a smaller one in the calling thread alone.
-# The tile also bounds the controlled key unitary's data tiles and mask
-# words and the chunks in which the data marginal is summed.
-# numpy runs a gate at full speed only when the paired amplitudes form
-# contiguous runs of at least 2^12 (shorter runs go through its ufunc
-# buffers, 2-10x slower).  A whole live tile is therefore copied with
-# the gate's qubit group as the outermost axis whenever its runs are
-# shorter, and may drop zero halves (`_regrouped_pass`).  A live part
-# under one tile, every part of a smaller state, takes each run of
-# ascending qubits as constant-geometry stages instead (`_stages`):
-# three ufunc calls per qubit, between two buffers, with no regroup.
+# cache).  Tiles are also the unit a layer splits across CPUs: a state
+# of 4 tiles or more is walked in interleaved shares, one per usable
+# CPU, each with its own tile-sized buffers (`_in_shares`), and a
+# smaller one in the calling thread alone.  The tile also bounds the
+# controlled key unitary's data tiles and mask words and the chunks in
+# which the data marginal is summed.  Every live part of a tile, whole
+# or not, takes each run of ascending Hadamards as constant-geometry
+# stages (`_stages`): three ufunc calls per qubit between two buffers,
+# in the natural layout.  Only whole tiles drop zero halves, and they
+# stack what they keep once it is under _MIN_RUN amplitudes (`_Stack`);
+# a high-qubit tile spans column chunks of at least _MIN_RUN.
 _TILE_BITS = 16
 _TILE = 1 << _TILE_BITS
-_GROUP_BITS = 4
-_MIN_RUN = _TILE >> _GROUP_BITS
+_MIN_RUN = 1 << 12
 
 # `_is_zero` counts the nonzero words of a scan shorter than this, and
 # takes the max of a longer one: in cache, counting 64-512 words took
@@ -516,10 +513,10 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     Gates on qubits below t = max(qubits) + 1 mix amplitudes only within
     aligned blocks of 2^t, so each tile is transformed only up to its
     last block with a set bit (`_live_length`); the blocks after it are
-    all +0.0.  A whole live tile goes through `_regrouped_pass`, which
-    may hand what is left of it to the share's `_Stack`.  A shorter part,
-    every part of a state under one tile, takes `_stages` and drops
-    nothing.
+    all +0.0.  Every live part takes `_stages`.  A whole live tile may
+    drop zero halves in the layer's last run and hand what is left of it
+    to the share's `_Stack`, built at the share's first whole live tile;
+    a shorter part, every part of a state under one tile, drops nothing.
     """
     top = max(qubits) + 1
     width = min(amps.size, _TILE)
@@ -529,15 +526,18 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     def walk(starts: range) -> None:
         scratch = np.empty(width // 2, amps.dtype)
         spare = np.empty(width, amps.dtype)
-        stack = _Stack(top, qubits, kernel, scratch)
+        stack = None
         for start in starts:
             tile = amps[start:start + width]
             end = _live_length(tile, 1 << top)
             if end == _TILE:
-                _regrouped_pass(tile, spare, top, qubits, kernel, scratch, stack)
+                if stack is None:
+                    stack = _Stack(*runs[-1])
+                _stages(tile, spare, runs, kernel, scratch, stack)
             elif end:
                 _stages(tile[:end], spare[:end], runs, kernel, scratch)
-        stack.flush()
+        if stack is not None:
+            stack.flush()
 
     _in_shares(range(0, amps.size, width), walk)
 
@@ -559,256 +559,174 @@ def _stages(
     runs: list[tuple[int, int]],
     kernel,
     scratch: np.ndarray,
+    stack: _Stack | None = None,
 ) -> None:
-    """The layer's gates on `part`, a live part under one tile, one run
-    of `runs` at a time.
+    """The layer's gates on `part`, a live part of at most one tile, one
+    run of `runs` at a time.
 
     A run of one qubit takes `kernel` in place.  A run of L >= 2
     Hadamards on qubits q0 .. q0 + L - 1 takes L constant-geometry stages
     (Pease 1968) over `part` seen as (blocks, 2^L, 2^q0), each from one
     buffer into the other: a stage pairs bit 0 of the middle index,
     writes (lo + hi) s to the first half of that axis and (lo - hi) s to
-    the second, and so rotates the index right by one bit.  Stage i
-    thus pairs qubit q0 + i, with the ufuncs `_hadamard_row_bit` applies
-    to the same operands, so the result is bit-identical, and after L
-    stages the index is back in natural order.  The part ends in place.
+    the second, and so rotates the index right by one bit (`_stage`).
+    Stage i thus pairs qubit q0 + i, with the ufuncs `_hadamard_row_bit`
+    applies to the same operands, so the result is bit-identical, and
+    after L stages the index is back in natural order.  Given a `stack`,
+    the part is a whole tile, whose last run may drop zero halves
+    (`_drop_stages`); once it has, what is left of the part goes to the
+    stack, which writes it back.  Otherwise the part ends in place.
     """
     buf, other = part, spare
-    for first, length in runs:
+    for j, (first, length) in enumerate(runs):
         if length == 1:
             kernel(buf.reshape(-1, 1), first, scratch)
             continue
-        half = 1 << (length - 1)
-        shape = (-1, 2 * half, 1 << first)
+        shape = (-1, 1 << length, 1 << first)
+        if stack is not None and j + 1 == len(runs):
+            src, buf, other, stage, dropped, kept = _drop_stages(
+                buf.reshape(shape), buf, other, length, until=_MIN_RUN
+            )
+            if dropped:
+                stack.add(part, src, stage, dropped, kept)
+                return
+            continue
         # The views of a stage from each buffer into the other.
-        views = []
-        for src, out in ((buf, other), (other, buf)):
-            pairs, halves = src.reshape(shape), out.reshape(shape)
-            views.append((pairs[:, 0::2], pairs[:, 1::2], halves[:, :half], halves[:, half:], out))
+        views = [_stage_views(src.reshape(shape), out) for src, out in ((buf, other), (other, buf))]
         for i in range(length):
-            lo, hi, sums, diffs, out = views[i & 1]
-            np.add(lo, hi, out=sums)
-            np.subtract(lo, hi, out=diffs)
-            np.multiply(out, _INV_SQRT2, out=out)
+            _stage(*views[i & 1])
         if length & 1:
             buf, other = other, buf
     if buf is not part:
         part[...] = buf
 
 
-def _regrouped_pass(
-    part: np.ndarray,
-    spare: np.ndarray,
-    top: int,
-    qubits: tuple[int, ...],
-    kernel,
-    scratch: np.ndarray,
-    stack: _Stack,
-) -> None:
-    """The gates on `part`, one whole tile of 2^top-amplitude blocks, with
-    long runs.
+def _stage_views(src: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arguments of `_stage` from `src`, seen as (blocks, rows, inner),
+    into `out`, a contiguous buffer of its size."""
+    half = src.shape[1] // 2
+    halves = out.reshape(src.shape)
+    return src[:, 0::2], src[:, 1::2], halves[:, :half], halves[:, half:], out
 
-    The tile is worked on as a `_Layout`, in place and in `spare`, and
-    may drop zero halves.  Once a half of it has been dropped, the part
-    goes to `stack` when it has shrunk below 2 _MIN_RUN amplitudes or the
-    layer is done, and the stack runs the rest of the layer on it and
-    writes it back.  Without a drop the part ends in its natural order,
-    in place.
+
+def _stage(lo: np.ndarray, hi: np.ndarray, sums: np.ndarray, diffs: np.ndarray, out: np.ndarray) -> None:
+    """One constant-geometry stage: (lo + hi) s into `sums` and (lo - hi) s
+    into `diffs`, the two halves of the middle axis of `out`."""
+    np.add(lo, hi, out=sums)
+    np.subtract(lo, hi, out=diffs)
+    np.multiply(out, _INV_SQRT2, out=out)
+
+
+def _drop_stages(
+    src: np.ndarray,
+    base: np.ndarray,
+    free: np.ndarray,
+    length: int,
+    stage: int = 0,
+    dropped: int = 0,
+    kept: np.ndarray | int = 0,
+    until: int = 0,
+) -> tuple:
+    """Stages `stage` .. length - 1 of a run, the layer's last, on `src`.
+
+    `src` holds the amplitudes kept so far, seen as (blocks, rows,
+    inner), in `base`; `free` is the other buffer.  Bit i of `dropped`
+    marks qubit q0 + i as dropped, and bit i of kept[b] the half of
+    block b kept along it.  After each stage but the last, the half of a
+    block along the qubit just gated is a contiguous half of it.  If
+    every block has one whose every bit is zero (-0.0 and NaN payloads
+    count as nonzero), as interference leaves them in a circuit's final
+    layer, the later stages run on the other halves alone: they pair
+    amplitudes that agree on the dropped qubit, and the run lists no
+    qubit twice.  When every block keeps the same half, the next stage
+    reads it in place; otherwise the OR of the two halves' words, which
+    is the kept half bit for bit, is written to `free`.
+
+    Returns (src, base, free, stage, dropped, kept) at the end of the
+    run, or as soon as a drop leaves fewer than `until` amplitudes.
     """
-    groups = -(-top // _GROUP_BITS)
-    sizes = {g: 1 << min(_GROUP_BITS, top - g * _GROUP_BITS) for g in range(groups)}
-    sizes[groups] = part.size >> top
-    layout = _Layout(part, spare, sizes)
-    for j, qubit in enumerate(qubits):
-        layout.gate(qubit, kernel, scratch, j + 1 < len(qubits) and qubit not in qubits[j + 1:])
-        if layout.dropped and (layout.buf.size < 2 * _MIN_RUN or j + 1 == len(qubits)):
-            stack.add(part, layout, j + 1)
-            return
-    layout.restore()
-    if layout.side:
-        part[...] = layout.buf
-
-
-class _Layout:
-    """A layer's working copy of whole blocks of 2^top amplitudes.
-
-    The amplitudes sit in one of two buffers as axes, outermost first in
-    `order`: the blocks (the axis last in `sizes`, outermost in the
-    natural order) and the qubit groups of _GROUP_BITS below top (one
-    axis each, the top one possibly narrower).  A gate whose pairs run
-    shorter than _MIN_RUN contiguous amplitudes first copies them into
-    the other buffer with its group as the outermost axis, if there are
-    at least 2 _MIN_RUN of them to repay the copy.
-
-    After a gate on a qubit that the rest of the layer does not list
-    again, a half of each block along that qubit may be all +0.0, as
-    interference leaves it in a circuit's final layer.  If every block
-    has one (`_drop_zero_halves`), the other halves are copied to the
-    other buffer and the later gates run on them alone: they pair
-    amplitudes that agree on the dropped qubit, and a pair of +0.0 stays
-    +0.0 under H and X.  `dropped` holds the dropped qubits, and bit q of
-    kept[b] the half of block b kept along qubit q.
-    """
-
-    __slots__ = ("buffers", "side", "buf", "sizes", "natural", "order", "inner", "dropped", "kept")
-
-    def __init__(self, buf: np.ndarray, other: np.ndarray, sizes: dict[int, int], dropped=0, kept=0):
-        self.buffers, self.side, self.buf = (buf, other), 0, buf
-        self.sizes = sizes
-        self.natural = self.order = tuple(reversed(range(len(sizes))))
-        self.inner = _inner_sizes(self.order, sizes)
-        self.dropped, self.kept = dropped, kept
-
-    def move(self, order: tuple[int, ...]) -> None:
-        """Copy the amplitudes into the other buffer, with axes in `order`."""
-        self.side = 1 - self.side
-        dst = self.buffers[self.side][:self.buf.size]
-        self.buf, self.order = _regroup(self.buf, self.order, order, self.sizes, dst)
-        self.inner = _inner_sizes(order, self.sizes)
-
-    def restore(self) -> None:
-        """Bring the amplitudes back to the natural order, unless only
-        axes of size 1 are out of place."""
-        if self.order != self.natural and (
-            [a for a in self.order if self.sizes[a] > 1] != [a for a in self.natural if self.sizes[a] > 1]
-        ):
-            self.move(self.natural)
-
-    def gate(self, qubit: int, kernel, scratch: np.ndarray, drop: bool) -> None:
-        """The gate on `qubit`; then, if `drop`, drop a zero half along it."""
-        group, bit = divmod(qubit, _GROUP_BITS)
-        if self.dropped:
-            bit -= (self.dropped >> (qubit - bit) & ((1 << bit) - 1)).bit_count()
-        inner, size = self.inner[group], self.buf.size
-        # Regroup unless the group is outermost already, but for axes of
-        # size 1 such as the block axis of a part of one block.
-        if inner << bit < _MIN_RUN <= size >> 1 and inner * self.sizes[group] < size:
-            self.move((group,) + tuple(a for a in self.natural if a != group))
-            inner = self.inner[group]
-        kernel(self.buf.reshape(-1, inner), bit, scratch)
+    while stage < length:
+        out = free[:src.size]
+        _stage(*_stage_views(src, out))
+        base, free, src, stage = free, base, out.reshape(src.shape), stage + 1
+        blocks, rows, inner = src.shape
         # The first amplitude of each half of the first block settles a
         # dense layer with two reads.
-        if not drop or self.buf.item(0) and self.buf.item(inner << bit):
-            return
-        dst = self.buffers[1 - self.side][:self.buf.size // 2]
-        keep = _drop_zero_halves(self.buf, self.sizes, self.inner, group, bit, dst)
-        if keep is not None:
-            self.side, self.buf = 1 - self.side, dst
-            self.dropped |= 1 << qubit
-            self.kept = self.kept | keep << qubit
-            self.sizes[group] //= 2
-            self.inner = _inner_sizes(self.order, self.sizes)
+        if stage == length or src.item(0) and src.item(rows // 2 * inner):
+            continue
+        words = src.view(np.uint64).reshape(blocks, 2, -1)
+        peaks = words.max(axis=2)
+        if peaks.min(axis=1).any():
+            continue
+        keep = peaks[:, 1] != 0
+        if keep.all() or not keep.any():
+            src = src.reshape(blocks, 2, rows // 2, inner)[:, int(keep[0])]
+        else:
+            out = free[:src.size // 2]
+            np.bitwise_or(words[:, 0], words[:, 1], out=out.view(np.uint64).reshape(blocks, -1))
+            base, free, src = free, base, out.reshape(blocks, rows // 2, inner)
+        dropped |= 1 << (stage - 1)
+        kept = kept | keep << (stage - 1)
+        if src.size < until:
+            break
+    return src, base, free, stage, dropped, kept
 
 
 class _Stack:
-    """Parts of one share of a gate layer with dropped halves, gathered as
-    the blocks of one `_Layout` to take the rest of the layer together.
+    """What whole tiles of one share of a gate layer keep after dropping
+    halves, stacked along the block axis to take the rest of the layer's
+    last run, on qubits first .. first + length - 1, together.
 
-    A part arrives once it has shrunk below 2 _MIN_RUN amplitudes, where
-    each gate's fixed cost outweighs its work, or once the layer is done.
-    Parts stack while they agree on the gates left and the qubits
-    dropped, up to one tile of amplitudes.  `flush` runs the gates left and
-    writes each part back: every amplitude is zeroed, then the kept ones
-    are written to their places (`_places`).  The stack's two buffers
-    are allocated at the first part, and the kernel shares `scratch`.
+    A tile's part arrives once it has shrunk below _MIN_RUN amplitudes,
+    where a stage's fixed cost outweighs its work, or once the run is
+    done.  Parts stack while they agree on the stages done and the
+    qubits dropped, up to one tile of amplitudes.  `flush` runs the
+    stages left, which may drop more halves, and writes each part back:
+    its tile is zeroed, then the kept amplitudes are written to their
+    places.  The stack's two buffers are allocated at the first part.
     """
 
-    def __init__(self, top: int, qubits: tuple[int, ...], kernel, scratch):
-        self.top, self.qubits = top, qubits
-        self.kernel, self.scratch = kernel, scratch
-        self.buffers = self.sizes = None
+    def __init__(self, first: int, length: int):
+        self.first, self.length = first, length
+        self.buffers = None
         self.key, self.used, self.parts, self.kept = None, 0, [], []
 
-    def add(self, part: np.ndarray, layout: _Layout, j: int) -> None:
-        """Take `part`, whose first j gates are done, from `layout`."""
-        key = (j, layout.dropped)
-        size = layout.buf.size
-        if self.parts and (key != self.key or self.used + size > _TILE):
+    def add(self, part: np.ndarray, src: np.ndarray, stage: int, dropped: int, kept: np.ndarray) -> None:
+        """Take `part`, a whole tile, whose amplitudes kept after `stage`
+        stages are `src` (see `_drop_stages`)."""
+        key = (stage, dropped)
+        if self.parts and (key != self.key or self.used + src.size > _TILE):
             self.flush()
         if self.buffers is None:
             self.buffers = tuple(np.empty(_TILE, part.dtype) for _ in range(2))
-        dst = self.buffers[0][self.used:self.used + size]
-        _regroup(layout.buf, layout.order, layout.natural, layout.sizes, dst)
-        self.key, self.sizes = key, layout.sizes
-        self.used += size
+        np.copyto(self.buffers[0][self.used:self.used + src.size].reshape(src.shape), src)
+        self.key = key
+        self.used += src.size
         self.parts.append(part)
-        self.kept.append(layout.kept)
+        self.kept.append(kept)
 
     def flush(self) -> None:
-        """Run the gates left on the stacked parts and write them back."""
+        """Run the stages left on the stacked parts and write them back."""
         if not self.parts:
             return
-        j, dropped = self.key
-        sizes = dict(self.sizes)
-        sizes[len(sizes) - 1] = sum(part.size for part in self.parts) >> self.top
+        stage, dropped = self.key
+        rows = 1 << (self.length - dropped.bit_count())
+        buf, free = self.buffers
+        src = buf[:self.used].reshape(-1, rows, 1 << self.first)
         kept = np.concatenate(self.kept)
-        layout = _Layout(self.buffers[0][:self.used], self.buffers[1][:self.used], sizes, dropped, kept)
-        qubits = self.qubits
-        for i in range(j, len(qubits)):
-            drop = i + 1 < len(qubits) and qubits[i] not in qubits[i + 1:]
-            layout.gate(qubits[i], self.kernel, self.scratch, drop)
-        layout.restore()
-        places = _places(self.top, layout.dropped)
-        rows = layout.buf.reshape(-1, places.size)
+        src, _, _, _, dropped, kept = _drop_stages(src, buf, free, self.length, stage, dropped, kept)
+        # Row of each kept amplitude in its block when the dropped bits
+        # are 0, in natural order.
+        places = np.flatnonzero(np.arange(1 << self.length) & dropped == 0)
         first = 0
         for part in self.parts:
-            count = part.size >> self.top
-            index = np.add.outer(np.arange(count) << self.top | layout.kept[first:first + count], places)
+            blocks = part.reshape(-1, 1 << self.length, 1 << self.first)
+            count = len(blocks)
             part.fill(0)
-            part[index.reshape(-1)] = rows[first:first + count].reshape(-1)
+            index = kept[first:first + count, None] | places
+            blocks[np.arange(count)[:, None], index] = src[first:first + count]
             first += count
         self.key, self.used, self.parts, self.kept = None, 0, [], []
-
-
-def _drop_zero_halves(
-    buf: np.ndarray,
-    sizes: dict[int, int],
-    inner: dict[int, int],
-    group: int,
-    bit: int,
-    dst: np.ndarray,
-) -> np.ndarray | None:
-    """Split each block of `buf` (the axis last in `sizes`) into its halves
-    along row bit `bit` of axis `group`.  If every block has a half whose
-    every bit is zero (-0.0 and NaN payloads count as nonzero), copy each
-    block's other half to `dst`, in the same layout less that bit, and
-    return per block the bit of the half kept; otherwise return None and
-    copy nothing.
-
-    The test is `_is_zero`'s scan, a max over uint64 words, taken per
-    block and half.  The copy is the OR of the two halves' words, which
-    is the kept half bit for bit when the other is all zero.
-    """
-    half = inner[group] << bit
-    blocks = len(sizes) - 1
-    count, step = sizes[blocks], inner[blocks]
-    # (outer, half, between, block, inner) or (outer, block, between, half, inner)
-    if half >= count * step:
-        at, shape = 1, [buf.size // (2 * half), 2, half // (count * step), count, step]
-    else:
-        at, shape = 3, [buf.size // (count * step), count, step // (2 * half), 2, half]
-    shape[-1] *= buf.itemsize // 8
-    halves = buf.view(np.uint64).reshape(shape)
-    peaks = halves.max(axis=(0, 2, 4))
-    if at == 1:
-        peaks = peaks.T
-    if peaks.min(axis=1).any():
-        return None
-    lead = (slice(None),) * at
-    shape[at] = 1
-    out = dst.view(np.uint64).reshape(shape)
-    np.bitwise_or(halves[lead + (0,)], halves[lead + (1,)], out=out[lead + (0,)])
-    return peaks[:, 1] != 0
-
-
-def _places(top: int, dropped: int) -> np.ndarray:
-    """Place in its block of 2^top of each amplitude a block keeps when
-    the `dropped` qubits' bits are 0, in natural order."""
-    places = np.zeros(1, np.intp)
-    for q in range(top):
-        if not dropped >> q & 1:
-            places = np.concatenate([places, places | 1 << q])
-    return places
 
 
 def _live_length(tile: np.ndarray, block: int) -> int:
@@ -842,30 +760,6 @@ def _live_length(tile: np.ndarray, block: int) -> int:
         else:
             start = mid
     return end
-
-
-def _inner_sizes(order: tuple[int, ...], sizes: dict[int, int]) -> dict[int, int]:
-    """For each axis of a layout in `order`, the amplitudes one step of it spans."""
-    inner, span = {}, 1
-    for axis in reversed(order):
-        inner[axis] = span
-        span *= sizes[axis]
-    return inner
-
-
-def _regroup(
-    src: np.ndarray,
-    order: tuple[int, ...],
-    new: tuple[int, ...],
-    sizes: dict[int, int],
-    dst: np.ndarray,
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Copy `src`, whose axes run in `order`, into `dst` in `new` order."""
-    np.copyto(
-        dst.reshape([sizes[a] for a in new]),
-        src.reshape([sizes[a] for a in order]).transpose([order.index(a) for a in new]),
-    )
-    return dst, new
 
 
 def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:

@@ -394,9 +394,9 @@ class TestGates:
     )
     def test_layer_hands_kernel_only_the_nonzero_block(self, monkeypatch, total, top):
         # A layer on the qubits below `top` of a state nonzero only in its
-        # first block of 2^top amplitudes transforms that block alone: in
-        # natural order below a tile (the qubits descend, so each is a run
-        # of one and takes the kernel), regrouped in a whole tile.
+        # first block of 2^top amplitudes transforms that block alone: the
+        # qubits descend, so each is a run of one and takes the kernel, in
+        # a part under a tile and in a whole tile alike.
         sizes = []
 
         def spy(kernel):
@@ -413,8 +413,9 @@ class TestGates:
         StateVector(total - 1, 0, amps).apply_hadamard(*qubits).apply_x(top - 1)
         assert sizes == [1 << top] * (top + 1)
 
-    # Halves along a qubit that a layer leaves all +0.0, as interference
-    # does in the circuit's final layer, are dropped from its later gates.
+    # Halves along a qubit that a layer's last run of ascending qubits
+    # leaves all +0.0, as interference does in the circuit's final layer,
+    # are dropped from the run's later stages.
 
     @pytest.mark.parametrize(
         "total,qubits,signs",
@@ -432,20 +433,23 @@ class TestGates:
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     def test_layer_drops_planted_zero_halves(self, monkeypatch, total, qubits, signs, dtype):
         # Pairs along each listed qubit equal or opposite, so H leaves a
-        # half of each all +0.0: the layer ends as the pair formula does,
-        # and the kernel sees fewer amplitudes than one full pass per gate.
+        # half of each all +0.0: the layer ends as the pair formula does.
+        # A layer of one ascending run drops a half at each qubit, so its
+        # stages write fewer amplitudes than one full pass per gate; the
+        # mixed-order layers drop at most in their last run.
         sizes = self.spy_sizes(monkeypatch)
         amps = planted_state(total, {q: s == "-" for q, s in zip(qubits, signs)}, total, dtype)
         expected = pair_formula(amps, qubits, "h")
         layer = apply_layer(amps, qubits, "h")
         assert np.array_equal(bits(layer), bits(expected))
-        assert sum(sizes) < len(qubits) * amps.size // 2
+        if len(simulator._ascending_runs(qubits)) == 1:
+            assert sum(sizes) < len(qubits) * amps.size // 2
 
     def test_parts_under_a_tile_drop_nothing(self, monkeypatch):
-        # Below a tile the layer runs as constant-geometry stages: the part
-        # reaches neither the regrouped walk nor the zero-half test, so it
-        # drops nothing.  A whole tile, the control, reaches both.
-        reached = self.spy_calls(monkeypatch, "_regrouped_pass", "_drop_zero_halves")
+        # Below a tile the layer's stages build no stack and never reach
+        # the zero-half test, so the part drops nothing.  A whole tile, the
+        # control, reaches both.
+        reached = self.spy_calls(monkeypatch, "_Stack", "_drop_stages")
         total = simulator._TILE_BITS - 1
         amps = planted_state(total, dict.fromkeys(range(total), True), total, np.float64)
         layer = apply_layer(amps, range(total), "h")
@@ -454,7 +458,7 @@ class TestGates:
         total = simulator._TILE_BITS
         amps = planted_state(total, dict.fromkeys(range(total), True), total, np.float64)
         apply_layer(amps, range(total), "h")
-        assert set(reached) == {"_regrouped_pass", "_drop_zero_halves"}
+        assert set(reached) == {"_Stack", "_drop_stages"}
 
     @pytest.mark.parametrize("total,dtype", with_dtypes(range(1, 16)))
     def test_stages_bit_identical_to_pair_formula(self, total, dtype):
@@ -478,12 +482,12 @@ class TestGates:
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     def test_whole_and_partial_tile_in_one_layer(self, monkeypatch, dtype):
-        # Two tiles: the first dense, taking the regrouped walk, the second
-        # live in its first half only, up to a +0.0 tail with a -0.0 or NaN
-        # planted in it, taking stages.
+        # Two tiles: the first dense, a whole live tile that builds the
+        # walk's stack, the second live in its first half only, up to a
+        # +0.0 tail with a -0.0 or NaN planted in it; both take stages.
         tile = simulator._TILE
         rng = np.random.default_rng(17)
-        reached = self.spy_calls(monkeypatch, "_regrouped_pass", "_stages")
+        reached = self.spy_calls(monkeypatch, "_Stack", "_stages")
         for kind in (1, 2):
             amps = np.concatenate([
                 self.zero_tail_state(rng, tile, dtype, kind=0, cut=tile),
@@ -495,7 +499,7 @@ class TestGates:
                 expected = pair_formula(amps, qubits, "h")
                 layer = apply_layer(amps, qubits, "h")
                 assert np.array_equal(bits(layer), bits(expected)), (kind, qubits)
-                assert sorted(reached) == ["_regrouped_pass", "_stages"]
+                assert sorted(reached) == ["_Stack", "_stages", "_stages"]
 
     @staticmethod
     def zero_tail_state(rng, size: int, dtype, kind: int, cut: int | None = None) -> np.ndarray:
@@ -556,7 +560,9 @@ class TestGates:
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
     def test_multi_tile_layer_drops_bit_identical(self, workers, dtype):
         # 2^19 amplitudes, 8 tiles: some tiles planted along every qubit,
-        # one only along the low qubits, one dense and one all +0.0.
+        # one only along the low qubits, one only along the odd qubits (it
+        # reaches the stack after other stages, with other qubits dropped,
+        # than the tiles of its share before it), one dense and one all +0.0.
         total = LAYER_QUBITS
         tile = 1 << simulator._TILE_BITS
         parts = []
@@ -566,20 +572,28 @@ class TestGates:
             elif t == 5:
                 parts.append(np.zeros(tile, dtype))
             else:
-                low = range(8 if t == 6 else simulator._TILE_BITS)
-                parts.append(planted_state(simulator._TILE_BITS, {q: (q + t) % 3 == 0 for q in low}, t, dtype))
+                planted = {6: range(8), 7: range(1, simulator._TILE_BITS, 2)}.get(t, range(simulator._TILE_BITS))
+                parts.append(planted_state(simulator._TILE_BITS, {q: (q + t) % 3 == 0 for q in planted}, t, dtype))
         amps = np.concatenate(parts)
         for qubits in (tuple(range(total)), (2, 17, 0, 9, 15, 1, 18, 3, 14, 16, 4)):
             expected = pair_formula(amps, qubits, "h")
             layer = apply_layer(amps, qubits, "h")
             assert np.array_equal(bits(layer), bits(expected)), qubits
 
+    def test_stack_flushes_at_one_tile(self, workers):
+        # Every tile drops only the half along qubit 0, so each reaches its
+        # share's stack at the end of the run with half a tile kept: a
+        # stack holds two of them, and flushes before taking a third.
+        amps = planted_state(LAYER_QUBITS, {0: True}, 3, np.float64)
+        qubits = tuple(range(simulator._TILE_BITS))
+        assert np.array_equal(bits(apply_layer(amps, qubits, "h")), bits(pair_formula(amps, qubits, "h")))
+
     @pytest.mark.parametrize("n,k", [(16, 2), (14, 6)])
     def test_final_layer_hands_kernel_only_the_kept_halves(self, monkeypatch, n, k):
         # An 18-qubit circuit's final data layer: interference zeroes a
-        # half of every block along each data qubit in turn, so the kernel
-        # is handed at most 3 times each nonzero tile's amplitudes, where
-        # a full pass per gate would hand it n times.
+        # half of every block along each data qubit in turn, so its stages
+        # write at most 3 times each nonzero tile's amplitudes, where a
+        # full pass per gate would write n times.
         ks = random_keyset(np.random.default_rng(n), n, k)
         spec = simulator.build_circuit(ks)
         state = StateVector(spec.n, spec.r)
@@ -606,24 +620,30 @@ class TestGates:
         for name in names:
             original = getattr(simulator, name)
 
-            def wrapped(*args, _name=name, _original=original):
+            def wrapped(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(simulator, name, wrapped)
         return calls
 
     @staticmethod
     def spy_sizes(monkeypatch) -> list[int]:
-        """Sizes of the blocks handed to the H kernel from now on."""
+        """Amplitudes written by each call of the H kernel or of a stage
+        from now on."""
         sizes = []
-        kernel = simulator._hadamard_row_bit
+        kernel, stage = simulator._hadamard_row_bit, simulator._stage
 
-        def wrapped(block, bit, scratch):
+        def spied_kernel(block, bit, scratch):
             sizes.append(block.size)
             kernel(block, bit, scratch)
 
-        monkeypatch.setattr(simulator, "_hadamard_row_bit", wrapped)
+        def spied_stage(*views):
+            sizes.append(views[-1].size)
+            stage(*views)
+
+        monkeypatch.setattr(simulator, "_hadamard_row_bit", spied_kernel)
+        monkeypatch.setattr(simulator, "_stage", spied_stage)
         return sizes
 
 
