@@ -5,6 +5,12 @@ configuration, the seed, and the library version, so reruns with the
 same seed are byte-identical apart from the wall-time field.  CSV is a
 flat projection of the main table, which every command fills with at
 least one row; text is a human-readable rendering.
+
+An argv that starts with a command name is parsed once, by that
+command's parser; any other argv goes through the full parser.  Both
+routes give the same namespace, usage and errors (see `_parse`).  JSON
+comes from `_json_text`, which writes the bytes of
+`json.dumps(record, indent=2)` without its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -13,11 +19,13 @@ import argparse
 import csv
 import functools
 import io
-import json
+import math
 import secrets
 import sys
 import time
 from fractions import Fraction
+from gettext import gettext
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -359,6 +367,52 @@ def cmd_adversary(args) -> tuple[dict, list[dict]]:
     return record, rows
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_text(o, pad: str = "\n") -> str:
+    """The text `json.dumps(o, indent=2)` gives o at the indent of pad.
+
+    pad is a newline and the spaces of o's own indent.  Types are tested
+    in json's order, so subclasses (np.float64, say) render as json
+    renders them.  Dict keys must be str.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_json_text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in o.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def _render_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
@@ -413,7 +467,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, built once."""
     parser = argparse.ArgumentParser(
         prog="multikey-bv",
         description="Simulate and analyze multi-key Bernstein-Vazirani experiments.",
@@ -464,18 +519,46 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="work_bound")
     p_adv.set_defaults(func=cmd_adversary)
 
-    return parser
+    return parser, dict(sub.choices)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace, usage and errors of `build_parser().parse_args(argv)`.
+
+    The full parse classifies every token, then hands all of them after
+    a command name to that command's parser.  So when argv[0] names a
+    command, its parser parses the rest directly, and leftovers are
+    refused by the top-level parser with parse_args' message.  A token
+    `--=...` is one exception: outside a `--` tail the top-level parser
+    refuses it as ambiguous (it prefixes both --help and --version), so
+    an argv holding one takes the full parse, as does every argv that
+    does not start with a command.
+    """
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None or any(arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     t0 = time.perf_counter()
     try:
         record, rows = args.func(args)
         record["wall_time_s"] = time.perf_counter() - t0
         if args.format == "json":
-            text = json.dumps(record, indent=2) + "\n"
+            text = _json_text(record) + "\n"
         elif args.format == "csv":
             text = _render_csv(rows)
         else:

@@ -322,8 +322,13 @@ class StateVector:
         # moves every bit (-0.0 and NaN payloads included).
         width = 1 << min(self.n, _TILE_BITS)
         words = self.amps.itemsize // 8
-        low = np.arange(width, dtype=np.uint64) & np.uint64(value)
-        odd = -np.repeat(np.bitwise_count(low) & 1, words).astype(np.uint64)
+        odd = np.arange(width, dtype=np.uint64)
+        odd &= np.uint64(value)
+        np.bitwise_count(odd, out=odd)
+        odd &= np.uint64(1)
+        if words > 1:
+            odd = np.repeat(odd, words)
+        np.negative(odd, out=odd)
         masks = (odd, ~odd)
         tiles = self.amps.view(np.uint64).reshape(1 << self.r, 2, -1, width * words)
         lo_tiles, hi_tiles = tiles[i]

@@ -1,5 +1,6 @@
 """CLI commands: record structure, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -974,6 +975,75 @@ class TestDeterminism:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == f"input error: cannot write {path}: {reason}\n"
+
+
+class TestArgumentParsing:
+    """`main` parses an argv that starts with a command by that command's
+    parser alone; every outcome must equal the full parser's."""
+
+    ARGVS = [
+        [],
+        ["--version"],
+        ["-h"],
+        ["frobnicate"],
+        ["Simulate", "--keys", "01"],
+        ["--version", "simulate"],
+        ["-h", "simulate"],
+        ["simulate"],
+        ["simulate", "-h"],
+        ["simulate", "-hx"],
+        ["simulate", "--help=1"],
+        ["simulate", "--version"],
+        ["simulate", "--keys", "01", "--bogus"],
+        ["simulate", "--keys", "01", "stray"],
+        ["simulate", "--keys", "01", "-"],
+        ["simulate", "--keys", "01", "--see", "3"],
+        ["sample", "--keys", "01", "--seed", "x"],
+        ["simulate", "--keys", "01", "--oracle-path", "slow"],
+        ["sample", "--keys", "01", "--shots"],
+        ["sample", "--keys", "01", "--shots", "-5"],
+        ["simulate", "--keys=01", "--seed=3", "--format=csv"],
+        ["simulate", "--", "--keys"],
+        ["simulate", "--keys", "01", "--keys", "10", "--seed", "1", "--seed", "2"],
+        ["simulate", "--keys", "01", "sample"],
+        ["simulate", "--=x"],
+        ["simulate", "--keys", "01", "--", "--=x"],
+        ["analyze", "--e", "--k", "2", "--m", "-1"],
+        ["adversary", "--keys", "01,10", "--s", "1"],
+        ["adversary", "--keys", "01,10", "--m", "3", "-x"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, call, argv):
+        """(exit code or namespace, stdout, stderr) of call(argv)."""
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_outcome_equals_full_parse(self, capsys, argv):
+        expected = self.outcome(capsys, cli.build_parser().parse_args, list(argv))
+        assert self.outcome(capsys, cli._parse, list(argv)) == expected
+        if not isinstance(expected[0], argparse.Namespace):
+            assert self.outcome(capsys, main, list(argv)) == expected
+
+    def test_top_level_options_are_help_and_version(self):
+        # `_parse` sends an argv holding a `--=` token to the full parse
+        # because that token abbreviates both --help and --version.  A new
+        # top-level option changes which abbreviations are ambiguous, so
+        # `_parse` must be reviewed with it.
+        options = {s for a in cli.build_parser()._actions for s in a.option_strings}
+        assert options == {"-h", "--help", "--version"}, "review cli._parse"
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["simulate", "--keys", "01", "--bogus"]
+        monkeypatch.setattr(sys, "argv", ["multikey-bv", *argv])
+        expected = self.outcome(capsys, cli.build_parser().parse_args, None)
+        assert expected[0] == EXIT_INPUT
+        assert self.outcome(capsys, main, None) == expected
 
 
 # 13-bit keys, k=6: 13 data + 1 target + 3 control = 17 qubits.

@@ -1,13 +1,15 @@
 """Property tests (Hypothesis) over the four CLI commands: every drawn
 argument list is answered (exit 0) or refused (exit 2 or 3) with nothing
 on stdout, and no other exception escapes `cli.main`; every answered
-`simulate --dump-state` lists the final state's 2k amplitudes."""
+`simulate --dump-state` lists the final state's 2k amplitudes; the
+JSON writer gives the bytes of `json.dumps(indent=2)`."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 from math import comb, prod
 
 import numpy as np
@@ -233,3 +235,47 @@ def test_every_state_dump_lists_2k_amplitudes(parsed, path):
     amps = results["statevector"]["amplitudes"]
     assert len(amps) == 2 * k
     assert all(len(a["basis"]) == results["total_qubits"] for a in amps)
+
+
+# Scalars as json.dumps meets them: any text (control characters and lone
+# surrogates included), bools, ints beyond 64 bits, every float class,
+# np.float64 (a float subclass) and None.
+json_scalars = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff x \ud83d"]),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**64) - 1, 10**40]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+    st.none(),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_values)
+def test_json_writer_gives_the_bytes_of_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.int64(1), Fraction(1, 3), {1, 2}], ids=["int64", "Fraction", "set"]
+)
+@pytest.mark.parametrize("where", ["alone", "list", "dict"])
+def test_json_writer_refuses_what_json_dumps_refuses(bad, where):
+    value = {"alone": bad, "list": [1, bad], "dict": {"a": [{"b": bad}]}}[where]
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as raised:
+        cli._json_text(value)
+    assert str(raised.value) == str(expected.value)

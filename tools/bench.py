@@ -1,0 +1,200 @@
+"""Write BENCH_<label>.json files from perfbench runs, and compare two.
+
+Each tree is a checkout of this repository given as LABEL=PATH.  For
+every workload, run i runs `perfbench/run.py --seed i` once on every
+tree, the trees alternating which goes first, so that pairs of runs
+share a seed and sit next to each other in time.  Then one traced run
+per tree gives the per-layer metrics.  perfbench/ itself is run as it
+is, from each tree's own checkout.  BENCH_<label>.json files go to the
+current directory.  The runs are fixed, so that every BENCH file is
+measured alike: 10 of small-circuits and 5 of each other workload, each
+as long as BENCHMARK.json's run_seconds.  For a quick look at one
+workload, run `perfbench/run.py --workload W --seconds S` directly.
+
+    git clone -q . ../parent && git -C ../parent checkout -q <commit>
+    python3 tools/bench.py --tree old=../parent --tree new=.
+    python3 tools/bench.py --compare BENCH_old.json BENCH_new.json
+
+--compare prints, per workload and end-to-end metric, the medians, the
+delta of the medians, the pairs the new file wins and the old file's
+interquartile range, then the traced per-layer deltas.  It marks with
+WORSE each end-to-end metric whose median worsens by more than its
+BENCHMARK.json bound, and then exits 1.  It marks with GAIN each one
+that improves in at least nine tenths of the pairs by more than the
+old interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = {"small-circuits": 10, "dense-23q": 5, "classical-analysis": 5}
+RUN_TIMEOUT_S = 600
+
+
+def tree_identity(path: Path) -> dict:
+    """The commit a tree is checked out at, whether tracked files differ
+    from it, and a sha256 over its src/ files, which names the code run."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(path), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    digest = hashlib.sha256()
+    for file in sorted((path / "src").rglob("*.py")):
+        digest.update(str(file.relative_to(path)).encode() + b"\0" + file.read_bytes())
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+        "src_sha256": digest.hexdigest(),
+    }
+
+
+def run_perfbench(path: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
+    """(run record, result) of one perfbench/run.py run in the tree at path."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=path, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench/run.py failed in {path}: {proc.stderr[-2000:]}")
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    (record,) = [line["run_record"] for line in lines if "run_record" in line]
+    return record, lines[-1]
+
+
+def summary(values: list[float]) -> dict:
+    """Raw values, median and quartiles (inclusive method)."""
+    if len(values) < 2:
+        return {"values": values, "median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def measure(trees: dict[str, Path], runs: dict[str, int], seconds: int) -> dict[str, dict]:
+    """One BENCH document per tree label."""
+    labels = list(trees)
+    docs = {
+        label: {"label": label, "tree": tree_identity(path), "workloads": {}}
+        for label, path in trees.items()
+    }
+    for workload, count in runs.items():
+        raw = {label: [] for label in labels}
+        for seed in range(1, count + 1):
+            shift = (seed - 1) % len(labels)
+            for position, label in enumerate(labels[shift:] + labels[:shift]):
+                record, result = run_perfbench(trees[label], workload, seed, seconds, 0)
+                raw[label].append((seed, position, record, result))
+                print(f"{workload} seed {seed} {label}: op_p50_ms "
+                      f"{result['metrics']['op_p50_ms']['value']:.4f}", file=sys.stderr)
+        for label in labels:
+            _, _, record, _ = raw[label][0]
+            environment = record["worker"]["environment"]
+            docs[label]["run_record"] = {
+                **{key: environment[key] for key in
+                   ("nproc", "cpus_usable", "python", "numpy", "scipy", "thread_env")},
+                "measurement": record["measurement"],
+                "seconds": seconds,
+            }
+            results = [result for _, _, _, result in raw[label]]
+            names = results[0]["metrics"]
+            traced_record, traced = run_perfbench(trees[label], workload, 1, seconds, 1)
+            docs[label]["workloads"][workload] = {
+                "runs": [
+                    {"seed": seed, "position": position, "correct": result["correct"],
+                     "attempted": result["attempted"], "failed": result["failed"]}
+                    for seed, position, _, result in raw[label]
+                ],
+                "end_to_end": {
+                    name: {"unit": names[name]["unit"],
+                           **summary([r["metrics"][name]["value"] for r in results])}
+                    for name in names
+                },
+                "per_layer": {
+                    "seed": traced_record["seed"],
+                    "correct": traced["correct"],
+                    "metrics": traced["metrics"],
+                },
+            }
+    return docs
+
+
+def compare(old: dict, new: dict, bench: dict) -> int:
+    """Print the deltas of new against old; 1 if a metric worsens beyond its bound."""
+    spec = {metric["name"]: metric for metric in bench["end_to_end"]}
+    worse = 0
+    print(f"{old['label']} -> {new['label']}")
+    for workload, old_w in old["workloads"].items():
+        new_w = new["workloads"].get(workload)
+        if new_w is None:
+            continue
+        print(f"\n{workload}")
+        print(f"  {'metric':<12} {'old':>12} {'new':>12} {'delta':>8} {'won':>6} {'old IQR':>10}")
+        for name, metric in spec.items():
+            a, b = old_w["end_to_end"].get(name), new_w["end_to_end"].get(name)
+            if a is None or b is None:
+                continue
+            sign = 1 if metric["better"] == "lower" else -1
+            change = (b["median"] - a["median"]) / a["median"] if a["median"] else 0.0
+            old_by_seed = dict(zip((r["seed"] for r in old_w["runs"]), a["values"]))
+            pairs = [(old_by_seed[r["seed"]], v)
+                     for r, v in zip(new_w["runs"], b["values"]) if r["seed"] in old_by_seed]
+            won = sum(sign * (y - x) < 0 for x, y in pairs)
+            iqr = a["q3"] - a["q1"]
+            flag = ""
+            if sign * change > metric["bound"]:
+                flag, worse = "  WORSE", worse + 1
+            elif won >= 0.9 * len(pairs) and sign * (b["median"] - a["median"]) < -iqr:
+                flag = "  GAIN"
+            print(f"  {name:<12} {a['median']:>12.6g} {b['median']:>12.6g} {change:>+8.1%} "
+                  f"{won:>3}/{len(pairs):<2} {iqr:>10.3g}{flag}")
+        old_layers = old_w["per_layer"]["metrics"]
+        new_layers = new_w["per_layer"]["metrics"]
+        print("  traced per-layer (one run each):")
+        for name, a in old_layers.items():
+            b = new_layers.get(name)
+            if b is None:
+                continue
+            change = f"{(b['value'] - a['value']) / a['value']:+8.1%}" if a["value"] else ""
+            print(f"    {name:<44} {a['value']:>12.6g} {b['value']:>12.6g} {change}")
+    return 1 if worse else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH",
+                        help="a checkout to measure; give one or more")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.compare:
+        old, new = (json.loads(Path(p).read_text()) for p in args.compare)
+        return compare(old, new, bench)
+    if not args.tree:
+        parser.error("give --tree LABEL=PATH at least once, or --compare OLD NEW")
+    trees = {}
+    for item in args.tree:
+        label, sep, path = item.partition("=")
+        if not sep or not label or not (Path(path) / "perfbench" / "run.py").is_file():
+            parser.error(f"--tree expects LABEL=PATH of a checkout with perfbench/, got {item!r}")
+        trees[label] = Path(path).resolve()
+    docs = measure(trees, RUNS, bench["run_seconds"])
+    for label, doc in docs.items():
+        path = Path(f"BENCH_{label}.json")
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
