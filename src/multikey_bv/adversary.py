@@ -10,6 +10,7 @@ recovery is exact.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -217,10 +218,10 @@ def quantum_coupon_experiment(
     trial after trial, so trial t starts t * m words into the stream.
     With a PCG64 or PCG64DXSM generator, whose `advance` skips exactly
     that many words, the blocks are split into contiguous shares of
-    whole blocks (`simulator._share_count`: one per usable CPU, at most
-    half the blocks, and one under 4 blocks).  The first share draws
-    from `rng` itself and each other one, on its own thread, from a copy
-    advanced to its first trial (`simulator._run_shares`).  The
+    whole blocks (`_share_count`: one per usable CPU, at most half the
+    blocks, and one under 4 blocks).  The first share draws from `rng`
+    itself and each other one, on its own thread, from a copy advanced
+    to its first trial (`_advanced`, `_run_shares`).  The
     full-trial count and `rng`'s end state are those of one share, bit
     for bit.  Each share allocates its block's buffers (uniforms, then
     bucket numbers, words and trial words, or indices and the bitmap)
@@ -254,7 +255,7 @@ def quantum_coupon_experiment(
     else:
         full_trials = _bitmap_trials
     blocks = -(-trials // rows)
-    shares = simulator._share_count(blocks) if type(rng.bit_generator) in _JUMPABLE else 1
+    shares = _share_count(blocks) if type(rng.bit_generator) in _JUMPABLE else 1
     bounds = [blocks * w // shares * rows for w in range(shares)] + [trials]
     rngs = [rng] + [_advanced(rng, first * m) for first in bounds[1:-1]]
     counts: list[int] = []
@@ -263,7 +264,7 @@ def quantum_coupon_experiment(
         share_rng, first, stop = share
         counts.append(full_trials(sampler, share_rng, k, m, stop - first, rows, cols))
 
-    simulator._run_shares(list(zip(rngs, bounds, bounds[1:])), draw)
+    _run_shares(list(zip(rngs, bounds, bounds[1:])), draw)
     if shares > 1:
         # `rng` ends where the last share's copy does, keeping the
         # buffered 32-bit half that `advance` clears and `random` never reads.
@@ -280,6 +281,58 @@ def _advanced(rng: np.random.Generator, words: int) -> np.random.Generator:
     copy.bit_generator.state = rng.bit_generator.state
     copy.bit_generator.advance(words)
     return copy
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so `taskset` narrows it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_count(units: int) -> int:
+    """Shares to split `units` disjoint units of work into: one per usable
+    CPU, but at most half the units, so a share has at least two.  Under
+    4 units it is one, with no CPU count read."""
+    return 1 if units < 4 else min(_usable_cpus(), units // 2)
+
+
+def _run_shares(shares, walk) -> None:
+    """Call `walk` on each of `shares`, all but the first on threads.
+
+    One share is walked here, with no thread started.  numpy releases
+    the interpreter lock inside its kernels and rng calls, so the shares
+    overlap.  The calling thread walks the first share, every thread is
+    joined before this returns, and the first error a worker share
+    raised is raised here.
+    """
+    if len(shares) == 1:
+        walk(shares[0])
+        return
+    # Imported here, so that a run with only small work never loads it.
+    import threading
+
+    errors: list[BaseException] = []
+
+    def guarded(share) -> None:
+        try:
+            walk(share)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for share in shares[1:]:
+            thread = threading.Thread(target=guarded, args=(share,))
+            thread.start()
+            threads.append(thread)
+        walk(shares[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _word_trials(sampler, rng, k, m, trials, rows, cols) -> int:

@@ -57,18 +57,11 @@ parts shrunk that way are stacked to take the rest of the run together
 (`_Stack`).  The test reads the amplitudes' bits only, so it holds for
 any state.  A part under one tile, as every part of a state under 16
 qubits is, drops nothing, and an unsorted layer drops only in its last
-run.  A layer over 4 tiles or more splits them into interleaved shares,
-one per usable CPU, and walks all but the first on threads
-(`_in_shares`); tile w of every W, because the nonzero tiles sit in the
-first control rows.  Smaller states, every circuit up
-to 17 qubits, stay in the calling thread.  The tiles are disjoint and
-each gets the same operations in the same order, so the result is
-bit-identical whatever the CPU count; `taskset` pins a run to one CPU.
-The coupon experiment in `adversary` splits its trial blocks by the
-same rule (`_share_count`) and runs them through the same threads
-(`_run_shares`).  Each controlled key unitary swaps the odd-parity
-amplitudes of its branch one data tile at a time, as a masked XOR of
-the amplitudes' uint64 words, which moves every bit.  The gates give
+run.  Every layer runs in the calling thread, and nothing here reads
+the CPU count, so the result is the same bytes on any number of CPUs.
+Each controlled key unitary swaps the odd-parity amplitudes of its
+branch one data tile at a time, as a masked XOR of the amplitudes'
+uint64 words, which moves every bit.  The gates give
 results bit-identical to the textbook pair formula applied one gate at
 a time, and no gate writes an amplitude the circuit leaves at zero.
 The fast path (`oracle_path="fast"`) returns the `CircuitSpec`, which
@@ -92,7 +85,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -109,17 +101,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # tile before moving to the next.  For qubits below _TILE_BITS a tile is
 # 2^16 contiguous amplitudes, or the whole state if that is smaller
 # (512 KB of float64, 1 MB for a complex state, within a core's L2
-# cache).  Tiles are also the unit a layer splits across CPUs: a state
-# of 4 tiles or more is walked in interleaved shares, one per usable
-# CPU, each with its own tile-sized buffers (`_in_shares`), and a
-# smaller one in the calling thread alone.  The tile also bounds the
-# controlled key unitary's data tiles and mask words and the chunks in
-# which the data marginal is summed.  Every live part of a tile, whole
-# or not, takes each run of ascending Hadamards as constant-geometry
-# stages (`_stages`): three ufunc calls per qubit between two buffers,
-# in the natural layout.  Only whole tiles drop zero halves, and they
-# stack what they keep once it is under _MIN_RUN amplitudes (`_Stack`);
-# a high-qubit tile spans column chunks of at least _MIN_RUN.
+# cache).  The tile also bounds the controlled key unitary's data tiles
+# and mask words and the chunks in which the data marginal is summed.
+# Every live part of a tile, whole or not, takes each run of ascending
+# Hadamards as constant-geometry stages (`_stages`): three ufunc calls
+# per qubit between two buffers, in the natural layout.  Only whole
+# tiles drop zero halves, and they stack what they keep once it is under
+# _MIN_RUN amplitudes (`_Stack`); a high-qubit tile spans column chunks
+# of at least _MIN_RUN.
 _TILE_BITS = 16
 _TILE = 1 << _TILE_BITS
 _MIN_RUN = 1 << 12
@@ -496,11 +485,10 @@ def _gate_layer(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     `kernel` is `_hadamard_row_bit` or `_x_row_bit`.  Every amplitude
     goes through the gate's pair formula once per listed qubit, in list
     order, exactly as in one-qubit calls; only the order in which tiles
-    are visited, and the thread that visits them, changes, so the result
-    is bit-identical.  Amplitudes whose bits are all zero, such as the
-    rows of a register still in |0..0>, are skipped a tile or a block at
-    a time: both gates map them to themselves bit for bit.  A state of
-    any size takes the same walk.
+    are visited changes, so the result is bit-identical.  Amplitudes
+    whose bits are all zero, such as the rows of a register still in
+    |0..0>, are skipped a tile or a block at a time: both gates map them
+    to themselves bit for bit.  A state of any size takes the same walk.
     """
     if max(qubits) < _TILE_BITS:
         _low_qubit_pass(amps, qubits, kernel)
@@ -520,31 +508,27 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     last block with a set bit (`_live_length`); the blocks after it are
     all +0.0.  Every live part takes `_stages`.  A whole live tile may
     drop zero halves in the layer's last run and hand what is left of it
-    to the share's `_Stack`, built at the share's first whole live tile;
-    a shorter part, every part of a state under one tile, drops nothing.
+    to the layer's `_Stack`, built at its first whole live tile; a
+    shorter part, every part of a state under one tile, drops nothing.
     """
     top = max(qubits) + 1
     width = min(amps.size, _TILE)
     # Stages are Hadamards; an X layer takes the kernel qubit by qubit.
     runs = _ascending_runs(qubits) if kernel is _hadamard_row_bit else [(q, 1) for q in qubits]
-
-    def walk(starts: range) -> None:
-        scratch = np.empty(width // 2, amps.dtype)
-        spare = np.empty(width, amps.dtype)
-        stack = None
-        for start in starts:
-            tile = amps[start:start + width]
-            end = _live_length(tile, 1 << top)
-            if end == _TILE:
-                if stack is None:
-                    stack = _Stack(*runs[-1])
-                _stages(tile, spare, runs, kernel, scratch, stack)
-            elif end:
-                _stages(tile[:end], spare[:end], runs, kernel, scratch)
-        if stack is not None:
-            stack.flush()
-
-    _in_shares(range(0, amps.size, width), walk)
+    scratch = np.empty(width // 2, amps.dtype)
+    spare = np.empty(width, amps.dtype)
+    stack = None
+    for start in range(0, amps.size, width):
+        tile = amps[start:start + width]
+        end = _live_length(tile, 1 << top)
+        if end == _TILE:
+            if stack is None:
+                stack = _Stack(*runs[-1])
+            _stages(tile, spare, runs, kernel, scratch, stack)
+        elif end:
+            _stages(tile[:end], spare[:end], runs, kernel, scratch)
+    if stack is not None:
+        stack.flush()
 
 
 def _ascending_runs(qubits: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -678,9 +662,9 @@ def _drop_stages(
 
 
 class _Stack:
-    """What whole tiles of one share of a gate layer keep after dropping
-    halves, stacked along the block axis to take the rest of the layer's
-    last run, on qubits first .. first + length - 1, together.
+    """What whole tiles of a gate layer keep after dropping halves,
+    stacked along the block axis to take the rest of the layer's last
+    run, on qubits first .. first + length - 1, together.
 
     A tile's part arrives once it has shrunk below _MIN_RUN amplitudes,
     where a stage's fixed cost outweighs its work, or once the run is
@@ -778,87 +762,14 @@ def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     view = amps.reshape(-1, 1 << (top - low), 1 << low)
     height = view.shape[1]
     width = max(_TILE // height, _MIN_RUN)
-    chunks = range(0, view.shape[2], width)
-
-    def walk(tiles: list[np.ndarray]) -> None:
-        scratch = np.empty(height * width // 2, amps.dtype)
-        for tile in tiles:
+    scratch = np.empty(height * width // 2, amps.dtype)
+    for rows in view:
+        for start in range(0, view.shape[2], width):
+            tile = rows[:, start:start + width]
             if _is_zero(tile):
                 continue
             for qubit in qubits:
                 kernel(tile, qubit - low, scratch)
-
-    _in_shares([rows[:, start:start + width] for rows in view for start in chunks], walk)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (so `taskset` narrows it), else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _share_count(units: int) -> int:
-    """Shares to split `units` disjoint units of work into: one per usable
-    CPU, but at most half the units, so a share has at least two.  Under
-    4 units it is one, with no CPU count read."""
-    return 1 if units < 4 else min(_usable_cpus(), units // 2)
-
-
-def _in_shares(tiles, walk) -> None:
-    """Call `walk` on interleaved shares of `tiles` (`_share_count`).
-
-    The tiles of a layer are disjoint, and `walk` makes its own buffers
-    for each share, so every tile gets the same operations in the same
-    order whatever the share count: the result is bit-identical.  Shares
-    are interleaved (`tiles[w::W]`) because the nonzero tiles of a
-    circuit state sit at the low end, in its first control rows;
-    contiguous shares would leave one CPU with most of them.
-    """
-    workers = _share_count(len(tiles))
-    if workers == 1:
-        # Most layers, those of small states, build no share list.
-        walk(tiles)
-    else:
-        _run_shares([tiles[w::workers] for w in range(workers)], walk)
-
-
-def _run_shares(shares, walk) -> None:
-    """Call `walk` on each of `shares`, all but the first on threads.
-
-    One share is walked here, with no thread started.  numpy releases
-    the interpreter lock inside its kernels and rng calls, so the shares
-    overlap.  The calling thread walks the first share, every thread is
-    joined before this returns, and the first error a worker share
-    raised is raised here.
-    """
-    if len(shares) == 1:
-        walk(shares[0])
-        return
-    # Imported here, so that a run with only small work never loads it.
-    import threading
-
-    errors: list[BaseException] = []
-
-    def guarded(share) -> None:
-        try:
-            walk(share)
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    threads = []
-    try:
-        for share in shares[1:]:
-            thread = threading.Thread(target=guarded, args=(share,))
-            thread.start()
-            threads.append(thread)
-        walk(shares[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | CircuitSpec:

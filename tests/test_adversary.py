@@ -338,7 +338,7 @@ class TestChunkedDraws:
         # A block of 2^16 draws takes 512 KiB per array of uniforms,
         # bucket numbers or indices, once per share: the 10^6 trials
         # split into 4 shares here, the single trial into one.
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(adversary, "_usable_cpus", lambda: 4)
         ks = keyset(*texts)
         tracemalloc.start()
         try:
@@ -356,18 +356,18 @@ class TestChunkedDraws:
         A short thread switch interval makes the shares interleave finely.
         """
         used = []
-        run_shares = simulator._run_shares
+        run_shares = adversary._run_shares
 
         def spy(shares, walk):
             used.append(len(shares))
             run_shares(shares, walk)
 
         def run(cpus, ks, m, trials, rng):
-            monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(adversary, "_usable_cpus", lambda: cpus)
             rate = quantum_coupon_experiment(ks, m, trials, rng, oracle_path="fast")
             return rate, used.pop()
 
-        monkeypatch.setattr(simulator, "_run_shares", spy)
+        monkeypatch.setattr(adversary, "_run_shares", spy)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

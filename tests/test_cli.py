@@ -345,8 +345,8 @@ def test_sample_does_not_import_scipy_stats():
 
 
 def test_toy_runs_import_no_thread_pool():
-    # Only states of 4 tiles or more split a layer across threads, and
-    # they use plain threading; a toy CLI run loads no pool module.
+    # Only a coupon draw of 4 blocks or more splits across threads, and
+    # it uses plain threading; a toy CLI run loads no pool module.
     script = (
         "import contextlib, io, sys, threading\n"
         "pools = {'concurrent.futures.thread', 'concurrent.futures.process',\n"

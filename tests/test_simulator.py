@@ -3,7 +3,8 @@
 import hashlib
 import itertools
 import math
-import sys
+import os
+import random
 import threading
 import tracemalloc
 
@@ -20,7 +21,7 @@ from multikey_bv import (
     measure_data_register,
     run_circuit,
 )
-from multikey_bv import simulator
+from multikey_bv import adversary, simulator
 from multikey_bv.simulator import (
     OutcomeSampler,
     StateVector,
@@ -39,21 +40,6 @@ def random_keyset(rng: np.random.Generator, n: int, k: int) -> KeySet:
 
 
 LAYER_QUBITS = 19
-
-
-@pytest.fixture(params=[1, 2, 3])
-def workers(request, monkeypatch):
-    """Gate layers split across this many workers, whatever the CPU count.
-
-    A short thread switch interval makes the shares interleave finely.
-    """
-    monkeypatch.setattr(simulator, "_usable_cpus", lambda: request.param)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield request.param
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def bits(amps: np.ndarray) -> np.ndarray:
@@ -208,15 +194,13 @@ class TestGates:
         with pytest.raises(InputError):
             st.apply_hadamard(3)
 
-    def test_blocked_gates_bit_identical_to_pair_formula(self, workers):
+    def test_blocked_gates_bit_identical_to_pair_formula(self):
         from multikey_bv.simulator import _TILE_BITS
 
         total = 19
         # Qubits below _TILE_BITS run the low-qubit pass over several
-        # tiles, the others the high-qubit pass; both must be exercised,
-        # each with at least two tiles per share.
+        # tiles, the others the high-qubit pass; both must be exercised.
         assert _TILE_BITS < total - 1
-        assert 1 << (total - _TILE_BITS) >= 2 * workers
         rng = np.random.default_rng(19)
         amps = rng.normal(size=1 << total) + 1j * rng.normal(size=1 << total)
         amps /= np.linalg.norm(amps)
@@ -226,7 +210,7 @@ class TestGates:
             st = StateVector(total - 1, 0, amps.copy()).apply_x(q)
             assert np.array_equal(st.amps, pair_formula(amps, (q,), "x")), f"X on qubit {q}"
 
-    def test_x_on_zero_and_negative_zero_blocks_matches_plain_swap(self, workers):
+    def test_x_on_zero_and_negative_zero_blocks_matches_plain_swap(self):
         from multikey_bv.simulator import _MIN_RUN, _TILE, _TILE_BITS
 
         total = 19
@@ -259,45 +243,6 @@ class TestGates:
             swapped = amps.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
             st = StateVector(total - 1, 0, amps.copy()).apply_x(q)
             assert np.array_equal(bits(st.amps), bits(swapped)), f"X on qubit {q}"
-
-    def test_error_in_a_worker_share_raised_by_the_layer(self, monkeypatch):
-        class KernelError(Exception):
-            pass
-
-        caller = threading.current_thread()
-        kernel = simulator._hadamard_row_bit
-
-        def failing_off_the_caller(block, bit, scratch):
-            if threading.current_thread() is not caller:
-                raise KernelError("raised in a worker share")
-            kernel(block, bit, scratch)
-
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(simulator, "_hadamard_row_bit", failing_off_the_caller)
-        before = threading.active_count()
-        st = StateVector(LAYER_QUBITS - 1, 0, random_state(LAYER_QUBITS, 41))
-        with pytest.raises(KernelError, match="raised in a worker share"):
-            st.apply_hadamard(0)
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_multi_worker_layer_joins_its_threads(self, monkeypatch, cpus):
-        started = []
-        start = threading.Thread.start
-
-        def counted(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(threading.Thread, "start", counted)
-        before = threading.active_count()
-        st = StateVector(LAYER_QUBITS - 1, 0, random_state(LAYER_QUBITS, 43))
-        # Qubits 0-15 take the low-qubit pass and 16-18 the high one.
-        st.apply_hadamard(*range(LAYER_QUBITS))
-        assert threading.active_count() == before
-        assert len(started) == 2 * (cpus - 1)
-        assert not any(thread.is_alive() for thread in started)
 
     # apply_hadamard(*qubits) against one-qubit calls in sequence.
 
@@ -556,13 +501,12 @@ class TestGates:
         qubits = tuple(range(top))
         assert np.array_equal(bits(apply_layer(amps, qubits, "h")), bits(pair_formula(amps, qubits, "h")))
 
-    @pytest.mark.parametrize("workers", [1, 3], indirect=True)
     @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
-    def test_multi_tile_layer_drops_bit_identical(self, workers, dtype):
+    def test_multi_tile_layer_drops_bit_identical(self, dtype):
         # 2^19 amplitudes, 8 tiles: some tiles planted along every qubit,
         # one only along the low qubits, one only along the odd qubits (it
         # reaches the stack after other stages, with other qubits dropped,
-        # than the tiles of its share before it), one dense and one all +0.0.
+        # than the tiles before it), one dense and one all +0.0.
         total = LAYER_QUBITS
         tile = 1 << simulator._TILE_BITS
         parts = []
@@ -580,9 +524,9 @@ class TestGates:
             layer = apply_layer(amps, qubits, "h")
             assert np.array_equal(bits(layer), bits(expected)), qubits
 
-    def test_stack_flushes_at_one_tile(self, workers):
-        # Every tile drops only the half along qubit 0, so each reaches its
-        # share's stack at the end of the run with half a tile kept: a
+    def test_stack_flushes_at_one_tile(self):
+        # Every tile drops only the half along qubit 0, so each reaches the
+        # layer's stack at the end of the run with half a tile kept: the
         # stack holds two of them, and flushes before taking a third.
         amps = planted_state(LAYER_QUBITS, {0: True}, 3, np.float64)
         qubits = tuple(range(simulator._TILE_BITS))
@@ -1024,11 +968,9 @@ class TestRunCircuit:
             tracemalloc.stop()
         assert peak < 96 * 2**20
 
-    @pytest.mark.parametrize("workers", [1, 3], indirect=True)
-    def test_gate_path_digest_at_workload_size(self, workers):
+    def test_gate_path_digest_at_workload_size(self):
         # Six 19-bit keys, random.Random(7).sample(range(1 << 19), 6): a
-        # 23-qubit state whose every amplitude and marginal bit is pinned,
-        # whatever the number of workers its layers are split across.
+        # 23-qubit state whose every amplitude and marginal bit is pinned.
         ks = KeySet((339563, 158176, 414002, 50631, 75954, 98702), 19)
         st = run_circuit(ks)
         assert hashlib.sha256(st.amps.tobytes()).hexdigest() == (
@@ -1038,17 +980,23 @@ class TestRunCircuit:
             "66829cfa67de35f030b32dfbb13e34d1b5e16067836be9fef6e89ccb782fc5a2"
         )
 
-    @pytest.mark.parametrize("total", range(3, 15))
-    def test_small_states_start_no_thread(self, monkeypatch, total):
-        # States under 4 tiles run every layer in the calling thread and
-        # never read the CPU count.  The shapes are those of the
-        # small-circuits workload: control width 0 to 3, k at and just
-        # above a power of two, all keys distinct or one duplicated.
+    @pytest.fixture
+    def no_threads(self, monkeypatch):
+        """Fail the test if a thread starts or the CPU count is read: every
+        gate layer runs in the calling thread, whatever the state's size."""
         def refuse(*args):
-            raise AssertionError("a small state started a thread or read the CPU count")
+            raise AssertionError("a gate layer started a thread or read the CPU count")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        monkeypatch.setattr(simulator, "_usable_cpus", refuse)
+        monkeypatch.setattr(adversary, "_usable_cpus", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", refuse, raising=False)
+        monkeypatch.setattr(os, "cpu_count", refuse)
+
+    @pytest.mark.parametrize("total", range(3, 15))
+    def test_small_states_start_no_thread(self, no_threads, total):
+        # The shapes of the small-circuits workload: control width 0 to 3,
+        # k at and just above a power of two, all keys distinct or one
+        # duplicated.
         rng = np.random.default_rng(total)
         for r in range(4):
             n = total - 1 - r
@@ -1061,6 +1009,22 @@ class TestRunCircuit:
                     assert exact_distribution(run_circuit(ks)) == pytest.approx(
                         exact_distribution(run_circuit(ks, oracle_path="fast")), abs=1e-12
                     )
+
+    def test_multi_tile_states_start_no_thread(self, no_threads):
+        # States of 4 tiles and more: a 19-qubit layer through both
+        # passes, an X through the high-qubit pass, and the 18-qubit
+        # circuit of six 14-bit keys.
+        amps = random_state(LAYER_QUBITS, 47)
+        qubits = tuple(range(LAYER_QUBITS))
+        layer = StateVector(LAYER_QUBITS - 1, 0, amps.copy()).apply_hadamard(*qubits)
+        assert np.array_equal(bits(layer.amps), bits(pair_formula(amps, qubits, "h")))
+        flipped = StateVector(LAYER_QUBITS - 1, 0, amps.copy()).apply_x(simulator._TILE_BITS + 1)
+        assert np.array_equal(bits(flipped.amps), bits(pair_formula(amps, (simulator._TILE_BITS + 1,), "x")))
+        ks = KeySet(tuple(random.Random(7).sample(range(1 << 14), 6)), 14)
+        assert ks.n + 1 + control_width(ks.k) == 18
+        assert exact_distribution(run_circuit(ks)) == pytest.approx(
+            exact_distribution(run_circuit(ks, oracle_path="fast")), abs=1e-12
+        )
 
     def test_unknown_path(self):
         with pytest.raises(InputError):
