@@ -20,6 +20,7 @@ import csv
 import functools
 import io
 import math
+import os
 import secrets
 import sys
 import time
@@ -454,13 +455,17 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _open_out(out_path: str, mode: str):
+    try:
+        return open(out_path, mode)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc.strerror}") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out_path}: {exc.strerror}") from None
+        with _open_out(out_path, "w") as fh:
+            fh.write(text)
         print(f"wrote {out_path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -554,7 +559,16 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(argv)
     t0 = time.perf_counter()
+    created = False
     try:
+        if args.out:
+            # --out is checked before the run, so an unwritable path is
+            # refused before any work.  Opening for append keeps an
+            # existing file's bytes; a file this check creates is removed
+            # unless the run writes it.
+            existed = os.path.exists(args.out)
+            _open_out(args.out, "a").close()
+            created = not existed
         record, rows = args.func(args)
         record["wall_time_s"] = time.perf_counter() - t0
         if args.format == "json":
@@ -564,12 +578,16 @@ def main(argv=None) -> int:
         else:
             text = _render_text(record, rows)
         _emit(text, args.out)
+        created = False
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    finally:
+        if created:
+            os.remove(args.out)
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ Entries:
 - every op of the three benchmark workloads at seed 5
   (`perfbench/workloads.py`, 971 ops);
 - refusal probes: inputs the CLI must refuse with exit 2 or 3;
-- the README CLI examples (an example without `--seed` is recorded
-  with `--seed 7`, since an unseeded run is not reproducible);
+- the README CLI examples, which no other test runs (an example
+  without `--seed` is recorded with `--seed 7`, since an unseeded run
+  is not reproducible);
 - one seeded run of each command with every other flag at its default;
 - fast-path state dumps beyond the gate path's qubit cap.
 

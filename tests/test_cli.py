@@ -236,6 +236,46 @@ class TestBeyondQubitCap:
             in err
         )
 
+    def test_fast_state_dump_lists_every_amplitude(self, capsys, wide_keys):
+        # The 2k = 20,000 amplitudes come from the closed form.
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "simulate", "--keys", wide_keys, "--seed", "7",
+                "--oracle-path", "fast", "--dump-state",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK, err
+        assert peak < 64 * 2**20
+        amps = json.loads(out)["results"]["statevector"]["amplitudes"]
+        assert len(amps) == 20_000 and all(len(a["basis"]) == 79 for a in amps)
+
+    def test_key_set_layer(self, capsys, wide_keys):
+        # Values plus one bit matrix: the profile matches the per-key
+        # count, the multiplicity lists the values in first-occurrence
+        # order once each, the bit-sum estimate charges n * 1024 queries,
+        # and analyze refuses k > 4096 once the keys are parsed.
+        texts = wide_keys.split(",")
+        values = [int(t, 2) for t in texts]
+        tracemalloc.start()
+        try:
+            keys = KeySet.from_strings(texts)
+            profile = multikey_bv.bit_sum_profile(keys)
+            mult = multikey_bv.multiplicity(keys)
+            oracle = multikey_bv.ClassicalOracle(keys, np.random.default_rng(7))
+            multikey_bv.estimate_bit_sums(oracle, 1024)
+            code, _, err = run(capsys, "analyze", "--keys", wide_keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert profile == tuple(sum(v >> q & 1 for v in values) for q in range(64))
+        assert mult.distinct == tuple(values) and set(mult.counts) == {1}
+        assert oracle.queries == 65_536
+        assert code == EXIT_CAPACITY and "at most 4096 keys" in err
+
 
 class TestSample:
     def test_histogram_record(self, capsys):
@@ -975,6 +1015,45 @@ class TestDeterminism:
         assert code == EXIT_INPUT
         assert out == ""
         assert err == f"input error: cannot write {path}: {reason}\n"
+
+    def test_unwritable_out_refused_before_the_run(self, capsys, monkeypatch):
+        # Eight 20-bit keys make a 24-qubit gate-path state of 128 MiB.
+        keys = ",".join(
+            format(v, "020b") for v in random.Random(7).sample(range(1 << 20), 8)
+        )
+
+        def entered(*args, **kwargs):
+            raise AssertionError("run_circuit entered")
+
+        monkeypatch.setattr(cli, "run_circuit", entered)
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "simulate", "--keys", keys, "--seed", "7",
+                "--out", "/nonexistent/dir/x.csv",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (
+            "input error: cannot write /nonexistent/dir/x.csv: No such file or directory\n"
+        )
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("before", [b"an earlier run\n", None], ids=["existing", "new"])
+    def test_refused_run_leaves_out_as_it_was(self, capsys, tmp_path, before):
+        # The --out check opens the path before the run, which is then
+        # refused: an existing file keeps its bytes, and no file is left
+        # where there was none.
+        path = tmp_path / "run.json"
+        if before is not None:
+            path.write_bytes(before)
+        code, out, _ = run(
+            capsys, "simulate", "--keys", "0" * 30 + "1", "--seed", "7", "--out", str(path)
+        )
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert (path.read_bytes() if path.exists() else None) == before
 
 
 class TestArgumentParsing:

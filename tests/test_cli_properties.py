@@ -1,6 +1,7 @@
 """Property tests (Hypothesis) over the four CLI commands: every drawn
 argument list is answered (exit 0) or refused (exit 2 or 3) with nothing
-on stdout, and no other exception escapes `cli.main`; every answered
+on stdout, under 4 MB traced and with no --out file left, and no other
+exception escapes `cli.main`; every answered
 `simulate --dump-state` lists the final state's 2k amplitudes; the
 JSON writer gives the bytes of `json.dumps(indent=2)`."""
 
@@ -9,11 +10,14 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from math import comb, prod
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.special  # noqa: F401  loaded before tracing, as sample's chi-square loads it
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
@@ -42,33 +46,49 @@ def ints(small_lo: int, small_hi: int, boundary: list[int]):
     )
 
 
+class KeySpec(NamedTuple):
+    """k keys of n bits from a seeded generator: random, distinct, or k
+    copies of one.  Drawn in place of the keys themselves, so that a
+    failing draw of 4096 keys is reported with a short repr."""
+
+    k: int
+    n: int
+    seed: int
+    pick: str
+
+    def values(self) -> list[int]:
+        k, n = self.k, self.n
+        rng = np.random.default_rng(self.seed)
+        if self.pick == "copies":
+            return [int(rng.integers(1 << min(n, 62)))] * k
+        if self.pick == "distinct" and k <= 1 << n:
+            return [int(v) for v in rng.choice(1 << min(n, 62), size=k, replace=False)]
+        return [int(v) for v in rng.integers(1 << min(n, 62), size=k)]
+
+    def text(self) -> str:
+        return ",".join(format(v, f"0{self.n}b") for v in self.values())
+
+
 @st.composite
-def key_values(draw):
-    """(n, values): small key sets, or 4096 keys of 12 or 64 bits."""
+def key_specs(draw):
+    """Small key sets, or 4096 keys of 12 or 64 bits."""
     if draw(st.integers(0, 9)) == 0:
         k, n = 4096, draw(st.sampled_from([12, 64]))
     else:
         k, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pick = draw(st.sampled_from(["random", "distinct", "copies"]))
-    if pick == "copies":
-        values = [int(rng.integers(1 << min(n, 62)))] * k
-    elif pick == "distinct" and k <= 1 << n:
-        values = [int(v) for v in rng.choice(1 << min(n, 62), size=k, replace=False)]
-    else:
-        values = [int(v) for v in rng.integers(1 << min(n, 62), size=k)]
-    return n, values
+    seed = draw(st.integers(0, 2**32 - 1))
+    return KeySpec(k, n, seed, draw(st.sampled_from(["random", "distinct", "copies"])))
 
 
 @st.composite
 def keys_flag(draw):
-    """(argv, parsed): a well-formed --keys flag with its (n, values), or
-    a malformed one with None."""
+    """(argv, parsed): a well-formed --keys flag, whose value is a
+    KeySpec, with its (n, values), or a malformed one with None."""
     if draw(st.integers(0, 5)) == 0:
         text = draw(st.sampled_from(["", ",", "01,1", "012", "0b1", " , 10", "1" * 70]))
         return ["--keys", text], None
-    n, values = draw(key_values())
-    return ["--keys", ",".join(format(v, f"0{n}b") for v in values)], (n, values)
+    spec = draw(key_specs())
+    return ["--keys", spec], (spec.n, spec.values())
 
 
 def range_text():
@@ -189,37 +209,46 @@ def argvs(draw):
 @given(argvs(), st.sampled_from([None, "run.out", "missing/run.out", ""]))
 def test_every_command_answers_or_refuses(argv, out_path):
     """`out_path` joined to a fresh temporary directory: absent, a new
-    file, a path under a missing directory, or the directory itself."""
+    file, a path under a missing directory, or the directory itself.  A
+    refusal comes before the work: it allocates under 4 MB and leaves no
+    new file."""
+    argv = [arg.text() if isinstance(arg, KeySpec) else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if out_path is not None:
             argv = argv + ["--out", os.path.join(tmp, out_path)]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse refuses with exit 2
-                code = exc.code
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refuses with exit 2
+                    code = exc.code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        left = os.listdir(tmp)
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CAPACITY), (code, err.getvalue())
     if code != cli.EXIT_OK:
         assert out.getvalue() == ""
         assert err.getvalue()
+        assert peak < 4 * 2**20, (code, err.getvalue())
+        assert left == []
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(key_values(), st.sampled_from(["gate", "fast"]))
-def test_every_state_dump_lists_2k_amplitudes(parsed, path):
+@given(key_specs(), st.sampled_from(["gate", "fast"]))
+def test_every_state_dump_lists_2k_amplitudes(spec, path):
     """k^(-1/2) sum_i |i>|->|s_i> has one amplitude per control branch i
     and target value, duplicate keys included."""
-    n, values = parsed
-    k = len(values)
+    n, k = spec.n, spec.k
     # The gate path allocates the dense state for the dump; the fast
     # path lists the closed form's amplitudes at any width.
     total = n + 1 + (k - 1).bit_length()
     if path == "gate":
         assume(total <= MAX_GATE_QUBITS or total > QUBIT_CAP)
     argv = [
-        "simulate", "--keys", ",".join(format(v, f"0{n}b") for v in values),
-        "--seed", "1", "--dump-state", "--oracle-path", path,
+        "simulate", "--keys", spec.text(), "--seed", "1", "--dump-state", "--oracle-path", path,
     ]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

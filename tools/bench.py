@@ -3,9 +3,11 @@
 Each tree is a checkout of this repository given as LABEL=PATH.  For
 every workload, run i runs `perfbench/run.py --seed i` once on every
 tree, the trees alternating which goes first, so that pairs of runs
-share a seed and sit next to each other in time.  Then one traced run
-per tree gives the per-layer metrics.  perfbench/ itself is run as it
-is, from each tree's own checkout.  BENCH_<label>.json files go to the
+share a seed and sit next to each other in time.  Then three traced
+runs per tree, alternated the same way, give the per-layer metrics,
+each stored as the median of its three values: with one traced run
+per tree, host drift reads as layer deltas.  perfbench/ itself is run
+as it is, from each tree's own checkout.  BENCH_<label>.json files go to the
 current directory.  The runs are fixed, so that every BENCH file is
 measured alike: 10 of small-circuits and 5 of each other workload, each
 as long as BENCHMARK.json's run_seconds.  For a quick look at one
@@ -17,11 +19,12 @@ workload, run `perfbench/run.py --workload W --seconds S` directly.
 
 --compare prints, per workload and end-to-end metric, the medians, the
 delta of the medians, the pairs the new file wins and the old file's
-interquartile range, then the traced per-layer deltas.  It marks with
-WORSE each end-to-end metric whose median worsens by more than its
-BENCHMARK.json bound, and then exits 1.  It marks with GAIN each one
-that improves in at least nine tenths of the pairs by more than the
-old interquartile range.
+interquartile range, then the traced per-layer deltas and how many
+traced runs each file holds (BENCH files written before the median
+hold one).  It marks with WORSE each end-to-end metric whose median
+worsens by more than its BENCHMARK.json bound, and then exits 1.  It
+marks with GAIN each one that improves in at least nine tenths of the
+pairs by more than the old interquartile range.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = {"small-circuits": 10, "dense-23q": 5, "classical-analysis": 5}
+TRACED_RUNS = 3
 RUN_TIMEOUT_S = 600
 
 
@@ -88,15 +92,21 @@ def measure(trees: dict[str, Path], runs: dict[str, int], seconds: int) -> dict[
         label: {"label": label, "tree": tree_identity(path), "workloads": {}}
         for label, path in trees.items()
     }
-    for workload, count in runs.items():
+
+    def alternated(workload: str, count: int, trace: int) -> dict[str, list]:
+        """(seed, position, record, result) of runs 1..count per label."""
         raw = {label: [] for label in labels}
         for seed in range(1, count + 1):
             shift = (seed - 1) % len(labels)
             for position, label in enumerate(labels[shift:] + labels[:shift]):
-                record, result = run_perfbench(trees[label], workload, seed, seconds, 0)
+                record, result = run_perfbench(trees[label], workload, seed, seconds, trace)
                 raw[label].append((seed, position, record, result))
-                print(f"{workload} seed {seed} {label}: op_p50_ms "
-                      f"{result['metrics']['op_p50_ms']['value']:.4f}", file=sys.stderr)
+                print(f"{workload} seed {seed} trace {trace} {label}", file=sys.stderr)
+        return raw
+
+    for workload, count in runs.items():
+        raw = alternated(workload, count, 0)
+        traced_raw = alternated(workload, TRACED_RUNS, 1)
         for label in labels:
             _, _, record, _ = raw[label][0]
             environment = record["worker"]["environment"]
@@ -108,7 +118,7 @@ def measure(trees: dict[str, Path], runs: dict[str, int], seconds: int) -> dict[
             }
             results = [result for _, _, _, result in raw[label]]
             names = results[0]["metrics"]
-            traced_record, traced = run_perfbench(trees[label], workload, 1, seconds, 1)
+            traced = [result for _, _, _, result in traced_raw[label]]
             docs[label]["workloads"][workload] = {
                 "runs": [
                     {"seed": seed, "position": position, "correct": result["correct"],
@@ -121,9 +131,14 @@ def measure(trees: dict[str, Path], runs: dict[str, int], seconds: int) -> dict[
                     for name in names
                 },
                 "per_layer": {
-                    "seed": traced_record["seed"],
-                    "correct": traced["correct"],
-                    "metrics": traced["metrics"],
+                    "seeds": [record["seed"] for _, _, record, _ in traced_raw[label]],
+                    "correct": all(result["correct"] for result in traced),
+                    "traced_runs": len(traced),
+                    "metrics": {
+                        name: {**metric, "value": statistics.median(
+                            result["metrics"][name]["value"] for result in traced)}
+                        for name, metric in traced[0]["metrics"].items()
+                    },
                 },
             }
     return docs
@@ -160,7 +175,8 @@ def compare(old: dict, new: dict, bench: dict) -> int:
                   f"{won:>3}/{len(pairs):<2} {iqr:>10.3g}{flag}")
         old_layers = old_w["per_layer"]["metrics"]
         new_layers = new_w["per_layer"]["metrics"]
-        print("  traced per-layer (one run each):")
+        counts = [w["per_layer"].get("traced_runs", 1) for w in (old_w, new_w)]
+        print("  traced per-layer, medians ({} old and {} new traced runs):".format(*counts))
         for name, a in old_layers.items():
             b = new_layers.get(name)
             if b is None:
