@@ -218,10 +218,13 @@ def quantum_coupon_experiment(
     trial after trial, so trial t starts t * m words into the stream.
     With a PCG64 or PCG64DXSM generator, whose `advance` skips exactly
     that many words, the blocks are split into contiguous shares of
-    whole blocks (`_share_count`: one per usable CPU, at most half the
-    blocks, and one under 4 blocks).  The first share draws from `rng`
-    itself and each other one, on its own thread, from a copy advanced
-    to its first trial (`_advanced`, `_run_shares`).  The
+    whole blocks: one per usable CPU, at most half the blocks, and one
+    under 4 blocks.  The calling thread draws the first share from
+    `rng` itself; a standard-library thread pool draws each other one
+    from a copy advanced to its first trial (`_advanced`), and raises
+    a worker's error here once every thread is joined.  numpy releases
+    the interpreter lock inside its kernels and rng calls, so the
+    shares overlap.  A one-share draw starts no thread.  The
     full-trial count and `rng`'s end state are those of one share, bit
     for bit.  Each share allocates its block's buffers (uniforms, then
     bucket numbers, words and trial words, or indices and the bitmap)
@@ -255,24 +258,30 @@ def quantum_coupon_experiment(
     else:
         full_trials = _bitmap_trials
     blocks = -(-trials // rows)
-    shares = _share_count(blocks) if type(rng.bit_generator) in _JUMPABLE else 1
+    shares = 1
+    if blocks >= 4 and type(rng.bit_generator) in _JUMPABLE:
+        shares = min(_usable_cpus(), blocks // 2)
+    if shares == 1:
+        return full_trials(sampler, rng, k, m, trials, rows, cols) / trials
+    # Imported here, so that a one-share draw never loads the pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = [blocks * w // shares * rows for w in range(shares)] + [trials]
-    rngs = [rng] + [_advanced(rng, first * m) for first in bounds[1:-1]]
-    counts: list[int] = []
-
-    def draw(share) -> None:
-        share_rng, first, stop = share
-        counts.append(full_trials(sampler, share_rng, k, m, stop - first, rows, cols))
-
-    _run_shares(list(zip(rngs, bounds, bounds[1:])), draw)
-    if shares > 1:
-        # `rng` ends where the last share's copy does, keeping the
-        # buffered 32-bit half that `advance` clears and `random` never reads.
-        start = rng.bit_generator.state
-        end = rngs[-1].bit_generator.state
-        end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
-        rng.bit_generator.state = end
-    return sum(counts) / trials
+    copies = [_advanced(rng, first * m) for first in bounds[1:-1]]
+    with ThreadPoolExecutor(shares - 1) as pool:
+        futures = [
+            pool.submit(full_trials, sampler, copy, k, m, stop - first, rows, cols)
+            for copy, first, stop in zip(copies, bounds[1:], bounds[2:])
+        ]
+        full = full_trials(sampler, rng, k, m, bounds[1], rows, cols)
+        full += sum(future.result() for future in futures)
+    # `rng` ends where the last share's copy does, keeping the buffered
+    # 32-bit half that `advance` clears and `random` never reads.
+    start = rng.bit_generator.state
+    end = copies[-1].bit_generator.state
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    rng.bit_generator.state = end
+    return full / trials
 
 
 def _advanced(rng: np.random.Generator, words: int) -> np.random.Generator:
@@ -289,50 +298,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _share_count(units: int) -> int:
-    """Shares to split `units` disjoint units of work into: one per usable
-    CPU, but at most half the units, so a share has at least two.  Under
-    4 units it is one, with no CPU count read."""
-    return 1 if units < 4 else min(_usable_cpus(), units // 2)
-
-
-def _run_shares(shares, walk) -> None:
-    """Call `walk` on each of `shares`, all but the first on threads.
-
-    One share is walked here, with no thread started.  numpy releases
-    the interpreter lock inside its kernels and rng calls, so the shares
-    overlap.  The calling thread walks the first share, every thread is
-    joined before this returns, and the first error a worker share
-    raised is raised here.
-    """
-    if len(shares) == 1:
-        walk(shares[0])
-        return
-    # Imported here, so that a run with only small work never loads it.
-    import threading
-
-    errors: list[BaseException] = []
-
-    def guarded(share) -> None:
-        try:
-            walk(share)
-        except BaseException as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    threads = []
-    try:
-        for share in shares[1:]:
-            thread = threading.Thread(target=guarded, args=(share,))
-            thread.start()
-            threads.append(thread)
-        walk(shares[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _word_trials(sampler, rng, k, m, trials, rows, cols) -> int:

@@ -351,23 +351,25 @@ class TestChunkedDraws:
     @pytest.fixture
     def shares_run(self, monkeypatch):
         """Run the coupon experiment on the fast path at a given usable-CPU
-        count; return its rate and the number of shares it drew in.
+        count; return its rate and the number of shares it drew in: one
+        more than the advanced copies of the caller's generator.
 
         A short thread switch interval makes the shares interleave finely.
         """
-        used = []
-        run_shares = adversary._run_shares
+        copies = []
+        advanced = adversary._advanced
 
-        def spy(shares, walk):
-            used.append(len(shares))
-            run_shares(shares, walk)
+        def spy(rng, words):
+            copies.append(words)
+            return advanced(rng, words)
 
         def run(cpus, ks, m, trials, rng):
             monkeypatch.setattr(adversary, "_usable_cpus", lambda: cpus)
+            copies.clear()
             rate = quantum_coupon_experiment(ks, m, trials, rng, oracle_path="fast")
-            return rate, used.pop()
+            return rate, len(copies) + 1
 
-        monkeypatch.setattr(adversary, "_run_shares", spy)
+        monkeypatch.setattr(adversary, "_advanced", spy)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

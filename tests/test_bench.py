@@ -1,0 +1,68 @@
+"""`tools/bench.py --compare` on small hand-made BENCH documents."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def document(label, wall_s, seeds=None):
+    """A BENCH document of one workload whose `wall_s` runs read `wall_s`."""
+    seeds = seeds or range(1, len(wall_s) + 1)
+    return {
+        "label": label,
+        "workloads": {
+            "classical-analysis": {
+                "runs": [{"seed": seed} for seed in seeds],
+                "end_to_end": {"wall_s": {"unit": "s", **bench.summary(wall_s)}},
+                "per_layer": {"metrics": {}, "traced_runs": 3},
+            }
+        },
+    }
+
+
+def compared(capsys, old, new):
+    code = bench.compare(old, new, BENCHMARK)
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if "wall_s" in line]
+    return code, line
+
+
+def test_worse_past_the_bound_exits_1(capsys):
+    code, line = compared(capsys, document("old", [1.0] * 5), document("new", [1.3] * 5))
+    assert code == 1
+    assert line.endswith("WORSE")
+
+
+def test_gain_at_nine_of_ten_pairs_beyond_the_old_iqr(capsys):
+    old = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    # Nine runs are 10% faster than their pair, one is slower.
+    new = [0.9 * x for x in old[:9]] + [1.2]
+    code, line = compared(capsys, document("old", old), document("new", new))
+    assert code == 0
+    assert " 9/10" in line and line.endswith("GAIN")
+
+
+def test_eight_of_ten_pairs_are_no_gain(capsys):
+    old = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    new = [0.9 * x for x in old[:8]] + [1.2, 1.2]
+    code, line = compared(capsys, document("old", old), document("new", new))
+    assert code == 0
+    assert " 8/10" in line and not line.endswith("GAIN")
+
+
+@pytest.mark.parametrize("seeds", [range(1, 6), range(6, 11)])
+def test_no_gain_without_same_seed_pairs(capsys, seeds):
+    old = document("old", [1.0, 1.0, 1.0, 1.0, 1.0])
+    new = document("new", [0.5] * 5, seeds=seeds)
+    code, line = compared(capsys, old, new)
+    assert code == 0
+    paired = seeds == range(1, 6)
+    assert line.endswith("GAIN") == paired
+    assert (" 5/5" if paired else " 0/0") in line

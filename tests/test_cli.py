@@ -385,8 +385,8 @@ def test_sample_does_not_import_scipy_stats():
 
 
 def test_toy_runs_import_no_thread_pool():
-    # Only a coupon draw of 4 blocks or more splits across threads, and
-    # it uses plain threading; a toy CLI run loads no pool module.
+    # Only a coupon draw of 4 blocks or more splits across threads, on
+    # the standard library's thread pool; a toy CLI run loads no pool module.
     script = (
         "import contextlib, io, sys, threading\n"
         "pools = {'concurrent.futures.thread', 'concurrent.futures.process',\n"
@@ -402,6 +402,27 @@ def test_toy_runs_import_no_thread_pool():
         "new = (pools & set(sys.modules)) - before\n"
         "assert not new, f'thread-pool modules imported: {sorted(new)}'\n"
         "assert threading.active_count() == 1, threading.enumerate()\n"
+    )
+    assert_runs_fresh(script)
+
+
+def test_one_cpu_coupon_draw_starts_no_thread():
+    # 10^5 trials of 12 draws are 19 blocks, enough to split, but one
+    # usable CPU makes one share: no thread starts and no pool loads.
+    script = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "from multikey_bv import adversary, simulator\n"
+        "from multikey_bv.keyspace import KeySet\n"
+        "assert -(-10**5 // (simulator._SHOT_CHUNK // 12)) >= 4\n"
+        "adversary._usable_cpus = lambda: 1\n"
+        "def refuse(self):\n"
+        "    raise AssertionError('a one-share draw started a thread')\n"
+        "threading.Thread.start = refuse\n"
+        "keys = KeySet.from_strings(['0001', '0011', '1011', '1110'])\n"
+        "rate = adversary.quantum_coupon_experiment(keys, 12, 10**5, np.random.default_rng(7))\n"
+        "assert 0.8 < rate < 0.95, rate\n"
+        "assert 'concurrent.futures.thread' not in sys.modules, 'the thread pool was imported'\n"
     )
     assert_runs_fresh(script)
 

@@ -23,8 +23,9 @@ interquartile range, then the traced per-layer deltas and how many
 traced runs each file holds (BENCH files written before the median
 hold one).  It marks with WORSE each end-to-end metric whose median
 worsens by more than its BENCHMARK.json bound, and then exits 1.  It
-marks with GAIN each one that improves in at least nine tenths of the
-pairs by more than the old interquartile range.
+marks with GAIN each one whose median improves by more than the old
+interquartile range and that improves in at least nine tenths of the
+same-seed pairs; with no such pair it marks no GAIN.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def compare(old: dict, new: dict, bench: dict) -> int:
             flag = ""
             if sign * change > metric["bound"]:
                 flag, worse = "  WORSE", worse + 1
-            elif won >= 0.9 * len(pairs) and sign * (b["median"] - a["median"]) < -iqr:
+            elif pairs and won >= 0.9 * len(pairs) and sign * (b["median"] - a["median"]) < -iqr:
                 flag = "  GAIN"
             print(f"  {name:<12} {a['median']:>12.6g} {b['median']:>12.6g} {change:>+8.1%} "
                   f"{won:>3}/{len(pairs):<2} {iqr:>10.3g}{flag}")
