@@ -49,16 +49,18 @@ swaps amplitude pairs through the same tiled layer, with the same skip.
 The skip extends to halves: in the layer's last run of ascending
 qubits, after a stage on a qubit, a whole tile whose blocks each have
 an all +0.0 half along that qubit takes the run's later stages on the
-other halves alone, and is zeroed and written back once at the end.
-The final data layer, a single run, leaves such a half at every qubit,
-as it interferes control branch i onto |s_i>, so it transforms about
-two tiles' worth of amplitudes per nonzero tile, not one per gate;
-parts shrunk that way are stacked to take the rest of the run together
-(`_Stack`).  The test reads the amplitudes' bits only, so it holds for
-any state.  A part under one tile, as every part of a state under 16
-qubits is, drops nothing, and an unsorted layer drops only in its last
-run.  Every layer runs in the calling thread, and nothing here reads
-the CPU count, so the result is the same bytes on any number of CPUs.
+other halves alone.  The final data layer, a single run, leaves such a
+half at every qubit, as it interferes control branch i onto |s_i>, so
+it transforms about two tiles' worth of amplitudes per nonzero tile,
+not one per gate; parts shrunk that way are stacked to take the rest of
+the run together (`_Stack`), and each such tile is zeroed as soon as
+its kept amplitudes are copied out, while it is still in cache, so the
+stack only writes them back.  The test reads the amplitudes' bits only,
+so it holds for any state.  A part under one tile, as every part of a
+state under 16 qubits is, drops nothing, and an unsorted layer drops
+only in its last run.  Every layer runs in the calling thread, and
+nothing here reads the CPU count, so the result is the same bytes on
+any number of CPUs.
 Each controlled key unitary swaps the odd-parity amplitudes of its
 branch one data tile at a time, as a masked XOR of the amplitudes'
 uint64 words, which moves every bit.  The gates give
@@ -69,6 +71,20 @@ stands for the closed-form final state (1/sqrt(k)) sum_i |i>|->|s_i>
 without gates or amplitudes; its only nonzero amplitudes are
 +1/sqrt(2k) at (control i, target 0, data s_i) and -1/sqrt(2k) at
 (control i, target 1, data s_i).
+
+A state that `run_circuit` builds with at least one tile (2^16
+amplitudes) carries a live map: one bool per chunk of 4096 amplitudes,
+False only where every bit of the chunk is zero.  Each gate reads the
+map instead of scanning, skipping dead tiles unread, and marks what it
+may have left nonzero: a 23-qubit circuit of six keys ends with 192 of
+its 2048 chunks live, those of the 12 tiles its last pass transformed.
+`data_marginal` and `nonzero_amplitudes` then read only live chunks.
+The map is trusted only while `amps` is read-only: `run_circuit`
+returns such a state read-only, and a gate method on it thaws the
+array, keeps the map up to date and freezes it again.  A caller who
+makes the array writable disowns the map, which readers then ignore and
+the next gate drops, and a state a caller builds has none, so it takes
+the scans above.  The results are the same bytes either way.
 
 `exact_distribution` is the one route from either final state to
 outcome probabilities, keyed by outcome value; for a spec it reads the
@@ -112,6 +128,10 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _TILE_BITS = 16
 _TILE = 1 << _TILE_BITS
 _MIN_RUN = 1 << 12
+
+# A live map (see the module docstring) has one bool per chunk of
+# _MIN_RUN amplitudes, _TILE_CHUNKS per tile.
+_TILE_CHUNKS = _TILE // _MIN_RUN
 
 # `_is_zero` counts the nonzero words of a scan shorter than this, and
 # takes the max of a longer one: in cache, counting 64-512 words took
@@ -234,7 +254,7 @@ class StateVector:
     stored as float64 and any other as complex128.
     """
 
-    __slots__ = ("n", "r", "amps")
+    __slots__ = ("n", "r", "amps", "_live")
 
     def __init__(self, n: int, r: int, amps: np.ndarray | None = None):
         check_register(n, r)
@@ -254,6 +274,28 @@ class StateVector:
                     f"amplitude array has shape {amps.shape}, expected ({dim},)"
                 )
         self.amps = amps
+        self._live = None
+
+    def _thaw(self) -> np.ndarray | None:
+        """Make a mapped state's amplitudes writable for a gate and return
+        its live map, or None if the map may be stale.
+
+        The map is trusted only while `amps` is read-only, so only a
+        gate that found it read-only may use and update it; a gate
+        refreezes the array when it is done.  A writable array with a
+        map has been thawed by some caller, who may have written it.
+        """
+        if self.amps.flags.writeable:
+            self._live = None
+            return None
+        self.amps.flags.writeable = True
+        return self._live
+
+    def _trusted_live(self) -> np.ndarray | None:
+        """The live map, for a reader, while it may be trusted."""
+        if self._live is None or self.amps.flags.writeable:
+            return None
+        return self._live
 
     @property
     def total_qubits(self) -> int:
@@ -281,13 +323,19 @@ class StateVector:
         """
         for qubit in qubits:
             self._check_qubit(qubit)
-        _gate_layer(self.amps, qubits, _hadamard_row_bit)
+        live = None if self._live is None else self._thaw()
+        _gate_layer(self.amps, qubits, _hadamard_row_bit, live)
+        if live is not None:
+            self.amps.flags.writeable = False
         return self
 
     def apply_x(self, qubit: int) -> "StateVector":
         """Apply X to one qubit, through the same tiled layer as H."""
         self._check_qubit(qubit)
-        _gate_layer(self.amps, (qubit,), _x_row_bit)
+        live = None if self._live is None else self._thaw()
+        _gate_layer(self.amps, (qubit,), _x_row_bit, live)
+        if live is not None:
+            self.amps.flags.writeable = False
         return self
 
     def apply_controlled_key_unitary(self, i: int, value: int) -> "StateVector":
@@ -309,6 +357,7 @@ class StateVector:
         # holds uint64 words, all ones on each word of an odd amplitude,
         # and a tile pair swaps there as a masked XOR of its words, which
         # moves every bit (-0.0 and NaN payloads included).
+        live = None if self._live is None else self._thaw()
         width = 1 << min(self.n, _TILE_BITS)
         words = self.amps.itemsize // 8
         odd = np.arange(width, dtype=np.uint64)
@@ -327,6 +376,15 @@ class StateVector:
             diff &= masks[(t * width & value).bit_count() & 1]
             lo ^= diff
             hi ^= diff
+        if live is not None:
+            # Each half may now hold what either held.  Halves shorter
+            # than a chunk lie in their row's one chunk, which the swap
+            # leaves live or dead as it was.
+            if 1 << self.n >= _MIN_RUN:
+                halves = live.reshape(1 << self.r, 2, -1)[i]
+                halves[0] |= halves[1]
+                halves[1] = halves[0]
+            self.amps.flags.writeable = False
         return self
 
     def prepare_uniform(self, k: int) -> "StateVector":
@@ -345,9 +403,15 @@ class StateVector:
         if k == 1:
             return self
         rows = self.amps.reshape(1 << self.r, -1)
-        # One scan settles the usual all-zero tail; only a tail with a
-        # set bit has its squared magnitudes summed.
-        clean = _is_zero(rows[1:])
+        width = rows.shape[1]
+        # One scan settles the usual all-zero tail, unless the live map
+        # already shows it dead; only a tail with a set bit has its
+        # squared magnitudes summed.
+        live = self._trusted_live()
+        if live is not None and not live[width // _MIN_RUN:].any():
+            clean = True
+        else:
+            clean = _is_zero(rows[1:])
         if not clean and _sum_squares(rows[1:]) > 1e-20:
             raise InputError(
                 "uniform preparation requires the control register in |0..0>"
@@ -355,12 +419,24 @@ class StateVector:
         if k == (1 << control_width(k)):
             first = self.n + 1
             return self.apply_hadamard(*range(first, first + control_width(k)))
+        if live is not None:
+            live = self._thaw()
+            rows = self.amps.reshape(1 << self.r, -1)
         rows[0] *= 1.0 / math.sqrt(k)
         rows[1:k] = rows[0]
         # Rows from k on passed the check above, so they are (near) zero;
         # they are written only when some bit of the tail is set.
         if not clean:
             rows[k:] = 0.0
+        if live is not None:
+            if width >= _MIN_RUN:
+                marks = live.reshape(len(rows), -1)
+                marks[1:k] = marks[0]
+                marks[k:] = False
+            else:
+                # Rows share chunks: mark those that hold rows below k.
+                live[:] = np.arange(live.size) * _MIN_RUN < k * width
+            self.amps.flags.writeable = False
         return self
 
     def data_marginal(self) -> np.ndarray:
@@ -378,13 +454,30 @@ class StateVector:
         chunk whose every bit is zero (`_is_zero`), as most of a wide
         final state is, is skipped: the total holds sums of squares, all
         +0.0 or above, and adding +0.0 to one changes no bit.
+
+        A state from `run_circuit` reads only the chunks its live map
+        marks.  With wide rows it adds each run of live chunks to its
+        columns, in ascending order, so each column still gets its rows
+        in order.  With whole rows per chunk of _TILE, it skips a dead
+        tile and writes +0.0 squares for a dead chunk of a live one.
         """
         rows = self.amps.reshape(-1, 1 << self.n)
         width = min(rows.shape[1], _TILE)
         step = min(_TILE // width, rows.shape[0])
         total = np.zeros(rows.shape[1])
+        live = self._trusted_live()
         if step == 1:
             buf = np.empty(width)
+            if live is not None:
+                # A run of live chunks stays within a tile, so here
+                # within one row.
+                for start, stop in _live_runs(live):
+                    part = buf[:stop - start]
+                    np.abs(self.amps[start:stop], out=part)
+                    np.square(part, out=part)
+                    col = start % rows.shape[1]
+                    total[col:col + part.size] += part
+                return total
             for col in range(0, rows.shape[1], width):
                 block = total[col:col + width]
                 for row in rows[:, col:col + width]:
@@ -395,11 +488,21 @@ class StateVector:
                     block += buf
             return total
         buf = np.empty((step + 1, width))
+        # A mapped state's chunk of rows here is one tile.
+        marks = None if live is None else live.reshape(-1, _TILE_CHUNKS)
         for start in range(0, rows.shape[0], step):
             chunk = rows[start:start + step]
             part = buf[:len(chunk) + 1]
+            tile = None if marks is None else marks[start // step]
+            if tile is None or tile.all():
+                np.abs(chunk, out=part[1:])
+            elif tile.any():
+                squares = part[1:].reshape(len(tile), -1)
+                squares[tile] = np.abs(chunk.reshape(len(tile), -1)[tile])
+                squares[~tile] = 0.0
+            else:
+                continue
             part[0] = total
-            np.abs(chunk, out=part[1:])
             np.square(part[1:], out=part[1:])
             part.sum(axis=0, out=total)
         return total
@@ -422,11 +525,14 @@ class StateVector:
 
     def nonzero_amplitudes(self) -> Iterator[tuple[int, np.number]]:
         """Yield (basis index, amplitude) for each amplitude above 1e-12
-        in magnitude, in ascending index order."""
+        in magnitude, in ascending index order.  A state from
+        `run_circuit` searches only the chunks its live map marks."""
         amps = self.amps
-        for i in np.flatnonzero(amps).tolist():
-            if abs(amps[i]) > 1e-12:
-                yield i, amps[i]
+        live = self._trusted_live()
+        for start, stop in [(0, amps.size)] if live is None else _live_runs(live):
+            for i in (np.flatnonzero(amps[start:stop]) + start).tolist():
+                if abs(amps[i]) > 1e-12:
+                    yield i, amps[i]
 
     def __repr__(self) -> str:
         return f"StateVector(n={self.n}, r={self.r}, dim={self.dim})"
@@ -479,7 +585,19 @@ def _sum_squares(rows: np.ndarray) -> float:
     return sum(float(np.square(parts[s:s + _TILE]).sum()) for s in range(0, parts.size, _TILE))
 
 
-def _gate_layer(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
+def _live_runs(live: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(start, stop) amplitude offsets of each run of live chunks, split at
+    tile boundaries, in ascending order."""
+    marks = live.reshape(-1, _TILE_CHUNKS).view(np.int8)
+    # Each tile's row of the map, padded dead at both ends, flips
+    # between the start and the end of a run.
+    flips = np.flatnonzero(np.diff(marks, axis=1, prepend=0, append=0))
+    tile, chunk = np.divmod(flips, _TILE_CHUNKS + 1)
+    offsets = ((tile * _TILE_CHUNKS + chunk) * _MIN_RUN).tolist()
+    return zip(offsets[0::2], offsets[1::2])
+
+
+def _gate_layer(amps: np.ndarray, qubits: tuple[int, ...], kernel, live: np.ndarray | None = None) -> None:
     """Apply one single-qubit gate to each qubit in turn, a tile at a time.
 
     `kernel` is `_hadamard_row_bit` or `_x_row_bit`.  Every amplitude
@@ -489,18 +607,20 @@ def _gate_layer(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     whose bits are all zero, such as the rows of a register still in
     |0..0>, are skipped a tile or a block at a time: both gates map them
     to themselves bit for bit.  A state of any size takes the same walk.
+    Given the state's live map, a pass skips the tiles whose chunks it
+    marks dead without reading them, and marks what it may leave nonzero.
     """
     if max(qubits) < _TILE_BITS:
-        _low_qubit_pass(amps, qubits, kernel)
+        _low_qubit_pass(amps, qubits, kernel, live)
         return
     for low, run in itertools.groupby(qubits, key=lambda q: q < _TILE_BITS):
         if low:
-            _low_qubit_pass(amps, tuple(run), kernel)
+            _low_qubit_pass(amps, tuple(run), kernel, live)
         else:
-            _high_qubit_pass(amps, tuple(run), kernel)
+            _high_qubit_pass(amps, tuple(run), kernel, live)
 
 
-def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
+def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel, live: np.ndarray | None) -> None:
     """The gate on qubits below _TILE_BITS, over tiles of up to _TILE amplitudes.
 
     Gates on qubits below t = max(qubits) + 1 mix amplitudes only within
@@ -510,6 +630,9 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     drop zero halves in the layer's last run and hand what is left of it
     to the layer's `_Stack`, built at its first whole live tile; a
     shorter part, every part of a state under one tile, drops nothing.
+    With a live map, a tile with no live chunk is skipped before
+    `_live_length`.  A part left in place marks the chunks up to its
+    end, and the stack marks those where it writes kept amplitudes.
     """
     top = max(qubits) + 1
     width = min(amps.size, _TILE)
@@ -518,17 +641,30 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
     scratch = np.empty(width // 2, amps.dtype)
     spare = np.empty(width, amps.dtype)
     stack = None
+    if live is not None:
+        marks = live.reshape(-1, _TILE_CHUNKS)
+        tiles, placed, ends = marks.any(axis=1).tolist(), [], []
     for start in range(0, amps.size, width):
+        if live is not None and not tiles[start // width]:
+            continue
         tile = amps[start:start + width]
         end = _live_length(tile, 1 << top)
         if end == _TILE:
             if stack is None:
-                stack = _Stack(*runs[-1])
-            _stages(tile, spare, runs, kernel, scratch, stack)
+                stack = _Stack(amps, live, *runs[-1])
+            left = _stages(tile, spare, runs, kernel, scratch, drop=True)
+            if left is not None:
+                stack.add(start, *left)
+                continue
         elif end:
             _stages(tile[:end], spare[:end], runs, kernel, scratch)
+        if live is not None:
+            placed.append(start // width)
+            ends.append(end)
     if stack is not None:
         stack.flush()
+    if live is not None and placed:
+        marks[placed] = np.arange(_TILE_CHUNKS) * _MIN_RUN < np.array(ends)[:, None]
 
 
 def _ascending_runs(qubits: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -548,8 +684,8 @@ def _stages(
     runs: list[tuple[int, int]],
     kernel,
     scratch: np.ndarray,
-    stack: _Stack | None = None,
-) -> None:
+    drop: bool = False,
+) -> tuple | None:
     """The layer's gates on `part`, a live part of at most one tile, one
     run of `runs` at a time.
 
@@ -561,10 +697,11 @@ def _stages(
     the second, and so rotates the index right by one bit (`_stage`).
     Stage i thus pairs qubit q0 + i, with the ufuncs `_hadamard_row_bit`
     applies to the same operands, so the result is bit-identical, and
-    after L stages the index is back in natural order.  Given a `stack`,
+    after L stages the index is back in natural order.  With `drop`,
     the part is a whole tile, whose last run may drop zero halves
-    (`_drop_stages`); once it has, what is left of the part goes to the
-    stack, which writes it back.  Otherwise the part ends in place.
+    (`_drop_stages`); once it has, this returns (src, stage, dropped,
+    kept) of what is left, for the layer's `_Stack`.  Otherwise the part
+    ends in place and this returns None.
     """
     buf, other = part, spare
     for j, (first, length) in enumerate(runs):
@@ -572,13 +709,12 @@ def _stages(
             kernel(buf.reshape(-1, 1), first, scratch)
             continue
         shape = (-1, 1 << length, 1 << first)
-        if stack is not None and j + 1 == len(runs):
+        if drop and j + 1 == len(runs):
             src, buf, other, stage, dropped, kept = _drop_stages(
                 buf.reshape(shape), buf, other, length, until=_MIN_RUN
             )
             if dropped:
-                stack.add(part, src, stage, dropped, kept)
-                return
+                return src, stage, dropped, kept
             continue
         # The views of a stage from each buffer into the other.
         views = [_stage_views(src.reshape(shape), out) for src, out in ((buf, other), (other, buf))]
@@ -588,6 +724,7 @@ def _stages(
             buf, other = other, buf
     if buf is not part:
         part[...] = buf
+    return None
 
 
 def _stage_views(src: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -668,35 +805,39 @@ class _Stack:
 
     A tile's part arrives once it has shrunk below _MIN_RUN amplitudes,
     where a stage's fixed cost outweighs its work, or once the run is
-    done.  Parts stack while they agree on the stages done and the
-    qubits dropped, up to one tile of amplitudes.  `flush` runs the
-    stages left, which may drop more halves, and writes each part back:
-    its tile is zeroed, then the kept amplitudes are written to their
-    places.  The stack's two buffers are allocated at the first part.
+    done.  `add` copies the kept amplitudes and zeroes the tile while it
+    is still in cache.  Parts stack while they agree on the stages done
+    and the qubits dropped, up to one tile of amplitudes.  `flush` runs
+    the stages left, which may drop more halves, and writes the kept
+    amplitudes to their places; given the state's live map, it marks
+    the chunks where it writes a set bit and no other chunk of those
+    tiles.  The stack's two buffers are allocated at the first part.
     """
 
-    def __init__(self, first: int, length: int):
+    def __init__(self, amps: np.ndarray, live: np.ndarray | None, first: int, length: int):
+        self.amps, self.live = amps, live
         self.first, self.length = first, length
         self.buffers = None
-        self.key, self.used, self.parts, self.kept = None, 0, [], []
+        self.key, self.used, self.starts, self.kept = None, 0, [], []
 
-    def add(self, part: np.ndarray, src: np.ndarray, stage: int, dropped: int, kept: np.ndarray) -> None:
-        """Take `part`, a whole tile, whose amplitudes kept after `stage`
-        stages are `src` (see `_drop_stages`)."""
+    def add(self, start: int, src: np.ndarray, stage: int, dropped: int, kept: np.ndarray) -> None:
+        """Take the whole tile at `start`, whose amplitudes kept after
+        `stage` stages are `src` (see `_drop_stages`)."""
         key = (stage, dropped)
-        if self.parts and (key != self.key or self.used + src.size > _TILE):
+        if self.starts and (key != self.key or self.used + src.size > _TILE):
             self.flush()
         if self.buffers is None:
-            self.buffers = tuple(np.empty(_TILE, part.dtype) for _ in range(2))
+            self.buffers = tuple(np.empty(_TILE, self.amps.dtype) for _ in range(2))
         np.copyto(self.buffers[0][self.used:self.used + src.size].reshape(src.shape), src)
+        self.amps[start:start + _TILE].fill(0)
         self.key = key
         self.used += src.size
-        self.parts.append(part)
+        self.starts.append(start)
         self.kept.append(kept)
 
     def flush(self) -> None:
         """Run the stages left on the stacked parts and write them back."""
-        if not self.parts:
+        if not self.starts:
             return
         stage, dropped = self.key
         rows = 1 << (self.length - dropped.bit_count())
@@ -705,17 +846,21 @@ class _Stack:
         kept = np.concatenate(self.kept)
         src, _, _, _, dropped, kept = _drop_stages(src, buf, free, self.length, stage, dropped, kept)
         # Row of each kept amplitude in its block when the dropped bits
-        # are 0, in natural order.
+        # are 0, in natural order, and that block's number in the state.
         places = np.flatnonzero(np.arange(1 << self.length) & dropped == 0)
-        first = 0
-        for part in self.parts:
-            blocks = part.reshape(-1, 1 << self.length, 1 << self.first)
-            count = len(blocks)
-            part.fill(0)
-            index = kept[first:first + count, None] | places
-            blocks[np.arange(count)[:, None], index] = src[first:first + count]
-            first += count
-        self.key, self.used, self.parts, self.kept = None, 0, [], []
+        bits = self.length + self.first
+        blocks = (np.array(self.starts)[:, None] >> bits) + np.arange(_TILE >> bits)
+        index = kept[:, None] | places
+        blocks = blocks.reshape(-1, 1)
+        self.amps.reshape(-1, 1 << self.length, 1 << self.first)[blocks, index] = src
+        if self.live is not None:
+            # Each kept row of 2^first amplitudes with a set bit lies in
+            # one chunk or spans whole chunks.
+            offsets = ((blocks << self.length | index) << self.first)[src.view(np.uint64).any(axis=2)]
+            span = np.arange(max((1 << self.first) // _MIN_RUN, 1))
+            self.live.reshape(-1, _TILE_CHUNKS)[np.array(self.starts) // _TILE] = False
+            self.live[(offsets // _MIN_RUN)[:, None] + span] = True
+        self.key, self.used, self.starts, self.kept = None, 0, [], []
 
 
 def _live_length(tile: np.ndarray, block: int) -> int:
@@ -751,25 +896,39 @@ def _live_length(tile: np.ndarray, block: int) -> int:
     return end
 
 
-def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel) -> None:
+def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel, live: np.ndarray | None) -> None:
     """The gate on qubits from _TILE_BITS up, as row bits over column chunks.
 
     Rows are indexed by the bits from the lowest to the highest listed
     qubit; a tile is every such row over one chunk of at least _MIN_RUN
-    contiguous columns.
+    contiguous columns.  A tile whose bits are all zero is skipped.
+    With a live map, so is a tile with no live chunk, without a scan,
+    and every chunk of a tile transformed is marked live, every chunk
+    of one skipped dead.
     """
     low, top = min(qubits), max(qubits) + 1
     view = amps.reshape(-1, 1 << (top - low), 1 << low)
     height = view.shape[1]
     width = max(_TILE // height, _MIN_RUN)
     scratch = np.empty(height * width // 2, amps.dtype)
-    for rows in view:
-        for start in range(0, view.shape[2], width):
+    if live is not None:
+        # marks[o, :, c]: the chunks of tile c of the rows at o.
+        marks = live.reshape(len(view), height, -1, width // _MIN_RUN)
+        done = marks.any(axis=(1, 3))
+        tiles = done.tolist()
+    for o, rows in enumerate(view):
+        for c, start in enumerate(range(0, view.shape[2], width)):
+            if live is not None and not tiles[o][c]:
+                continue
             tile = rows[:, start:start + width]
             if _is_zero(tile):
+                if live is not None:
+                    done[o, c] = False
                 continue
             for qubit in qubits:
                 kernel(tile, qubit - low, scratch)
+    if live is not None:
+        marks[...] = done[:, None, :, None]
 
 
 def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | CircuitSpec:
@@ -779,10 +938,13 @@ def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | Circui
     `StateVector`; the fast path returns the `CircuitSpec`, which stands
     for the closed-form final state without allocating it.  For both,
     `exact_distribution` gives b_t / k for each key t occurring b_t times.
+    A gate-path state of one tile or more comes back with its live map
+    and read-only amplitudes (`_start_state`); its gate methods still
+    apply, and a copy of `amps` can be written.
     """
     spec = build_circuit(keys)
     if oracle_path == "gate":
-        state = StateVector(spec.n, spec.r)
+        state = _start_state(spec.n, spec.r)
         # Each run of consecutive Hadamards is applied as one layer.
         for is_h, gates in itertools.groupby(spec.gates, key=lambda g: g[0] == "h"):
             if is_h:
@@ -794,6 +956,22 @@ def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | Circui
     if oracle_path == "fast":
         return spec
     raise InputError(f"unknown oracle path {oracle_path!r}; use 'gate' or 'fast'")
+
+
+def _start_state(n: int, r: int) -> StateVector:
+    """|0..0>, as `run_circuit` starts from it.
+
+    A state of one tile or more gets a live map, one bool per _MIN_RUN
+    amplitudes, False only where every bit is zero (so -0.0 counts as
+    nonzero), and read-only amplitudes: the map is trusted only while
+    they are.  |0..0> is live in chunk 0 alone.
+    """
+    state = StateVector(n, r)
+    if state.dim >= _TILE:
+        state._live = np.zeros(state.dim // _MIN_RUN, bool)
+        state._live[0] = True
+        state.amps.flags.writeable = False
+    return state
 
 
 def _apply_gate(state: StateVector, spec: CircuitSpec, gate: tuple) -> None:

@@ -66,3 +66,46 @@ def test_no_gain_without_same_seed_pairs(capsys, seeds):
     paired = seeds == range(1, 6)
     assert line.endswith("GAIN") == paired
     assert (" 5/5" if paired else " 0/0") in line
+
+
+def interval(line):
+    """(ratio, low, high) printed on a metric's line."""
+    ratio, rest = line.split("[")
+    low, high = rest.split("]")[0].split(",")
+    return float(ratio.split()[-1]), float(low), float(high)
+
+
+WALL = [1.00, 1.04, 0.97, 1.10, 1.02, 0.99, 1.06, 1.01, 0.95, 1.08]
+
+
+def test_identical_files_give_an_interval_around_one(capsys):
+    code, line = compared(capsys, document("old", WALL), document("new", WALL))
+    assert code == 0
+    ratio, low, high = interval(line)
+    assert ratio == 1.0 and low <= 1.0 <= high
+
+
+def test_uniform_ten_percent_shift_excludes_one(capsys):
+    old = document("old", WALL)
+    # Each pair's ratio is 0.9 give or take 2%.
+    new = document("new", [0.9 * x * (1 + 0.02 * (i % 3 - 1)) for i, x in enumerate(WALL)])
+    _, line = compared(capsys, old, new)
+    ratio, low, high = interval(line)
+    assert low <= ratio <= high < 1.0
+    assert ratio == pytest.approx(0.9, abs=0.02)
+
+
+def test_interval_is_deterministic(capsys):
+    old = document("old", WALL)
+    new = document("new", [x * (0.9 + 0.05 * (i % 4)) for i, x in enumerate(WALL)])
+    lines = [compared(capsys, old, new)[1] for _ in range(2)]
+    assert lines[0] == lines[1]
+    low, high = interval(lines[0])[1:]
+    assert low < high
+
+
+def test_no_interval_without_same_seed_pairs(capsys):
+    old = document("old", WALL[:5])
+    new = document("new", WALL[:5], seeds=range(6, 11))
+    _, line = compared(capsys, old, new)
+    assert "[" not in line and line.split()[-1] == "-"

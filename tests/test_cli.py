@@ -108,6 +108,20 @@ class TestSimulate:
             [v for _, v in expected], abs=1e-10, rel=0
         )
 
+    def test_state_dump_through_the_live_map_keeps_its_bytes(self, capsys, monkeypatch):
+        # An 18-qubit gate-path state lists only its live chunks; started
+        # without a live map, the same run scans every amplitude and
+        # prints the same record, wall time aside.
+        keys = ",".join(format(v, "014b") for v in random.Random(18).sample(range(1 << 14), 6))
+        argv = ("simulate", "--keys", keys, "--seed", "1", "--dump-state")
+        outputs = [run(capsys, *argv)[1]]
+        monkeypatch.setattr(multikey_bv.simulator, "_start_state", multikey_bv.simulator.StateVector)
+        outputs.append(run(capsys, *argv)[1])
+        assert _WALL_TIME.sub("", outputs[0]) == _WALL_TIME.sub("", outputs[1])
+        record = json.loads(outputs[0])
+        assert record["results"]["total_qubits"] == 18
+        assert len(record["results"]["statevector"]["amplitudes"]) == 12
+
     @pytest.mark.parametrize("path", ["gate"])
     def test_state_dump_refused_beyond_qubit_cap(self, capsys, path):
         # A 32-qubit state would take 32 GiB; it is refused before any

@@ -1042,6 +1042,177 @@ class TestRunCircuit:
         assert np.max(np.abs(gate.amps - fast.to_statevector().amps)) < 1e-10
 
 
+
+def dead_chunks_are_zero(state: StateVector) -> bool:
+    """Whether every chunk the state's live map marks dead is all zero bits."""
+    chunks = bits(state.amps).reshape(len(state._live), -1)
+    return not chunks[~state._live].any()
+
+
+def gate_calls(spec, single: bool):
+    """The gate calls of the circuit: each run of Hadamards as one layer,
+    as `run_circuit` applies them, or with `single` one gate at a time."""
+    for is_h, gates in itertools.groupby(spec.gates, key=lambda g: g[0] == "h"):
+        gates = list(gates)
+        if is_h and not single:
+            yield ("h", *(gate[1] for gate in gates))
+        else:
+            yield from gates
+
+
+def apply_call(state: StateVector, spec, call) -> None:
+    if call[0] == "h":
+        state.apply_hadamard(*call[1:])
+    else:
+        simulator._apply_gate(state, spec, call)
+
+
+class TestLiveMap:
+    """The live map of a state from `run_circuit`: one bool per _MIN_RUN
+    amplitudes, False only where every bit is zero."""
+
+    @pytest.mark.parametrize(
+        "n,values,single",
+        [
+            # 17 qubits, k = 4 with a duplicate key: control Hadamards.
+            (14, (0x1234, 0x0fff, 0x1234, 0x2001), True),
+            # 18 qubits, k = 6: direct uniform preparation.
+            (14, (0x3fff, 0x0001, 0x2aaa, 0x1555, 0x0f0f, 0x3000), True),
+            # 17 qubits, k = 33 with a duplicate: rows of 2^11 amplitudes,
+            # under one chunk.
+            (10, tuple(range(0, 960, 30)) + (30,), True),
+            # 19 qubits, n = 16, k = 3 with a duplicate: data rows of
+            # whole tiles.
+            (16, (0xbeef, 0x0001, 0xbeef), True),
+            # 23 qubits: k = 6 with a duplicate, one gate at a time, and
+            # k = 8 in the layers run_circuit groups.
+            (19, (339563, 158176, 414002, 50631, 339563, 98702), True),
+            (19, (1, 2, 4, 8, 16, 32, 64, 1 << 18), False),
+        ],
+    )
+    def test_dead_chunks_hold_zero_bits_after_every_gate(self, n, values, single):
+        ks = KeySet(values, n)
+        spec = build_circuit(ks)
+        state = simulator._start_state(spec.n, spec.r)
+        plain = StateVector(spec.n, spec.r)
+        assert state._live is not None and dead_chunks_are_zero(state)
+        for call in gate_calls(spec, single):
+            apply_call(state, spec, call)
+            assert not state.amps.flags.writeable, call
+            assert dead_chunks_are_zero(state), call
+        for call in gate_calls(spec, False):
+            apply_call(plain, spec, call)
+        assert np.array_equal(bits(state.amps), bits(plain.amps))
+        assert np.array_equal(bits(state.data_marginal()), bits(plain.data_marginal()))
+        assert list(state.nonzero_amplitudes()) == list(plain.nonzero_amplitudes())
+
+    def test_key_unitary_marks_what_either_half_held(self):
+        # With the target at |1>, only the target-1 half of row 0 is live
+        # before the swap; the swap moves its odd amplitudes to the other.
+        states = [simulator._start_state(16, 1), StateVector(16, 1)]
+        for state in states:
+            state.apply_x(16).apply_hadamard(*range(16)).apply_controlled_key_unitary(0, 0xbeef)
+        assert dead_chunks_are_zero(states[0])
+        assert np.array_equal(bits(states[0].amps), bits(states[1].amps))
+
+    def test_run_circuit_state_is_read_only_and_gates_still_apply(self):
+        ks = KeySet((0x1234, 0x0fff, 0x1234, 0x2001, 0x0007), 14)
+        st = run_circuit(ks)
+        with pytest.raises(ValueError, match="read-only"):
+            st.amps[0] = 1.0
+        copy = StateVector(st.n, st.r, st.amps.copy())
+        for state in (st, copy):
+            state.apply_hadamard(0, 3, 16, 15).apply_x(17)
+            state.apply_controlled_key_unitary(2, 0x0f0f)
+        assert np.array_equal(bits(st.amps), bits(copy.amps))
+        assert dead_chunks_are_zero(st)
+        assert np.array_equal(bits(st.data_marginal()), bits(copy.data_marginal()))
+
+    def test_states_under_one_tile_get_no_map(self):
+        st = run_circuit(keyset("0110", "1001", "1111"))
+        assert st._live is None and st.amps.flags.writeable
+
+    def test_map_is_dropped_once_a_caller_thaws_the_amplitudes(self):
+        # An amplitude written where the map says dead is read by every
+        # reader and gate, as on a state built by hand.
+        ks = KeySet((0xbeef, 0x0001), 16)
+        st = run_circuit(ks)
+        dead = np.flatnonzero(~st._live)[-1] * simulator._MIN_RUN
+        st.amps.flags.writeable = True
+        st.amps[dead] = 0.5
+        copy = StateVector(st.n, st.r, st.amps.copy())
+        assert np.array_equal(bits(st.data_marginal()), bits(copy.data_marginal()))
+        assert list(st.nonzero_amplitudes()) == list(copy.nonzero_amplitudes())
+        for state in (st, copy):
+            state.apply_hadamard(*range(st.n))
+        assert st._live is None
+        assert np.array_equal(bits(st.amps), bits(copy.amps))
+
+    @pytest.mark.parametrize("n,k", [(16, 2), (14, 6)])
+    def test_readers_touch_only_live_chunks(self, n, k):
+        # Poison every dead chunk with NaN behind the map's back: the
+        # marginal and the nonzero list come out as before, so neither
+        # read a dead chunk.  n = 16 sums tile-wide blocks of one row,
+        # n = 14 whole rows per tile.
+        ks = random_keyset(np.random.default_rng(n), n, k)
+        st = run_circuit(ks)
+        marginal = st.data_marginal()
+        listed = list(st.nonzero_amplitudes())
+        assert listed == list(StateVector(st.n, st.r, st.amps.copy()).nonzero_amplitudes())
+        st.amps.flags.writeable = True
+        st.amps.reshape(len(st._live), -1)[~st._live] = np.nan
+        st.amps.flags.writeable = False
+        assert np.array_equal(bits(st.data_marginal()), bits(marginal))
+        assert list(st.nonzero_amplitudes()) == listed
+
+    def test_final_high_pass_scans_no_dead_tile(self, monkeypatch):
+        # The 23-qubit final data layer: after its low pass, 12 of the
+        # high pass's 128 tiles hold amplitudes.  `_is_zero` may scan
+        # only tiles with a live chunk, and the marginal none at all.
+        ks = KeySet((339563, 158176, 414002, 50631, 75954, 98702), 19)
+        spec = build_circuit(ks)
+        *calls, last = gate_calls(spec, False)
+        expected = run_circuit(ks).amps
+        st = simulator._start_state(spec.n, spec.r)
+        for call in calls:
+            apply_call(st, spec, call)
+        base = st.amps.ctypes.data
+        # The map as the high pass found it while it runs, "marginal"
+        # while the marginal runs.
+        phase, passes, scanned, marginal_scans = [None], [], [], []
+        high_pass, is_zero = simulator._high_qubit_pass, simulator._is_zero
+
+        def spied_pass(amps, qubits, kernel, live):
+            phase[0] = live.copy()
+            passes.append(qubits)
+            high_pass(amps, qubits, kernel, live)
+            phase[0] = None
+
+        def spied_is_zero(tile):
+            if isinstance(phase[0], str):
+                marginal_scans.append(tile.size)
+            elif phase[0] is not None:
+                # The chunks of each row of the tile.
+                first = (tile.ctypes.data - base) // tile.itemsize
+                rows = first + np.arange(tile.shape[0]) * (tile.strides[0] // tile.itemsize)
+                chunks = rows[:, None] // simulator._MIN_RUN + np.arange(tile.shape[1] // simulator._MIN_RUN)
+                scanned.append(phase[0][chunks].any())
+            return is_zero(tile)
+
+        monkeypatch.setattr(simulator, "_high_qubit_pass", spied_pass)
+        monkeypatch.setattr(simulator, "_is_zero", spied_is_zero)
+        apply_call(st, spec, last)
+        assert passes == [(16, 17, 18)]
+        assert len(scanned) == 12 and all(scanned)
+        phase[0] = "marginal"
+        marginal = st.data_marginal()
+        phase[0] = None
+        assert not marginal_scans
+        assert np.array_equal(bits(st.amps), bits(expected))
+        assert hashlib.sha256(marginal.tobytes()).hexdigest() == (
+            "66829cfa67de35f030b32dfbb13e34d1b5e16067836be9fef6e89ccb782fc5a2"
+        )
+
 class TestExactDistribution:
     def test_sums_to_one(self):
         dist = exact_distribution(run_circuit(keyset("0110", "1001", "1111")))

@@ -18,10 +18,13 @@ workload, run `perfbench/run.py --workload W --seconds S` directly.
     python3 tools/bench.py --compare BENCH_old.json BENCH_new.json
 
 --compare prints, per workload and end-to-end metric, the medians, the
-delta of the medians, the pairs the new file wins and the old file's
-interquartile range, then the traced per-layer deltas and how many
-traced runs each file holds (BENCH files written before the median
-hold one).  It marks with WORSE each end-to-end metric whose median
+delta of the medians, the pairs the new file wins, the old file's
+interquartile range and the median of the same-seed pairs' new/old
+ratios with a bootstrap 95% interval (Kalibera & Jones, ISMM 2013):
+the 2.5th and 97.5th percentiles of that median over resamples of the
+pairs, drawn from a fixed seed, so the output is the same on every
+call.  Then it prints the traced per-layer deltas and how many traced
+runs each file holds (BENCH files written before the median hold one).  It marks with WORSE each end-to-end metric whose median
 worsens by more than its BENCHMARK.json bound, and then exits 1.  It
 marks with GAIN each one whose median improves by more than the old
 interquartile range and that improves in at least nine tenths of the
@@ -34,6 +37,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -43,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = {"small-circuits": 10, "dense-23q": 5, "classical-analysis": 5}
 TRACED_RUNS = 3
 RUN_TIMEOUT_S = 600
+RESAMPLES = 10_000
 
 
 def tree_identity(path: Path) -> dict:
@@ -84,6 +89,16 @@ def summary(values: list[float]) -> dict:
         return {"values": values, "median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def ratio_interval(pairs: list[tuple[float, float]]) -> tuple[float, float, float]:
+    """Median of the new/old ratios of same-seed pairs, and the bounds of
+    its percentile bootstrap 95% interval over RESAMPLES resamples drawn
+    from a fixed seed."""
+    ratios = [new / old for old, new in pairs]
+    rng = random.Random(0)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(RESAMPLES))
+    return statistics.median(ratios), medians[RESAMPLES // 40], medians[RESAMPLES - 1 - RESAMPLES // 40]
 
 
 def measure(trees: dict[str, Path], runs: dict[str, int], seconds: int) -> dict[str, dict]:
@@ -155,7 +170,8 @@ def compare(old: dict, new: dict, bench: dict) -> int:
         if new_w is None:
             continue
         print(f"\n{workload}")
-        print(f"  {'metric':<12} {'old':>12} {'new':>12} {'delta':>8} {'won':>6} {'old IQR':>10}")
+        print(f"  {'metric':<12} {'old':>12} {'new':>12} {'delta':>8} {'won':>6} {'old IQR':>10} "
+              f"{'pair ratio [95% interval]':>27}")
         for name, metric in spec.items():
             a, b = old_w["end_to_end"].get(name), new_w["end_to_end"].get(name)
             if a is None or b is None:
@@ -167,13 +183,16 @@ def compare(old: dict, new: dict, bench: dict) -> int:
                      for r, v in zip(new_w["runs"], b["values"]) if r["seed"] in old_by_seed]
             won = sum(sign * (y - x) < 0 for x, y in pairs)
             iqr = a["q3"] - a["q1"]
+            interval = "-"
+            if pairs and all(x for x, _ in pairs):
+                interval = "{:.3f} [{:.3f}, {:.3f}]".format(*ratio_interval(pairs))
             flag = ""
             if sign * change > metric["bound"]:
                 flag, worse = "  WORSE", worse + 1
             elif pairs and won >= 0.9 * len(pairs) and sign * (b["median"] - a["median"]) < -iqr:
                 flag = "  GAIN"
             print(f"  {name:<12} {a['median']:>12.6g} {b['median']:>12.6g} {change:>+8.1%} "
-                  f"{won:>3}/{len(pairs):<2} {iqr:>10.3g}{flag}")
+                  f"{won:>3}/{len(pairs):<2} {iqr:>10.3g} {interval:>27}{flag}")
         old_layers = old_w["per_layer"]["metrics"]
         new_layers = new_w["per_layer"]["metrics"]
         counts = [w["per_layer"].get("traced_runs", 1) for w in (old_w, new_w)]
