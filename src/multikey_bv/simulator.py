@@ -72,19 +72,20 @@ without gates or amplitudes; its only nonzero amplitudes are
 +1/sqrt(2k) at (control i, target 0, data s_i) and -1/sqrt(2k) at
 (control i, target 1, data s_i).
 
-A state that `run_circuit` builds with at least one tile (2^16
-amplitudes) carries a live map: one bool per chunk of 4096 amplitudes,
-False only where every bit of the chunk is zero.  Each gate reads the
-map instead of scanning, skipping dead tiles unread, and marks what it
-may have left nonzero: a 23-qubit circuit of six keys ends with 192 of
-its 2048 chunks live, those of the 12 tiles its last pass transformed.
-`data_marginal` and `nonzero_amplitudes` then read only live chunks.
-The map is trusted only while `amps` is read-only: `run_circuit`
-returns such a state read-only, and a gate method on it thaws the
-array, keeps the map up to date and freezes it again.  A caller who
-makes the array writable disowns the map, which readers then ignore and
-the next gate drops, and a state a caller builds has none, so it takes
-the scans above.  The results are the same bytes either way.
+Every state of at least one tile (2^16 amplitudes) is read through a
+live map: one bool per chunk of 4096 amplitudes, False only where every
+bit of the chunk is zero.  Each gate reads the map instead of scanning,
+skipping dead tiles unread, and marks what it may have left nonzero: a
+23-qubit circuit of six keys ends with 192 of its 2048 chunks live,
+those of the 12 tiles its last pass transformed.  `data_marginal` and
+`nonzero_amplitudes` read only live chunks.  `run_circuit` keeps its
+state's map from gate to gate, and it is trusted only while `amps` is
+read-only: such a state comes back read-only, and a gate method on it
+thaws the array, keeps the map up to date and freezes it again.  Any
+other state of a tile or more, one a caller builds or thaws, gets a
+fresh map from one scan per call (`_live_map`); an array the caller
+made read-only stays so, and a gate on it raises.  States under one
+tile keep no map.  The results are the same bytes either way.
 
 `exact_distribution` is the one route from either final state to
 outcome probabilities, keyed by outcome value; for a spec it reads the
@@ -118,7 +119,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # 2^16 contiguous amplitudes, or the whole state if that is smaller
 # (512 KB of float64, 1 MB for a complex state, within a core's L2
 # cache).  The tile also bounds the controlled key unitary's data tiles
-# and mask words and the chunks in which the data marginal is summed.
+# and mask words and the runs in which the data marginal is summed.
 # Every live part of a tile, whole or not, takes each run of ascending
 # Hadamards as constant-geometry stages (`_stages`): three ufunc calls
 # per qubit between two buffers, in the natural layout.  Only whole
@@ -276,26 +277,35 @@ class StateVector:
         self.amps = amps
         self._live = None
 
-    def _thaw(self) -> np.ndarray | None:
-        """Make a mapped state's amplitudes writable for a gate and return
-        its live map, or None if the map may be stale.
+    def _live_map(self) -> np.ndarray | None:
+        """The live map of a state of one tile or more, None under one tile.
 
-        The map is trusted only while `amps` is read-only, so only a
-        gate that found it read-only may use and update it; a gate
-        refreezes the array when it is done.  A writable array with a
-        map has been thawed by some caller, who may have written it.
+        The stored map is trusted while `amps` is read-only, as
+        `run_circuit` leaves it.  Otherwise any stored map may be stale
+        (a writable array with a map has been thawed by some caller, who
+        may have written it), so it is dropped and a fresh one is built
+        with one scan.  The scan takes each chunk's largest word, which
+        at 2^18 amplitudes took half the time of `any` (31 against 64 us).
         """
-        if self.amps.flags.writeable:
-            self._live = None
+        if self._live is not None and not self.amps.flags.writeable:
+            return self._live
+        self._live = None
+        if self.amps.size < _TILE:
             return None
-        self.amps.flags.writeable = True
-        return self._live
+        return self.amps.view(np.uint64).reshape(self.amps.size // _MIN_RUN, -1).max(axis=1) != 0
 
-    def _trusted_live(self) -> np.ndarray | None:
-        """The live map, for a reader, while it may be trusted."""
-        if self._live is None or self.amps.flags.writeable:
-            return None
-        return self._live
+    def _thaw(self) -> tuple[np.ndarray | None, bool]:
+        """(live map, refreeze) for a gate: the gate writes the map, and
+        refreezes `amps` after it if `refreeze`.
+
+        Only an array the library froze with its stored map is made
+        writable, so a gate on an array a caller made read-only raises.
+        """
+        live = self._live_map()
+        if self._live is None:
+            return live, False
+        self.amps.flags.writeable = True
+        return live, True
 
     @property
     def total_qubits(self) -> int:
@@ -323,18 +333,18 @@ class StateVector:
         """
         for qubit in qubits:
             self._check_qubit(qubit)
-        live = None if self._live is None else self._thaw()
+        live, refreeze = self._thaw()
         _gate_layer(self.amps, qubits, _hadamard_row_bit, live)
-        if live is not None:
+        if refreeze:
             self.amps.flags.writeable = False
         return self
 
     def apply_x(self, qubit: int) -> "StateVector":
         """Apply X to one qubit, through the same tiled layer as H."""
         self._check_qubit(qubit)
-        live = None if self._live is None else self._thaw()
+        live, refreeze = self._thaw()
         _gate_layer(self.amps, (qubit,), _x_row_bit, live)
-        if live is not None:
+        if refreeze:
             self.amps.flags.writeable = False
         return self
 
@@ -357,7 +367,7 @@ class StateVector:
         # holds uint64 words, all ones on each word of an odd amplitude,
         # and a tile pair swaps there as a masked XOR of its words, which
         # moves every bit (-0.0 and NaN payloads included).
-        live = None if self._live is None else self._thaw()
+        live, refreeze = self._thaw()
         width = 1 << min(self.n, _TILE_BITS)
         words = self.amps.itemsize // 8
         odd = np.arange(width, dtype=np.uint64)
@@ -384,6 +394,7 @@ class StateVector:
                 halves = live.reshape(1 << self.r, 2, -1)[i]
                 halves[0] |= halves[1]
                 halves[1] = halves[0]
+        if refreeze:
             self.amps.flags.writeable = False
         return self
 
@@ -404,14 +415,12 @@ class StateVector:
             return self
         rows = self.amps.reshape(1 << self.r, -1)
         width = rows.shape[1]
-        # One scan settles the usual all-zero tail, unless the live map
-        # already shows it dead; only a tail with a set bit has its
-        # squared magnitudes summed.
-        live = self._trusted_live()
-        if live is not None and not live[width // _MIN_RUN:].any():
-            clean = True
-        else:
-            clean = _is_zero(rows[1:])
+        # The live map, or one scan under one tile, settles the usual
+        # all-zero tail; only a tail with a set bit has its squared
+        # magnitudes summed.  Rows under a chunk share chunk 0 with row
+        # 0, so the map shows their tail dead only if row 0 is too.
+        live = self._live_map()
+        clean = _is_zero(rows[1:]) if live is None else not live[width // _MIN_RUN:].any()
         if not clean and _sum_squares(rows[1:]) > 1e-20:
             raise InputError(
                 "uniform preparation requires the control register in |0..0>"
@@ -419,9 +428,9 @@ class StateVector:
         if k == (1 << control_width(k)):
             first = self.n + 1
             return self.apply_hadamard(*range(first, first + control_width(k)))
-        if live is not None:
-            live = self._thaw()
-            rows = self.amps.reshape(1 << self.r, -1)
+        live, refreeze = self._thaw()
+        # A view taken before the thaw stays read-only.
+        rows = self.amps.reshape(1 << self.r, -1)
         rows[0] *= 1.0 / math.sqrt(k)
         rows[1:k] = rows[0]
         # Rows from k on passed the check above, so they are (near) zero;
@@ -436,6 +445,7 @@ class StateVector:
             else:
                 # Rows share chunks: mark those that hold rows below k.
                 live[:] = np.arange(live.size) * _MIN_RUN < k * width
+        if refreeze:
             self.amps.flags.writeable = False
         return self
 
@@ -443,68 +453,40 @@ class StateVector:
         """Probability of each data-register outcome, traced over ancillas.
 
         Gives `(np.abs(rows) ** 2).sum(axis=0)` over the ancilla rows bit
-        for bit, one chunk of at most _TILE amplitudes at a time, so no
-        temporary spans the whole array and the buffer stays in cache.
-        Every column gets the same additions in the same order, row by
-        row into a running total.  When several rows fit in _TILE, a
-        chunk is that many whole rows: row 0 of its buffer carries the
-        running total, and numpy adds the rows of an axis-0 sum in order.
-        Otherwise a chunk is one _TILE-column block of one row, whose
-        squared magnitudes are added to that block of the total; such a
-        chunk whose every bit is zero (`_is_zero`), as most of a wide
-        final state is, is skipped: the total holds sums of squares, all
-        +0.0 or above, and adding +0.0 to one changes no bit.
-
-        A state from `run_circuit` reads only the chunks its live map
-        marks.  With wide rows it adds each run of live chunks to its
-        columns, in ascending order, so each column still gets its rows
-        in order.  With whole rows per chunk of _TILE, it skips a dead
-        tile and writes +0.0 squares for a dead chunk of a live one.
+        for bit, one run of live chunks (`_live_runs`) at a time, so no
+        temporary spans more than a tile and the buffer stays in cache;
+        a state under one tile is one run.  Every column gets its rows
+        in order, each added into a running total: a run adds the part
+        of the row it starts in, then its whole rows, with the running
+        total in row 0 of an axis-0 sum (numpy adds those rows in
+        order), then the part of the row it ends in.  A dead chunk is
+        skipped: the total holds sums of squares, all +0.0 or above, and
+        adding +0.0 to one changes no bit.
         """
-        rows = self.amps.reshape(-1, 1 << self.n)
-        width = min(rows.shape[1], _TILE)
-        step = min(_TILE // width, rows.shape[0])
-        total = np.zeros(rows.shape[1])
-        live = self._trusted_live()
-        if step == 1:
-            buf = np.empty(width)
-            if live is not None:
-                # A run of live chunks stays within a tile, so here
-                # within one row.
-                for start, stop in _live_runs(live):
-                    part = buf[:stop - start]
-                    np.abs(self.amps[start:stop], out=part)
-                    np.square(part, out=part)
-                    col = start % rows.shape[1]
-                    total[col:col + part.size] += part
-                return total
-            for col in range(0, rows.shape[1], width):
-                block = total[col:col + width]
-                for row in rows[:, col:col + width]:
-                    if _is_zero(row):
-                        continue
-                    np.abs(row, out=buf)
-                    np.square(buf, out=buf)
-                    block += buf
-            return total
-        buf = np.empty((step + 1, width))
-        # A mapped state's chunk of rows here is one tile.
-        marks = None if live is None else live.reshape(-1, _TILE_CHUNKS)
-        for start in range(0, rows.shape[0], step):
-            chunk = rows[start:start + step]
-            part = buf[:len(chunk) + 1]
-            tile = None if marks is None else marks[start // step]
-            if tile is None or tile.all():
-                np.abs(chunk, out=part[1:])
-            elif tile.any():
-                squares = part[1:].reshape(len(tile), -1)
-                squares[tile] = np.abs(chunk.reshape(len(tile), -1)[tile])
-                squares[~tile] = 0.0
-            else:
-                continue
-            part[0] = total
-            np.square(part[1:], out=part[1:])
-            part.sum(axis=0, out=total)
+        width = 1 << self.n
+        size = min(self.amps.size, _TILE)
+        # Room for the running total before a run's whole rows, if a run
+        # can hold a whole row.
+        lead = width if width <= size else 0
+        buf = np.empty(lead + size)
+        total = np.zeros(width)
+        live = self._live_map()
+        for start, stop in [(0, self.amps.size)] if live is None else _live_runs(live):
+            squares = buf[lead:lead + stop - start]
+            np.abs(self.amps[start:stop], out=squares)
+            np.square(squares, out=squares)
+            col = start % width
+            head = min(-start % width, squares.size)
+            if head:
+                total[col:col + head] += squares[:head]
+            whole = (squares.size - head) // width * width
+            if whole:
+                rows = buf[lead + head - width:lead + head + whole]
+                rows[:width] = total
+                rows.reshape(-1, width).sum(axis=0, out=total)
+            tail = squares[head + whole:]
+            if tail.size:
+                total[:tail.size] += tail
         return total
 
     def data_register_state(self) -> np.ndarray:
@@ -525,10 +507,10 @@ class StateVector:
 
     def nonzero_amplitudes(self) -> Iterator[tuple[int, np.number]]:
         """Yield (basis index, amplitude) for each amplitude above 1e-12
-        in magnitude, in ascending index order.  A state from
-        `run_circuit` searches only the chunks its live map marks."""
+        in magnitude, in ascending index order.  A state of one tile or
+        more searches only the chunks its live map marks."""
         amps = self.amps
-        live = self._trusted_live()
+        live = self._live_map()
         for start, stop in [(0, amps.size)] if live is None else _live_runs(live):
             for i in (np.flatnonzero(amps[start:stop]) + start).tolist():
                 if abs(amps[i]) > 1e-12:
@@ -607,8 +589,9 @@ def _gate_layer(amps: np.ndarray, qubits: tuple[int, ...], kernel, live: np.ndar
     whose bits are all zero, such as the rows of a register still in
     |0..0>, are skipped a tile or a block at a time: both gates map them
     to themselves bit for bit.  A state of any size takes the same walk.
-    Given the state's live map, a pass skips the tiles whose chunks it
-    marks dead without reading them, and marks what it may leave nonzero.
+    A state of one tile or more gives its live map (None under one tile,
+    where no qubit is high): a pass skips the tiles whose chunks it marks
+    dead without reading them, and marks what it may leave nonzero.
     """
     if max(qubits) < _TILE_BITS:
         _low_qubit_pass(amps, qubits, kernel, live)
@@ -630,7 +613,7 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel, live: np.
     drop zero halves in the layer's last run and hand what is left of it
     to the layer's `_Stack`, built at its first whole live tile; a
     shorter part, every part of a state under one tile, drops nothing.
-    With a live map, a tile with no live chunk is skipped before
+    Given a live map, a tile with no live chunk is skipped before
     `_live_length`.  A part left in place marks the chunks up to its
     end, and the stack marks those where it writes kept amplitudes.
     """
@@ -809,12 +792,12 @@ class _Stack:
     is still in cache.  Parts stack while they agree on the stages done
     and the qubits dropped, up to one tile of amplitudes.  `flush` runs
     the stages left, which may drop more halves, and writes the kept
-    amplitudes to their places; given the state's live map, it marks
-    the chunks where it writes a set bit and no other chunk of those
-    tiles.  The stack's two buffers are allocated at the first part.
+    amplitudes to their places, and marks in the state's live map the
+    chunks where it writes a set bit and no other chunk of those tiles.
+    The stack's two buffers are allocated at the first part.
     """
 
-    def __init__(self, amps: np.ndarray, live: np.ndarray | None, first: int, length: int):
+    def __init__(self, amps: np.ndarray, live: np.ndarray, first: int, length: int):
         self.amps, self.live = amps, live
         self.first, self.length = first, length
         self.buffers = None
@@ -853,13 +836,12 @@ class _Stack:
         index = kept[:, None] | places
         blocks = blocks.reshape(-1, 1)
         self.amps.reshape(-1, 1 << self.length, 1 << self.first)[blocks, index] = src
-        if self.live is not None:
-            # Each kept row of 2^first amplitudes with a set bit lies in
-            # one chunk or spans whole chunks.
-            offsets = ((blocks << self.length | index) << self.first)[src.view(np.uint64).any(axis=2)]
-            span = np.arange(max((1 << self.first) // _MIN_RUN, 1))
-            self.live.reshape(-1, _TILE_CHUNKS)[np.array(self.starts) // _TILE] = False
-            self.live[(offsets // _MIN_RUN)[:, None] + span] = True
+        # Each kept row of 2^first amplitudes with a set bit lies in one
+        # chunk or spans whole chunks.
+        offsets = ((blocks << self.length | index) << self.first)[src.view(np.uint64).any(axis=2)]
+        span = np.arange(max((1 << self.first) // _MIN_RUN, 1))
+        self.live.reshape(-1, _TILE_CHUNKS)[np.array(self.starts) // _TILE] = False
+        self.live[(offsets // _MIN_RUN)[:, None] + span] = True
         self.key, self.used, self.starts, self.kept = None, 0, [], []
 
 
@@ -896,39 +878,28 @@ def _live_length(tile: np.ndarray, block: int) -> int:
     return end
 
 
-def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel, live: np.ndarray | None) -> None:
+def _high_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel, live: np.ndarray) -> None:
     """The gate on qubits from _TILE_BITS up, as row bits over column chunks.
 
     Rows are indexed by the bits from the lowest to the highest listed
     qubit; a tile is every such row over one chunk of at least _MIN_RUN
-    contiguous columns.  A tile whose bits are all zero is skipped.
-    With a live map, so is a tile with no live chunk, without a scan,
-    and every chunk of a tile transformed is marked live, every chunk
-    of one skipped dead.
+    contiguous columns.  Only the tiles with a chunk the state's live
+    map marks are read; each is transformed and every chunk of it
+    marked live, and every chunk of the other tiles stays dead.
     """
     low, top = min(qubits), max(qubits) + 1
     view = amps.reshape(-1, 1 << (top - low), 1 << low)
     height = view.shape[1]
     width = max(_TILE // height, _MIN_RUN)
     scratch = np.empty(height * width // 2, amps.dtype)
-    if live is not None:
-        # marks[o, :, c]: the chunks of tile c of the rows at o.
-        marks = live.reshape(len(view), height, -1, width // _MIN_RUN)
-        done = marks.any(axis=(1, 3))
-        tiles = done.tolist()
-    for o, rows in enumerate(view):
-        for c, start in enumerate(range(0, view.shape[2], width)):
-            if live is not None and not tiles[o][c]:
-                continue
-            tile = rows[:, start:start + width]
-            if _is_zero(tile):
-                if live is not None:
-                    done[o, c] = False
-                continue
-            for qubit in qubits:
-                kernel(tile, qubit - low, scratch)
-    if live is not None:
-        marks[...] = done[:, None, :, None]
+    # marks[o, :, c]: the chunks of tile c of the rows at o.
+    marks = live.reshape(len(view), height, -1, width // _MIN_RUN)
+    done = marks.any(axis=(1, 3))
+    for o, c in np.argwhere(done).tolist():
+        tile = view[o, :, c * width:(c + 1) * width]
+        for qubit in qubits:
+            kernel(tile, qubit - low, scratch)
+    marks[...] = done[:, None, :, None]
 
 
 def run_circuit(keys: KeySet, oracle_path: str = "gate") -> StateVector | CircuitSpec:

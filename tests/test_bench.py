@@ -109,3 +109,17 @@ def test_no_interval_without_same_seed_pairs(capsys):
     new = document("new", WALL[:5], seeds=range(6, 11))
     _, line = compared(capsys, old, new)
     assert "[" not in line and line.split()[-1] == "-"
+
+
+def test_header_lists_the_environment_fields_that_differ(capsys):
+    record = {"nproc": 2, "cpus_usable": 2, "python": "3.11.7", "numpy": "2.4.6",
+              "scipy": "1.17.1", "thread_env": {"OMP_NUM_THREADS": "1"}, "seconds": 30}
+    old, new = document("old", WALL[:5]), document("new", WALL[:5])
+    old["run_record"], new["run_record"] = record, {**record, "cpus_usable": 1}
+    old["tree"], new["tree"] = {"src_sha256": "ab"}, {"src_sha256": "ab"}
+    assert bench.compare(old, new, BENCHMARK) == 0
+    header = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    assert header == ["old -> new", "  cpus_usable 2 -> 1", "  src_sha256 equal"]
+    new["tree"] = {"src_sha256": "cd"}
+    bench.compare(old, new, BENCHMARK)
+    assert "  src_sha256 differs" in capsys.readouterr().out.splitlines()

@@ -735,16 +735,34 @@ class TestPrepareUniform:
 class TestDataMarginal:
     @pytest.mark.parametrize(
         "n,r,dtype",
-        with_dtypes([(2, 2), (1, 16), (3, 17), (8, 10), (16, 1), (17, 0), (19, 3)]),
+        with_dtypes([(2, 2), (1, 16), (3, 17), (8, 10), (12, 7), (13, 6), (14, 5),
+                     (15, 4), (16, 1), (17, 0), (19, 3)]),
     )
     def test_bit_identical_to_one_expression(self, n, r, dtype):
+        # Under one tile every third row is zero.  From one tile up, one
+        # 4096-amplitude chunk of each tile and every third tile are
+        # planted dead, so that with rows wider than a chunk and
+        # narrower than a tile (n = 13 .. 15) runs of live chunks start
+        # and end mid-row.  Each such array is read as a caller's state
+        # and as a mapped one, read-only with its true map.
         amps = random_state(n + 1 + r, n + r)
         if dtype is np.float64:
             amps = with_negative_zeros(amps, n + r).real.copy()
-        amps.reshape(-1, 1 << n)[::3] = 0.0
+        mapped = []
+        if amps.size < simulator._TILE:
+            amps.reshape(-1, 1 << n)[::3] = 0.0
+        else:
+            tiles = amps.reshape(-1, simulator._TILE_CHUNKS, simulator._MIN_RUN)
+            dead = np.random.default_rng(n).integers(simulator._TILE_CHUNKS, size=len(tiles))
+            tiles[np.arange(len(tiles)), dead] = 0.0
+            tiles[1::3] = 0.0
+            st = StateVector(n, r, amps.copy())
+            st._live = bits(st.amps).reshape(amps.size // simulator._MIN_RUN, -1).any(axis=1)
+            st.amps.flags.writeable = False
+            mapped.append(st)
         expected = (np.abs(amps.reshape(-1, 1 << n)) ** 2).sum(axis=0)
-        marginal = StateVector(n, r, amps).data_marginal()
-        assert np.array_equal(bits(marginal), bits(expected))
+        for st in [StateVector(n, r, amps), *mapped]:
+            assert np.array_equal(bits(st.data_marginal()), bits(expected))
 
     def test_memory_stays_within_tiles(self):
         # n=19, r=3: the result is 4 MiB; a buffer of whole 2^19-column
@@ -1148,6 +1166,41 @@ class TestLiveMap:
         assert st._live is None
         assert np.array_equal(bits(st.amps), bits(copy.amps))
 
+    def test_a_callers_read_only_array_is_never_thawed(self):
+        amps = random_state(19, 19).real.copy()
+        amps.reshape(-1, simulator._MIN_RUN)[::3] = 0.0
+        expected = (np.abs(amps.reshape(-1, 1 << 17)) ** 2).sum(axis=0)
+        listed = [(int(i), amps[i]) for i in np.flatnonzero(np.abs(amps) > 1e-12)]
+        amps.flags.writeable = False
+        st = StateVector(17, 1, amps)
+        assert st.amps is amps
+        gates = [lambda: st.apply_hadamard(0, 3), lambda: st.apply_hadamard(17, 18),
+                 lambda: st.apply_x(17), lambda: st.apply_controlled_key_unitary(1, 0x1beef)]
+        for gate in gates:
+            with pytest.raises(ValueError, match="read-only"):
+                gate()
+            assert not amps.flags.writeable
+        assert np.array_equal(bits(st.data_marginal()), bits(expected))
+        assert list(st.nonzero_amplitudes()) == listed
+        assert st._live is None and not amps.flags.writeable
+
+    @pytest.mark.parametrize("n,r", [(16, 0), (17, 1)])
+    def test_readers_of_a_callers_state_call_no_is_zero(self, monkeypatch, n, r):
+        # A caller's 17- or 19-qubit state gets a fresh map from one scan;
+        # neither reader scans tile by tile.
+        amps = random_state(n + 1 + r, n).real.copy()
+        amps.reshape(-1, simulator._MIN_RUN)[1::2] = 0.0
+        st = StateVector(n, r, amps)
+        expected = StateVector(n, r, amps.copy())
+        calls = []
+        is_zero = simulator._is_zero
+        monkeypatch.setattr(simulator, "_is_zero", lambda tile: calls.append(tile.size) or is_zero(tile))
+        marginal, listed = st.data_marginal(), list(st.nonzero_amplitudes())
+        assert calls == []
+        monkeypatch.undo()
+        assert np.array_equal(bits(marginal), bits(expected.data_marginal()))
+        assert listed == list(expected.nonzero_amplitudes())
+
     @pytest.mark.parametrize("n,k", [(16, 2), (14, 6)])
     def test_readers_touch_only_live_chunks(self, n, k):
         # Poison every dead chunk with NaN behind the map's back: the
@@ -1167,8 +1220,9 @@ class TestLiveMap:
 
     def test_final_high_pass_scans_no_dead_tile(self, monkeypatch):
         # The 23-qubit final data layer: after its low pass, 12 of the
-        # high pass's 128 tiles hold amplitudes.  `_is_zero` may scan
-        # only tiles with a live chunk, and the marginal none at all.
+        # high pass's 128 tiles hold amplitudes.  The high pass finds
+        # them in the live map, so neither it nor the marginal calls
+        # `_is_zero` on any tile.
         ks = KeySet((339563, 158176, 414002, 50631, 75954, 98702), 19)
         spec = build_circuit(ks)
         *calls, last = gate_calls(spec, False)
@@ -1176,38 +1230,30 @@ class TestLiveMap:
         st = simulator._start_state(spec.n, spec.r)
         for call in calls:
             apply_call(st, spec, call)
-        base = st.amps.ctypes.data
-        # The map as the high pass found it while it runs, "marginal"
-        # while the marginal runs.
-        phase, passes, scanned, marginal_scans = [None], [], [], []
+        # The phase `_is_zero` is called in: "high" while the high pass
+        # runs, "marginal" while the marginal runs.
+        phase, passes, scans = [None], [], []
         high_pass, is_zero = simulator._high_qubit_pass, simulator._is_zero
 
         def spied_pass(amps, qubits, kernel, live):
-            phase[0] = live.copy()
+            phase[0] = "high"
             passes.append(qubits)
             high_pass(amps, qubits, kernel, live)
             phase[0] = None
 
         def spied_is_zero(tile):
-            if isinstance(phase[0], str):
-                marginal_scans.append(tile.size)
-            elif phase[0] is not None:
-                # The chunks of each row of the tile.
-                first = (tile.ctypes.data - base) // tile.itemsize
-                rows = first + np.arange(tile.shape[0]) * (tile.strides[0] // tile.itemsize)
-                chunks = rows[:, None] // simulator._MIN_RUN + np.arange(tile.shape[1] // simulator._MIN_RUN)
-                scanned.append(phase[0][chunks].any())
+            if phase[0] is not None:
+                scans.append(phase[0])
             return is_zero(tile)
 
         monkeypatch.setattr(simulator, "_high_qubit_pass", spied_pass)
         monkeypatch.setattr(simulator, "_is_zero", spied_is_zero)
         apply_call(st, spec, last)
         assert passes == [(16, 17, 18)]
-        assert len(scanned) == 12 and all(scanned)
         phase[0] = "marginal"
         marginal = st.data_marginal()
         phase[0] = None
-        assert not marginal_scans
+        assert scans == []
         assert np.array_equal(bits(st.amps), bits(expected))
         assert hashlib.sha256(marginal.tobytes()).hexdigest() == (
             "66829cfa67de35f030b32dfbb13e34d1b5e16067836be9fef6e89ccb782fc5a2"

@@ -23,7 +23,9 @@ interquartile range and the median of the same-seed pairs' new/old
 ratios with a bootstrap 95% interval (Kalibera & Jones, ISMM 2013):
 the 2.5th and 97.5th percentiles of that median over resamples of the
 pairs, drawn from a fixed seed, so the output is the same on every
-call.  Then it prints the traced per-layer deltas and how many traced
+call.  Under its header it prints each environment field of the run
+records, and their run length, where the two files differ, and
+whether their src/ digests are equal.  Then it prints the traced per-layer deltas and how many traced
 runs each file holds (BENCH files written before the median hold one).  It marks with WORSE each end-to-end metric whose median
 worsens by more than its BENCHMARK.json bound, and then exits 1.  It
 marks with GAIN each one whose median improves by more than the old
@@ -48,6 +50,8 @@ RUNS = {"small-circuits": 10, "dense-23q": 5, "classical-analysis": 5}
 TRACED_RUNS = 3
 RUN_TIMEOUT_S = 600
 RESAMPLES = 10_000
+# The worker environment fields a BENCH file's run_record keeps.
+ENVIRONMENT = ("nproc", "cpus_usable", "python", "numpy", "scipy", "thread_env")
 
 
 def tree_identity(path: Path) -> dict:
@@ -127,8 +131,7 @@ def measure(trees: dict[str, Path], runs: dict[str, int], seconds: int) -> dict[
             _, _, record, _ = raw[label][0]
             environment = record["worker"]["environment"]
             docs[label]["run_record"] = {
-                **{key: environment[key] for key in
-                   ("nproc", "cpus_usable", "python", "numpy", "scipy", "thread_env")},
+                **{key: environment[key] for key in ENVIRONMENT},
                 "measurement": record["measurement"],
                 "seconds": seconds,
             }
@@ -165,6 +168,13 @@ def compare(old: dict, new: dict, bench: dict) -> int:
     spec = {metric["name"]: metric for metric in bench["end_to_end"]}
     worse = 0
     print(f"{old['label']} -> {new['label']}")
+    old_env, new_env = old.get("run_record", {}), new.get("run_record", {})
+    for key in (*ENVIRONMENT, "seconds"):
+        if old_env.get(key) != new_env.get(key):
+            print(f"  {key} {old_env.get(key)} -> {new_env.get(key)}")
+    shas = [doc.get("tree", {}).get("src_sha256") for doc in (old, new)]
+    if None not in shas:
+        print(f"  src_sha256 {'equal' if shas[0] == shas[1] else 'differs'}")
     for workload, old_w in old["workloads"].items():
         new_w = new["workloads"].get(workload)
         if new_w is None:
