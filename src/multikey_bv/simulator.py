@@ -55,10 +55,17 @@ it transforms about two tiles' worth of amplitudes per nonzero tile,
 not one per gate; parts shrunk that way are stacked to take the rest of
 the run together (`_Stack`), and each such tile is zeroed as soon as
 its kept amplitudes are copied out, while it is still in cache, so the
-stack only writes them back.  The test reads the amplitudes' bits only,
-so it holds for any state.  A part under one tile, as every part of a
-state under 16 qubits is, drops nothing, and an unsorted layer drops
-only in its last run.  Every layer runs in the calling thread, and
+stack only writes them back.  A tile of one block, as every whole tile
+of a final layer of 16 or more data qubits is, takes each stage in the
+order add, subtract, test, then scale: only the half that survives is
+multiplied by 1/sqrt(2).  The test reads the amplitudes' bits only, so
+it holds for any state.  A whole tile nonzero only in its first 2^q0
+amplitudes, for a run from qubit q0, grows instead of taking stages:
+the gate on each qubit q of the run pairs only the first 2^(q+1)
+amplitudes, so the first data layer on |0..0> writes about two tiles'
+worth, not sixteen.  A part under one tile, as every part of a state
+under 16 qubits is, neither drops nor grows, and an unsorted layer
+drops only in its last run.  Every layer runs in the calling thread, and
 nothing here reads the CPU count, so the result is the same bytes on
 any number of CPUs.
 Each controlled key unitary swaps the odd-parity amplitudes of its
@@ -123,9 +130,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Every live part of a tile, whole or not, takes each run of ascending
 # Hadamards as constant-geometry stages (`_stages`): three ufunc calls
 # per qubit between two buffers, in the natural layout.  Only whole
-# tiles drop zero halves, and they stack what they keep once it is under
-# _MIN_RUN amplitudes (`_Stack`); a high-qubit tile spans column chunks
-# of at least _MIN_RUN.
+# tiles grow or drop zero halves, and they stack what they keep once it
+# is under _MIN_RUN amplitudes (`_Stack`); a high-qubit tile spans
+# column chunks of at least _MIN_RUN.
 _TILE_BITS = 16
 _TILE = 1 << _TILE_BITS
 _MIN_RUN = 1 << 12
@@ -296,16 +303,18 @@ class StateVector:
 
     def _thaw(self) -> tuple[np.ndarray | None, bool]:
         """(live map, refreeze) for a gate: the gate writes the map, and
-        refreezes `amps` after it if `refreeze`.
-
-        Only an array the library froze with its stored map is made
-        writable, so a gate on an array a caller made read-only raises.
-        """
+        refreezes `amps` after it if `refreeze`."""
         live = self._live_map()
+        return live, self._unfreeze()
+
+    def _unfreeze(self) -> bool:
+        """Make `amps` writable if the library froze it with its stored
+        map, and say whether it did.  An array a caller made read-only
+        stays so, and a gate on it raises."""
         if self._live is None:
-            return live, False
+            return False
         self.amps.flags.writeable = True
-        return live, True
+        return True
 
     @property
     def total_qubits(self) -> int:
@@ -418,7 +427,8 @@ class StateVector:
         # The live map, or one scan under one tile, settles the usual
         # all-zero tail; only a tail with a set bit has its squared
         # magnitudes summed.  Rows under a chunk share chunk 0 with row
-        # 0, so the map shows their tail dead only if row 0 is too.
+        # 0, so the map shows their tail dead only if row 0 is too.  The
+        # map is built once: the writes below mark it.
         live = self._live_map()
         clean = _is_zero(rows[1:]) if live is None else not live[width // _MIN_RUN:].any()
         if not clean and _sum_squares(rows[1:]) > 1e-20:
@@ -428,7 +438,7 @@ class StateVector:
         if k == (1 << control_width(k)):
             first = self.n + 1
             return self.apply_hadamard(*range(first, first + control_width(k)))
-        live, refreeze = self._thaw()
+        refreeze = self._unfreeze()
         # A view taken before the thaw stays read-only.
         rows = self.amps.reshape(1 << self.r, -1)
         rows[0] *= 1.0 / math.sqrt(k)
@@ -610,9 +620,10 @@ def _low_qubit_pass(amps: np.ndarray, qubits: tuple[int, ...], kernel, live: np.
     aligned blocks of 2^t, so each tile is transformed only up to its
     last block with a set bit (`_live_length`); the blocks after it are
     all +0.0.  Every live part takes `_stages`.  A whole live tile may
-    drop zero halves in the layer's last run and hand what is left of it
-    to the layer's `_Stack`, built at its first whole live tile; a
-    shorter part, every part of a state under one tile, drops nothing.
+    grow its runs, or drop zero halves in the layer's last run and hand
+    what is left of it to the layer's `_Stack`, built at its first whole
+    live tile; a shorter part, every part of a state under one tile,
+    does neither.
     Given a live map, a tile with no live chunk is skipped before
     `_live_length`.  A part left in place marks the chunks up to its
     end, and the stack marks those where it writes kept amplitudes.
@@ -685,9 +696,21 @@ def _stages(
     (`_drop_stages`); once it has, this returns (src, stage, dropped,
     kept) of what is left, for the layer's `_Stack`.  Otherwise the part
     ends in place and this returns None.
+
+    A whole tile also grows: a run from q0 whose tile has every bit
+    from 2^q0 on zero takes `kernel` on each qubit q in turn over the
+    first 2^(q+1) amplitudes only, since the pairs after them are all
+    +0.0, which H and X leave as they are.  The gate on q leaves every
+    bit from 2^(q+1) on zero, so the run grows to its end once it
+    starts, and a grown last run leaves the tile in place, with nothing
+    for the `_Stack`.
     """
     buf, other = part, spare
     for j, (first, length) in enumerate(runs):
+        if drop and _is_zero(buf[1 << first:]):
+            for qubit in range(first, first + length):
+                kernel(buf[:2 << qubit].reshape(-1, 1), qubit, scratch)
+            continue
         if length == 1:
             kernel(buf.reshape(-1, 1), first, scratch)
             continue
@@ -726,6 +749,18 @@ def _stage(lo: np.ndarray, hi: np.ndarray, sums: np.ndarray, diffs: np.ndarray, 
     np.multiply(out, _INV_SQRT2, out=out)
 
 
+def _sum_diff(lo: np.ndarray, hi: np.ndarray, sums: np.ndarray, diffs: np.ndarray) -> None:
+    """A one-block stage's first step: lo + hi into `sums`, lo - hi into
+    `diffs`, unscaled."""
+    np.add(lo, hi, out=sums)
+    np.subtract(lo, hi, out=diffs)
+
+
+def _scale(part: np.ndarray) -> None:
+    """A one-block stage's last step: `part` times 1/sqrt(2), in place."""
+    np.multiply(part, _INV_SQRT2, out=part)
+
+
 def _drop_stages(
     src: np.ndarray,
     base: np.ndarray,
@@ -751,29 +786,57 @@ def _drop_stages(
     reads it in place; otherwise the OR of the two halves' words, which
     is the kept half bit for bit, is written to `free`.
 
+    A part of one block, such as a whole tile whose run ends at qubit
+    15, takes each stage in four steps: add, subtract (`_sum_diff`), test
+    the unscaled halves, then scale (`_scale`) only the half it keeps,
+    or the whole output when it keeps both, as it always does at the
+    run's last stage.  Each half is tested from its first amplitude
+    and, if that is zero, one word scan of that half alone.  Testing
+    before the scale gives the same bits: a real x s has every bit zero
+    only where x has, and the one complex value the scale zeroes,
+    0.0-0.0j, is kept and taken through stages that leave it +0.0.
+    `dropped` and `kept` stay Python ints there.  Parts of more blocks,
+    as the `_Stack` holds, test all blocks at once after `_stage`.
+
     Returns (src, base, free, stage, dropped, kept) at the end of the
     run, or as soon as a drop leaves fewer than `until` amplitudes.
     """
     while stage < length:
         out = free[:src.size]
-        _stage(*_stage_views(src, out))
-        base, free, src, stage = free, base, out.reshape(src.shape), stage + 1
+        views = _stage_views(src, out)
         blocks, rows, inner = src.shape
-        # The first amplitude of each half of the first block settles a
-        # dense layer with two reads.
-        if stage == length or src.item(0) and src.item(rows // 2 * inner):
-            continue
-        words = src.view(np.uint64).reshape(blocks, 2, -1)
-        peaks = words.max(axis=2)
-        if peaks.min(axis=1).any():
-            continue
-        keep = peaks[:, 1] != 0
-        if keep.all() or not keep.any():
-            src = src.reshape(blocks, 2, rows // 2, inner)[:, int(keep[0])]
+        base, free, stage = free, base, stage + 1
+        if blocks == 1:
+            lo, hi, sums, diffs, _ = views
+            _sum_diff(lo, hi, sums, diffs)
+            if stage < length and _is_zero(diffs):
+                keep = 0
+            elif stage < length and _is_zero(sums):
+                keep = 1
+            else:
+                _scale(out)
+                src = out.reshape(src.shape)
+                continue
+            src = (sums, diffs)[keep]
+            _scale(src)
         else:
-            out = free[:src.size // 2]
-            np.bitwise_or(words[:, 0], words[:, 1], out=out.view(np.uint64).reshape(blocks, -1))
-            base, free, src = free, base, out.reshape(blocks, rows // 2, inner)
+            _stage(*views)
+            src = out.reshape(src.shape)
+            # The first amplitude of each half of the first block settles
+            # a dense layer with two reads.
+            if stage == length or src.item(0) and src.item(rows // 2 * inner):
+                continue
+            words = src.view(np.uint64).reshape(blocks, 2, -1)
+            peaks = words.max(axis=2)
+            if peaks.min(axis=1).any():
+                continue
+            keep = peaks[:, 1] != 0
+            if keep.all() or not keep.any():
+                src = src.reshape(blocks, 2, rows // 2, inner)[:, int(keep[0])]
+            else:
+                out = free[:src.size // 2]
+                np.bitwise_or(words[:, 0], words[:, 1], out=out.view(np.uint64).reshape(blocks, -1))
+                base, free, src = free, base, out.reshape(blocks, rows // 2, inner)
         dropped |= 1 << (stage - 1)
         kept = kept | keep << (stage - 1)
         if src.size < until:
@@ -826,7 +889,8 @@ class _Stack:
         rows = 1 << (self.length - dropped.bit_count())
         buf, free = self.buffers
         src = buf[:self.used].reshape(-1, rows, 1 << self.first)
-        kept = np.concatenate(self.kept)
+        # A one-block part's kept bits are an int, a longer part's an array.
+        kept = np.hstack(self.kept)
         src, _, _, _, dropped, kept = _drop_stages(src, buf, free, self.length, stage, dropped, kept)
         # Row of each kept amplitude in its block when the dropped bits
         # are 0, in natural order, and that block's number in the state.

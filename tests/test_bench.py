@@ -123,3 +123,55 @@ def test_header_lists_the_environment_fields_that_differ(capsys):
     new["tree"] = {"src_sha256": "cd"}
     bench.compare(old, new, BENCHMARK)
     assert "  src_sha256 differs" in capsys.readouterr().out.splitlines()
+
+
+LAYER = "simulator.hadamard.busy_s"
+
+
+def with_layer(doc, value, values=None):
+    """`doc` with one traced per-layer metric, its runs' values kept if given."""
+    metric = {"unit": "s", "value": value}
+    if values is not None:
+        metric["values"] = values
+    doc["workloads"]["classical-analysis"]["per_layer"]["metrics"][LAYER] = metric
+    return doc
+
+
+def layer_line(capsys, old, new):
+    assert bench.compare(old, new, BENCHMARK) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if LAYER in line]
+    return line
+
+
+def test_per_layer_line_prints_each_sides_range(capsys):
+    old = with_layer(document("old", WALL[:5]), 0.02, [0.03, 0.02, 0.01])
+    new = with_layer(document("new", WALL[:5]), 0.015, [0.015, 0.0125, 0.02])
+    line = layer_line(capsys, old, new)
+    assert line.split()[1:4] == ["0.02", "0.015", "-25.0%"]
+    assert line.endswith("  old 0.01-0.03  new 0.0125-0.02")
+
+
+def test_per_layer_line_without_values_prints_as_before(capsys):
+    old = with_layer(document("old", WALL[:5]), 0.02)
+    new = with_layer(document("new", WALL[:5]), 0.015)
+    assert layer_line(capsys, old, new) == f"    {LAYER:<44} {0.02:>12.6g} {0.015:>12.6g} {-0.25:+8.1%}"
+    # A file that keeps only the median shows - beside one that keeps values.
+    new = with_layer(document("new", WALL[:5]), 0.015, [0.015, 0.014, 0.016])
+    assert layer_line(capsys, old, new).endswith("  old -  new 0.014-0.016")
+
+
+def test_measure_keeps_each_traced_runs_values(monkeypatch):
+    # Stand-in runs: a traced run's layer value is its seed, so the three
+    # traced runs give 1, 2 and 3, median 2.
+    def fake_run(path, workload, seed, seconds, trace):
+        environment = {key: None for key in bench.ENVIRONMENT}
+        record = {"worker": {"environment": environment}, "measurement": {}, "seed": seed}
+        metrics = {LAYER: {"unit": "s", "value": float(seed)}} if trace else {
+            "wall_s": {"unit": "s", "value": 1.0}}
+        return record, {"metrics": metrics, "correct": True, "attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(bench, "run_perfbench", fake_run)
+    docs = bench.measure({"a": ROOT, "b": ROOT}, {"dense-23q": 1}, 1)
+    for doc in docs.values():
+        layer = doc["workloads"]["dense-23q"]["per_layer"]["metrics"][LAYER]
+        assert layer == {"unit": "s", "value": 2.0, "values": [1.0, 2.0, 3.0]}

@@ -387,8 +387,10 @@ class TestGates:
         expected = pair_formula(amps, qubits, "h")
         layer = apply_layer(amps, qubits, "h")
         assert np.array_equal(bits(layer), bits(expected))
+        # The first stage pairs every amplitude, so the spies see it.
+        assert sum(sizes["paired"]) >= amps.size
         if len(simulator._ascending_runs(qubits)) == 1:
-            assert sum(sizes) < len(qubits) * amps.size // 2
+            assert sum(sizes["paired"]) < len(qubits) * amps.size // 2
 
     def test_parts_under_a_tile_drop_nothing(self, monkeypatch):
         # Below a tile the layer's stages build no stack and never reach
@@ -553,9 +555,115 @@ class TestGates:
         tiles = sum(bits(t).any() for t in before.reshape(-1, width))
         sizes = self.spy_sizes(monkeypatch)
         state.apply_hadamard(*(g[1] for g in last))
-        assert sum(sizes) <= 3 * tiles * width
+        assert tiles * width <= sum(sizes["paired"]) <= 3 * tiles * width
+        if n >= simulator._TILE_BITS:
+            # Tiles of one block scale only the halves they keep; the
+            # first stage keeps at least half of each.
+            assert 0.5 * tiles * width <= sum(sizes["scaled"]) <= 1.1 * tiles * width
         assert np.array_equal(bits(state.amps), bits(pair_formula(before, range(n), "h")))
         assert np.array_equal(bits(state.amps), bits(run_circuit(ks).amps))
+
+    @pytest.mark.parametrize("total,dtype", with_dtypes([16, 18]))
+    def test_planted_tiles_scale_only_the_kept_halves(self, monkeypatch, total, dtype):
+        # Whole tiles planted along every qubit of the layer, as a final
+        # layer leaves them: each stage of a one-block tile scales only
+        # the half it keeps, so the layer scales about one tile's worth
+        # per tile, where scaling every stage's output would scale two.
+        rng = np.random.default_rng(total)
+        qubits = tuple(range(simulator._TILE_BITS))
+        amps = planted_state(total, {q: bool(rng.integers(2)) for q in qubits}, total, dtype)
+        sizes = self.spy_sizes(monkeypatch)
+        layer = apply_layer(amps, qubits, "h")
+        monkeypatch.undo()
+        assert np.array_equal(bits(layer), bits(one_qubit_sequence(total, amps, qubits)))
+        # The first stage pairs every amplitude and keeps half of them.
+        assert sum(sizes["paired"]) >= amps.size
+        assert 0.5 * amps.size <= sum(sizes["scaled"]) <= 1.1 * amps.size
+
+    @pytest.mark.parametrize("r", [0, 1, 3])
+    def test_first_data_layer_grows_from_one_amplitude(self, monkeypatch, r):
+        # |0..0> with a data register of one tile: the layer on the data
+        # qubits pairs only the amplitudes that can be set, 2^(q+1) at
+        # qubit q, so it writes about two tiles' worth, not one per gate.
+        n = simulator._TILE_BITS
+        state = simulator._start_state(n, r)
+        sizes = self.spy_sizes(monkeypatch)
+        state.apply_hadamard(*range(n))
+        monkeypatch.undo()
+        # The gate on the last qubit alone pairs the whole tile.
+        assert simulator._TILE <= sum(sizes["paired"]) <= 2.1 * simulator._TILE
+        expected = one_qubit_sequence(n + 1 + r, StateVector(n, r).amps, range(n))
+        assert np.array_equal(bits(state.amps), bits(expected))
+        assert state._live.tolist() == [True] * simulator._TILE_CHUNKS + [False] * (
+            state._live.size - simulator._TILE_CHUNKS)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["zero-first", "zero-second", "both-start-zero-first", "both-start-zero-second",
+         "negative-zero", "nan"],
+    )
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_one_block_zero_half_test(self, case, dtype):
+        # One whole tile, pairs along qubit 0 opposite ("first": H leaves
+        # its sums half all +0.0) or equal ("second": its differences).
+        # "both-start-zero" sets the first pair to +0.0, so both halves
+        # start with +0.0 and only one is all zero.  "negative-zero" and
+        # "nan" set the first pair to (-0.0, +0.0) or (NaN, +0.0): the
+        # differences half then holds a lone -0.0 or NaN and must be kept.
+        total = simulator._TILE_BITS
+        qubits = tuple(range(total))
+        amps = planted_state(total, {0: case.endswith("first")}, 5, dtype)
+        if case != "zero-first" and case != "zero-second":
+            amps[:2] = 0.0
+        if case == "negative-zero":
+            bits(amps)[0] = np.uint64(1 << 63)  # the real part
+        elif case == "nan":
+            bits(amps)[0] = NAN_WORD
+        expected = one_qubit_sequence(total, amps, qubits)
+        assert np.array_equal(bits(apply_layer(amps, qubits, "h")), bits(expected))
+        if case == "negative-zero":
+            assert (bits(expected) == np.uint64(1 << 63)).any()
+        elif case == "nan":
+            assert np.isnan(expected).sum() > 1
+
+    def test_one_block_half_zeroed_only_by_the_scale(self):
+        # A first pair (0.0-0.0j, -0.0-0.0j) along an opposite qubit 0
+        # leaves the sums half +0.0 but for one 0.0-0.0j, which the
+        # scale alone turns into +0.0.  Tested before the scale, the
+        # half is kept and carried through the stages; the layer still
+        # ends with the bits of one-qubit gates.
+        total = simulator._TILE_BITS
+        qubits = tuple(range(total))
+        amps = planted_state(total, {0: True}, 5, np.complex128)
+        amps[:2] = complex(0.0, -0.0), complex(-0.0, -0.0)
+        sums = amps[0::2] + amps[1::2]
+        assert simulator._is_zero(sums * simulator._INV_SQRT2) and not simulator._is_zero(sums)
+        expected = one_qubit_sequence(total, amps, qubits)
+        assert np.array_equal(bits(apply_layer(amps, qubits, "h")), bits(expected))
+
+    @pytest.mark.parametrize(
+        "qubits",
+        [tuple(range(16)), (*range(8), *range(16)), (*range(8), 15, *range(8, 15))],
+        ids=["one-run", "grown-run-then-dropping-run", "three-runs"],
+    )
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_grown_and_stacked_tiles_in_one_layer(self, monkeypatch, qubits, dtype):
+        # Two tiles: tile 0 is set in its first amplitude only and grows,
+        # tile 1 is planted along every qubit and drops halves into the
+        # layer's stack, which the first whole tile builds from the last
+        # run before either takes a stage.  A run that starts growing
+        # grows to its end, so a grown tile drops halves only in a later
+        # run: in the two-run layer tile 0 grows on qubits 0-7 and then
+        # drops halves along them in the last run.
+        tile = simulator._TILE
+        rng = np.random.default_rng(len(qubits))
+        amps = planted_state(17, {q: bool(rng.integers(2)) for q in range(16)}, 3, dtype)
+        amps[1:tile] = 0.0
+        reached = self.spy_calls(monkeypatch, "_Stack")
+        layer = apply_layer(amps, qubits, "h")
+        monkeypatch.undo()
+        assert np.array_equal(bits(layer), bits(one_qubit_sequence(17, amps, qubits)))
+        assert reached == ["_Stack"]
 
     @staticmethod
     def spy_calls(monkeypatch, *names: str) -> list[str]:
@@ -572,22 +680,39 @@ class TestGates:
         return calls
 
     @staticmethod
-    def spy_sizes(monkeypatch) -> list[int]:
-        """Amplitudes written by each call of the H kernel or of a stage
-        from now on."""
-        sizes = []
+    def spy_sizes(monkeypatch) -> dict[str, list[int]]:
+        """Amplitudes written from now on, per call: under "paired" by the
+        adds and subtracts of the H kernel, of a stage and of a one-block
+        stage (`_sum_diff`), under "scaled" by their multiplications by
+        1/sqrt(2), the kernel's and a stage's included.  Every function
+        that writes an amplitude of an H layer is spied, so a bound on
+        either cannot pass on work that no spy sees."""
+        sizes = {"paired": [], "scaled": []}
         kernel, stage = simulator._hadamard_row_bit, simulator._stage
+        sum_diff, scale = simulator._sum_diff, simulator._scale
 
         def spied_kernel(block, bit, scratch):
-            sizes.append(block.size)
+            sizes["paired"].append(block.size)
+            sizes["scaled"].append(block.size)
             kernel(block, bit, scratch)
 
         def spied_stage(*views):
-            sizes.append(views[-1].size)
+            sizes["paired"].append(views[-1].size)
+            sizes["scaled"].append(views[-1].size)
             stage(*views)
+
+        def spied_sum_diff(lo, hi, sums, diffs):
+            sizes["paired"].append(sums.size + diffs.size)
+            sum_diff(lo, hi, sums, diffs)
+
+        def spied_scale(part):
+            sizes["scaled"].append(part.size)
+            scale(part)
 
         monkeypatch.setattr(simulator, "_hadamard_row_bit", spied_kernel)
         monkeypatch.setattr(simulator, "_stage", spied_stage)
+        monkeypatch.setattr(simulator, "_sum_diff", spied_sum_diff)
+        monkeypatch.setattr(simulator, "_scale", spied_scale)
         return sizes
 
 
@@ -714,6 +839,24 @@ class TestPrepareUniform:
         st.amps[-1] = 1e-9
         with pytest.raises(InputError, match="control register in"):
             st.prepare_uniform(k)
+
+    def test_callers_state_is_scanned_once(self, monkeypatch):
+        # A caller's 19-qubit state has no trusted map, so each call of
+        # `_live_map` scans it: the tail check and the write share one.
+        n, r, k = 16, 2, 3
+        amps = np.zeros(1 << (n + 1 + r))
+        rows = amps.reshape(1 << r, -1)
+        rows[0] = np.random.default_rng(19).normal(size=rows.shape[1])
+        expected = amps.copy().reshape(1 << r, -1)
+        expected[0] *= 1.0 / math.sqrt(k)
+        expected[1:k] = expected[0]
+        scans = []
+        live_map = StateVector._live_map
+        monkeypatch.setattr(StateVector, "_live_map", lambda st: scans.append(1) or live_map(st))
+        monkeypatch.setattr(simulator, "_is_zero", lambda tile: pytest.fail("tile scan"))
+        st = StateVector(n, r, amps).prepare_uniform(k)
+        assert len(scans) == 1
+        assert np.array_equal(bits(st.amps), bits(expected.reshape(-1)))
 
     @pytest.mark.parametrize("tiny", [1e-12, 0.0])
     def test_accepted_tail_comes_out_bitwise_zero(self, tiny):
@@ -1217,6 +1360,32 @@ class TestLiveMap:
         st.amps.flags.writeable = False
         assert np.array_equal(bits(st.data_marginal()), bits(marginal))
         assert list(st.nonzero_amplitudes()) == listed
+
+    @pytest.mark.parametrize(
+        "n,k,digest",
+        [
+            (13, 4, "251799608ac4d16f0615d888ddc8649b3abb4d94568633850ed7b65693c82652"),
+            (16, 2, "2953c906181e5e81cb9a0f12a2ebeb62819bb33cdb4b0876603a29373c4eae5e"),
+            (14, 6, "271616aad69823ca38186b9e09cf01977c547c1f3ceca8ad5a4cf4fcb291a435"),
+            (17, 3, "2533f5219f726792a7815c55bdfd6f4e366a15e680e27f035633b6d4037c387d"),
+            (18, 5, "a7fa2af6de52f0d19bc846403b3f90a16d02a93676265515c646ed465b27c9be"),
+            (19, 6, "ddf805ac6ce1d317353a0ea65a1a6ab36273d37112eb9a27e43b167e31d01067"),
+        ],
+    )
+    def test_map_after_each_layer_is_pinned(self, n, k, digest):
+        # Circuits of 16 to 23 qubits: the sha256 over the live map after
+        # each gate call of `run_circuit`, pinned when whole tiles of the
+        # low pass tested each stage's halves after scaling all of them
+        # and took every stage of the first data layer.  Growing and
+        # scaling only kept halves change no map.
+        rng = np.random.default_rng(1000 + n)
+        spec = build_circuit(KeySet(tuple(int(v) for v in rng.integers(1 << n, size=k)), n))
+        state = simulator._start_state(spec.n, spec.r)
+        maps = hashlib.sha256()
+        for call in gate_calls(spec, False):
+            apply_call(state, spec, call)
+            maps.update(state._live.tobytes())
+        assert maps.hexdigest() == digest
 
     def test_final_high_pass_scans_no_dead_tile(self, monkeypatch):
         # The 23-qubit final data layer: after its low pass, 12 of the

@@ -5,12 +5,13 @@ every workload, run i runs `perfbench/run.py --seed i` once on every
 tree, the trees alternating which goes first, so that pairs of runs
 share a seed and sit next to each other in time.  Then three traced
 runs per tree, alternated the same way, give the per-layer metrics,
-each stored as the median of its three values: with one traced run
-per tree, host drift reads as layer deltas.  perfbench/ itself is run
-as it is, from each tree's own checkout.  BENCH_<label>.json files go to the
-current directory.  The runs are fixed, so that every BENCH file is
-measured alike: 10 of small-circuits and 5 of each other workload, each
-as long as BENCHMARK.json's run_seconds.  For a quick look at one
+each stored as the median of its three values, beside the values:
+with one traced run per tree, host drift reads as layer deltas.
+perfbench/ itself is run as it is, from each tree's own checkout.
+BENCH_<label>.json files go to the current directory.  The runs are
+fixed, so that every BENCH file is measured alike: 10 of small-circuits
+and 5 of each other workload, each as long as BENCHMARK.json's
+run_seconds.  For a quick look at one
 workload, run `perfbench/run.py --workload W --seconds S` directly.
 
     git clone -q . ../parent && git -C ../parent checkout -q <commit>
@@ -25,12 +26,15 @@ the 2.5th and 97.5th percentiles of that median over resamples of the
 pairs, drawn from a fixed seed, so the output is the same on every
 call.  Under its header it prints each environment field of the run
 records, and their run length, where the two files differ, and
-whether their src/ digests are equal.  Then it prints the traced per-layer deltas and how many traced
-runs each file holds (BENCH files written before the median hold one).  It marks with WORSE each end-to-end metric whose median
-worsens by more than its BENCHMARK.json bound, and then exits 1.  It
-marks with GAIN each one whose median improves by more than the old
-interquartile range and that improves in at least nine tenths of the
-same-seed pairs; with no such pair it marks no GAIN.
+whether their src/ digests are equal.  Then it prints the traced
+per-layer deltas and how many traced runs each file holds (BENCH files
+written before the median hold one), and, where a file keeps the
+traced runs' values, each side's min-max over them (a file that keeps
+the median alone shows -).  It marks with WORSE each end-to-end metric
+whose median worsens by more than its BENCHMARK.json bound, and then
+exits 1.  It marks with GAIN each one whose median improves by more
+than the old interquartile range and that improves in at least nine
+tenths of the same-seed pairs; with no such pair it marks no GAIN.
 """
 
 from __future__ import annotations
@@ -138,6 +142,8 @@ def measure(trees: dict[str, Path], runs: dict[str, int], seconds: int) -> dict[
             results = [result for _, _, _, result in raw[label]]
             names = results[0]["metrics"]
             traced = [result for _, _, _, result in traced_raw[label]]
+            layers = {name: [result["metrics"][name]["value"] for result in traced]
+                      for name in traced[0]["metrics"]}
             docs[label]["workloads"][workload] = {
                 "runs": [
                     {"seed": seed, "position": position, "correct": result["correct"],
@@ -154,13 +160,19 @@ def measure(trees: dict[str, Path], runs: dict[str, int], seconds: int) -> dict[
                     "correct": all(result["correct"] for result in traced),
                     "traced_runs": len(traced),
                     "metrics": {
-                        name: {**metric, "value": statistics.median(
-                            result["metrics"][name]["value"] for result in traced)}
+                        name: {**metric, "value": statistics.median(layers[name]), "values": layers[name]}
                         for name, metric in traced[0]["metrics"].items()
                     },
                 },
             }
     return docs
+
+
+def spread(metric: dict) -> str:
+    """A traced metric's min-max over its runs, or - if its file keeps
+    only the median."""
+    values = metric.get("values")
+    return f"{min(values):.4g}-{max(values):.4g}" if values else "-"
 
 
 def compare(old: dict, new: dict, bench: dict) -> int:
@@ -212,7 +224,10 @@ def compare(old: dict, new: dict, bench: dict) -> int:
             if b is None:
                 continue
             change = f"{(b['value'] - a['value']) / a['value']:+8.1%}" if a["value"] else ""
-            print(f"    {name:<44} {a['value']:>12.6g} {b['value']:>12.6g} {change}")
+            line = f"    {name:<44} {a['value']:>12.6g} {b['value']:>12.6g} {change}"
+            if "values" in a or "values" in b:
+                line += f"{'' if change else ' ' * 8}  old {spread(a)}  new {spread(b)}"
+            print(line)
     return 1 if worse else 0
 
 
