@@ -125,6 +125,24 @@ def test_header_lists_the_environment_fields_that_differ(capsys):
     assert "  src_sha256 differs" in capsys.readouterr().out.splitlines()
 
 
+
+def test_header_prints_src_lines_only_when_both_files_count_them(capsys, tmp_path):
+    # A tree's count is the line count of the src/ files its digest reads.
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "notes.txt").write_text("not code\n")
+    assert bench.tree_identity(tmp_path)["src_lines"] == 3
+    old, new = document("old", WALL[:5]), document("new", WALL[:5])
+    old["tree"], new["tree"] = {"src_sha256": "ab"}, {"src_sha256": "cd", "src_lines": 1201}
+    assert bench.compare(old, new, BENCHMARK) == 0
+    header = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    assert header == ["old -> new", "  src_sha256 differs"]
+    old["tree"]["src_lines"] = 1251
+    bench.compare(old, new, BENCHMARK)
+    header = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    assert header == ["old -> new", "  src_sha256 differs", "  src_lines 1251 -> 1201"]
+
 LAYER = "simulator.hadamard.busy_s"
 
 

@@ -109,13 +109,19 @@ class TestSimulate:
         )
 
     def test_state_dump_through_the_live_map_keeps_its_bytes(self, capsys, monkeypatch):
-        # An 18-qubit gate-path state lists only its live chunks; started
-        # without a live map, the same run scans every amplitude and
+        # An 18-qubit gate-path state lists only its live chunks, those
+        # its gates marked; a state rebuilt from a copy of its final
+        # amplitudes, whose map comes from one scan of every amplitude,
         # prints the same record, wall time aside.
         keys = ",".join(format(v, "014b") for v in random.Random(18).sample(range(1 << 14), 6))
         argv = ("simulate", "--keys", keys, "--seed", "1", "--dump-state")
         outputs = [run(capsys, *argv)[1]]
-        monkeypatch.setattr(multikey_bv.simulator, "_start_state", multikey_bv.simulator.StateVector)
+
+        def rebuilt(keys, oracle_path):
+            state = run_circuit(keys, oracle_path)
+            return multikey_bv.simulator.StateVector(state.n, state.r, state.amps.copy())
+
+        monkeypatch.setattr(cli, "run_circuit", rebuilt)
         outputs.append(run(capsys, *argv)[1])
         assert _WALL_TIME.sub("", outputs[0]) == _WALL_TIME.sub("", outputs[1])
         record = json.loads(outputs[0])

@@ -133,14 +133,14 @@ def apply_layer(amps: np.ndarray, qubits, gate: str) -> np.ndarray:
     """`apply_hadamard(*qubits)`, or `apply_x` once per qubit, on a copy.
 
     An array of one qubit, narrower than any register, goes through the
-    gate layer itself.
+    gate layer itself, once per run of ascending qubits.
     """
-    amps = amps.copy()
     if amps.size == 2:
+        amps = amps.copy()
         kernel = simulator._hadamard_row_bit if gate == "h" else simulator._x_row_bit
-        layers = [tuple(qubits)] if gate == "h" else [(q,) for q in qubits]
-        for layer in layers:
-            simulator._gate_layer(amps, layer, kernel)
+        runs = simulator._ascending_runs(tuple(qubits)) if gate == "h" else [(q, 1) for q in qubits]
+        for first, length in runs:
+            simulator._gate_layer(amps, first, length, kernel)
         return amps
     st = StateVector(amps.size.bit_length() - 2, 0, amps)
     if gate == "h":
@@ -358,9 +358,18 @@ class TestGates:
         StateVector(total - 1, 0, amps).apply_hadamard(*qubits).apply_x(top - 1)
         assert sizes == [1 << top] * (top + 1)
 
-    # Halves along a qubit that a layer's last run of ascending qubits
-    # leaves all +0.0, as interference does in the circuit's final layer,
-    # are dropped from the run's later stages.
+    # Halves along a qubit that a run of ascending qubits leaves all
+    # +0.0, as interference does in the circuit's final layer, are
+    # dropped from the run's later stages.
+
+    # The full passes over the state that each mixed-order layer below
+    # paired when only its last run of ascending qubits dropped halves.
+    LAST_RUN_DROP_PASSES = {
+        (3, 0, 9, 12, 1, 2, 14, 4, 5, 6, 15, 7, 8, 10, 11, 13): 16,
+        (5, 0, 1, 2, 0, 3, 4, 5, 7): 9,
+        (0, 1, 2, 3, 9, 4, 9, 5, 6): 8.5,
+        (15, 14, 13, 12, 0, 1, 2, 3, 11, 10, 9, 8, 4, 5, 6, 7): 13.875,
+    }
 
     @pytest.mark.parametrize(
         "total,qubits,signs",
@@ -379,18 +388,18 @@ class TestGates:
     def test_layer_drops_planted_zero_halves(self, monkeypatch, total, qubits, signs, dtype):
         # Pairs along each listed qubit equal or opposite, so H leaves a
         # half of each all +0.0: the layer ends as the pair formula does.
-        # A layer of one ascending run drops a half at each qubit, so its
-        # stages write fewer amplitudes than one full pass per gate; the
-        # mixed-order layers drop at most in their last run.
+        # Every run of two or more qubits drops a half at each qubit, so
+        # the stages pair less than half a pass per gate for one run, and
+        # for a mixed-order layer less than when only its last run
+        # dropped halves.
+        passes = self.LAST_RUN_DROP_PASSES.get(qubits, len(qubits) / 2)
         sizes = self.spy_sizes(monkeypatch)
         amps = planted_state(total, {q: s == "-" for q, s in zip(qubits, signs)}, total, dtype)
         expected = pair_formula(amps, qubits, "h")
         layer = apply_layer(amps, qubits, "h")
         assert np.array_equal(bits(layer), bits(expected))
         # The first stage pairs every amplitude, so the spies see it.
-        assert sum(sizes["paired"]) >= amps.size
-        if len(simulator._ascending_runs(qubits)) == 1:
-            assert sum(sizes["paired"]) < len(qubits) * amps.size // 2
+        assert amps.size <= sum(sizes["paired"]) < passes * amps.size
 
     def test_parts_under_a_tile_drop_nothing(self, monkeypatch):
         # Below a tile the layer's stages build no stack and never reach
@@ -431,7 +440,8 @@ class TestGates:
     def test_whole_and_partial_tile_in_one_layer(self, monkeypatch, dtype):
         # Two tiles: the first dense, a whole live tile that builds the
         # walk's stack, the second live in its first half only, up to a
-        # +0.0 tail with a -0.0 or NaN planted in it; both take stages.
+        # +0.0 tail with a -0.0 or NaN planted in it; both take stages,
+        # in each run of ascending qubits.
         tile = simulator._TILE
         rng = np.random.default_rng(17)
         reached = self.spy_calls(monkeypatch, "_Stack", "_stages")
@@ -446,7 +456,8 @@ class TestGates:
                 expected = pair_formula(amps, qubits, "h")
                 layer = apply_layer(amps, qubits, "h")
                 assert np.array_equal(bits(layer), bits(expected)), (kind, qubits)
-                assert sorted(reached) == ["_Stack", "_stages", "_stages"]
+                runs = len(simulator._ascending_runs(qubits))
+                assert sorted(reached) == ["_Stack"] * runs + ["_stages"] * 2 * runs
 
     @staticmethod
     def zero_tail_state(rng, size: int, dtype, kind: int, cut: int | None = None) -> np.ndarray:
@@ -586,7 +597,7 @@ class TestGates:
         # qubits pairs only the amplitudes that can be set, 2^(q+1) at
         # qubit q, so it writes about two tiles' worth, not one per gate.
         n = simulator._TILE_BITS
-        state = simulator._start_state(n, r)
+        state = StateVector(n, r)
         sizes = self.spy_sizes(monkeypatch)
         state.apply_hadamard(*range(n))
         monkeypatch.undo()
@@ -650,11 +661,11 @@ class TestGates:
     def test_grown_and_stacked_tiles_in_one_layer(self, monkeypatch, qubits, dtype):
         # Two tiles: tile 0 is set in its first amplitude only and grows,
         # tile 1 is planted along every qubit and drops halves into the
-        # layer's stack, which the first whole tile builds from the last
-        # run before either takes a stage.  A run that starts growing
-        # grows to its end, so a grown tile drops halves only in a later
-        # run: in the two-run layer tile 0 grows on qubits 0-7 and then
-        # drops halves along them in the last run.
+        # run's stack, which the first whole tile builds before either
+        # takes a stage.  A run that starts growing grows to its end, so
+        # a grown tile drops halves only in a later run: in the two-run
+        # layer tile 0 grows on qubits 0-7 and then drops halves along
+        # them in the second run.
         tile = simulator._TILE
         rng = np.random.default_rng(len(qubits))
         amps = planted_state(17, {q: bool(rng.integers(2)) for q in range(16)}, 3, dtype)
@@ -663,7 +674,7 @@ class TestGates:
         layer = apply_layer(amps, qubits, "h")
         monkeypatch.undo()
         assert np.array_equal(bits(layer), bits(one_qubit_sequence(17, amps, qubits)))
-        assert reached == ["_Stack"]
+        assert reached == ["_Stack"] * len(simulator._ascending_runs(qubits))
 
     @staticmethod
     def spy_calls(monkeypatch, *names: str) -> list[str]:
@@ -815,8 +826,9 @@ class TestPrepareUniform:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_tiny_control_amplitude_refuses(self, k):
-        st = StateVector(2, 2)
-        st.amps[2 << 3] = 1e-9  # control value 2, data 0, target 0
+        amps = np.zeros(1 << 5)
+        amps[0], amps[2 << 3] = 1.0, 1e-9  # control value 2, data 0, target 0
+        st = StateVector(2, 2, amps)
         before = st.amps.copy()
         with pytest.raises(InputError):
             st.prepare_uniform(k)
@@ -835,14 +847,16 @@ class TestPrepareUniform:
         for name in ("vdot", "dot", "inner"):
             monkeypatch.setattr(np, name, refuse)
         assert np.array_equal(bits(run_circuit(keys).amps), bits(expected))
-        st = StateVector(11, control_width(k))
-        st.amps[-1] = 1e-9
+        amps = np.zeros(1 << (12 + control_width(k)))
+        amps[0], amps[-1] = 1.0, 1e-9
+        st = StateVector(11, control_width(k), amps)
         with pytest.raises(InputError, match="control register in"):
             st.prepare_uniform(k)
 
     def test_callers_state_is_scanned_once(self, monkeypatch):
-        # A caller's 19-qubit state has no trusted map, so each call of
-        # `_live_map` scans it: the tail check and the write share one.
+        # A caller's 19-qubit state is scanned once, when it is made: the
+        # tail check reads its map, so no tile is scanned, and the write
+        # marks it.
         n, r, k = 16, 2, 3
         amps = np.zeros(1 << (n + 1 + r))
         rows = amps.reshape(1 << r, -1)
@@ -851,8 +865,8 @@ class TestPrepareUniform:
         expected[0] *= 1.0 / math.sqrt(k)
         expected[1:k] = expected[0]
         scans = []
-        live_map = StateVector._live_map
-        monkeypatch.setattr(StateVector, "_live_map", lambda st: scans.append(1) or live_map(st))
+        scanned_map = simulator._scanned_map
+        monkeypatch.setattr(simulator, "_scanned_map", lambda a: scans.append(1) or scanned_map(a))
         monkeypatch.setattr(simulator, "_is_zero", lambda tile: pytest.fail("tile scan"))
         st = StateVector(n, r, amps).prepare_uniform(k)
         assert len(scans) == 1
@@ -886,12 +900,10 @@ class TestDataMarginal:
         # 4096-amplitude chunk of each tile and every third tile are
         # planted dead, so that with rows wider than a chunk and
         # narrower than a tile (n = 13 .. 15) runs of live chunks start
-        # and end mid-row.  Each such array is read as a caller's state
-        # and as a mapped one, read-only with its true map.
+        # and end mid-row; the state's map, from one scan, marks them.
         amps = random_state(n + 1 + r, n + r)
         if dtype is np.float64:
             amps = with_negative_zeros(amps, n + r).real.copy()
-        mapped = []
         if amps.size < simulator._TILE:
             amps.reshape(-1, 1 << n)[::3] = 0.0
         else:
@@ -899,13 +911,8 @@ class TestDataMarginal:
             dead = np.random.default_rng(n).integers(simulator._TILE_CHUNKS, size=len(tiles))
             tiles[np.arange(len(tiles)), dead] = 0.0
             tiles[1::3] = 0.0
-            st = StateVector(n, r, amps.copy())
-            st._live = bits(st.amps).reshape(amps.size // simulator._MIN_RUN, -1).any(axis=1)
-            st.amps.flags.writeable = False
-            mapped.append(st)
         expected = (np.abs(amps.reshape(-1, 1 << n)) ** 2).sum(axis=0)
-        for st in [StateVector(n, r, amps), *mapped]:
-            assert np.array_equal(bits(st.data_marginal()), bits(expected))
+        assert np.array_equal(bits(StateVector(n, r, amps).data_marginal()), bits(expected))
 
     def test_memory_stays_within_tiles(self):
         # n=19, r=3: the result is 4 MiB; a buffer of whole 2^19-column
@@ -1228,9 +1235,23 @@ def apply_call(state: StateVector, spec, call) -> None:
         simulator._apply_gate(state, spec, call)
 
 
+def gates_match_the_pair_formula(state: StateVector) -> bool:
+    """Whether an H layer on three qubits, an X and a key unitary on
+    control branch 1 leave `state` as the pair formula and the parity
+    table do, with every chunk its live map marks dead all zero bits."""
+    top = state.total_qubits - 1
+    expected = pair_formula(state.amps, (0, 1, top), "h")
+    expected = pair_formula(expected, (top - 1,), "x")
+    parity_table_swap(expected, state.n, state.r, 1, 0b10110)
+    state.apply_hadamard(0, 1, top).apply_x(top - 1).apply_controlled_key_unitary(1, 0b10110)
+    return np.array_equal(bits(state.amps), bits(expected)) and (
+        state._live is None or dead_chunks_are_zero(state))
+
+
 class TestLiveMap:
-    """The live map of a state from `run_circuit`: one bool per _MIN_RUN
-    amplitudes, False only where every bit is zero."""
+    """The live map of a state of one tile or more: one bool per _MIN_RUN
+    amplitudes, False only where every bit is zero, built when the state
+    is made and kept true by its gates."""
 
     @pytest.mark.parametrize(
         "n,values,single",
@@ -1252,29 +1273,31 @@ class TestLiveMap:
         ],
     )
     def test_dead_chunks_hold_zero_bits_after_every_gate(self, n, values, single):
+        # After each gate call the state matches one rebuilt from a copy
+        # of its amplitudes before the call, whose map comes from a scan.
         ks = KeySet(values, n)
         spec = build_circuit(ks)
-        state = simulator._start_state(spec.n, spec.r)
-        plain = StateVector(spec.n, spec.r)
+        state = StateVector(spec.n, spec.r)
         assert state._live is not None and dead_chunks_are_zero(state)
         for call in gate_calls(spec, single):
+            rebuilt = StateVector(spec.n, spec.r, state.amps)
             apply_call(state, spec, call)
-            assert not state.amps.flags.writeable, call
+            apply_call(rebuilt, spec, call)
             assert dead_chunks_are_zero(state), call
-        for call in gate_calls(spec, False):
-            apply_call(plain, spec, call)
-        assert np.array_equal(bits(state.amps), bits(plain.amps))
-        assert np.array_equal(bits(state.data_marginal()), bits(plain.data_marginal()))
-        assert list(state.nonzero_amplitudes()) == list(plain.nonzero_amplitudes())
+            assert np.array_equal(bits(state.amps), bits(rebuilt.amps)), call
+        assert np.array_equal(bits(state.amps), bits(run_circuit(ks).amps))
+        assert np.array_equal(bits(state.data_marginal()), bits(rebuilt.data_marginal()))
+        assert list(state.nonzero_amplitudes()) == list(rebuilt.nonzero_amplitudes())
 
     def test_key_unitary_marks_what_either_half_held(self):
         # With the target at |1>, only the target-1 half of row 0 is live
         # before the swap; the swap moves its odd amplitudes to the other.
-        states = [simulator._start_state(16, 1), StateVector(16, 1)]
-        for state in states:
-            state.apply_x(16).apply_hadamard(*range(16)).apply_controlled_key_unitary(0, 0xbeef)
-        assert dead_chunks_are_zero(states[0])
-        assert np.array_equal(bits(states[0].amps), bits(states[1].amps))
+        state = StateVector(16, 1).apply_x(16).apply_hadamard(*range(16))
+        expected = state.amps.copy()
+        parity_table_swap(expected, 16, 1, 0, 0xbeef)
+        state.apply_controlled_key_unitary(0, 0xbeef)
+        assert dead_chunks_are_zero(state)
+        assert np.array_equal(bits(state.amps), bits(expected))
 
     def test_run_circuit_state_is_read_only_and_gates_still_apply(self):
         ks = KeySet((0x1234, 0x0fff, 0x1234, 0x2001, 0x0007), 14)
@@ -1291,41 +1314,65 @@ class TestLiveMap:
 
     def test_states_under_one_tile_get_no_map(self):
         st = run_circuit(keyset("0110", "1001", "1111"))
-        assert st._live is None and st.amps.flags.writeable
-
-    def test_map_is_dropped_once_a_caller_thaws_the_amplitudes(self):
-        # An amplitude written where the map says dead is read by every
-        # reader and gate, as on a state built by hand.
-        ks = KeySet((0xbeef, 0x0001), 16)
-        st = run_circuit(ks)
-        dead = np.flatnonzero(~st._live)[-1] * simulator._MIN_RUN
-        st.amps.flags.writeable = True
-        st.amps[dead] = 0.5
-        copy = StateVector(st.n, st.r, st.amps.copy())
-        assert np.array_equal(bits(st.data_marginal()), bits(copy.data_marginal()))
-        assert list(st.nonzero_amplitudes()) == list(copy.nonzero_amplitudes())
-        for state in (st, copy):
-            state.apply_hadamard(*range(st.n))
         assert st._live is None
-        assert np.array_equal(bits(st.amps), bits(copy.amps))
 
-    def test_a_callers_read_only_array_is_never_thawed(self):
-        amps = random_state(19, 19).real.copy()
-        amps.reshape(-1, simulator._MIN_RUN)[::3] = 0.0
-        expected = (np.abs(amps.reshape(-1, 1 << 17)) ** 2).sum(axis=0)
-        listed = [(int(i), amps[i]) for i in np.flatnonzero(np.abs(amps) > 1e-12)]
-        amps.flags.writeable = False
-        st = StateVector(17, 1, amps)
-        assert st.amps is amps
-        gates = [lambda: st.apply_hadamard(0, 3), lambda: st.apply_hadamard(17, 18),
-                 lambda: st.apply_x(17), lambda: st.apply_controlled_key_unitary(1, 0x1beef)]
-        for gate in gates:
-            with pytest.raises(ValueError, match="read-only"):
-                gate()
-            assert not amps.flags.writeable
-        assert np.array_equal(bits(st.data_marginal()), bits(expected))
-        assert list(st.nonzero_amplitudes()) == listed
-        assert st._live is None and not amps.flags.writeable
+    @pytest.mark.parametrize("source", ["under-one-tile", "run-circuit", "caller", "closed-form"])
+    def test_amps_cannot_be_made_writable(self, source):
+        # `amps` refuses writes and the writeable flag for every state:
+        # an 8-qubit caller's state, a 17-qubit gate-path and closed-form
+        # state, and a 19-qubit caller's state.  The gates still apply.
+        ks = KeySet((0x1234, 0x7fff), 15)
+        st = {
+            "under-one-tile": lambda: StateVector(6, 1, random_state(8, 8).real.copy()),
+            "run-circuit": lambda: run_circuit(ks),
+            "caller": lambda: StateVector(17, 1, random_state(19, 19).real.copy()),
+            "closed-form": lambda: run_circuit(ks, "fast").to_statevector(),
+        }[source]()
+        with pytest.raises(ValueError, match="read-only"):
+            st.amps[0] = 1.0
+        with pytest.raises(ValueError):
+            st.amps.flags.writeable = True
+        assert gates_match_the_pair_formula(st)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    @pytest.mark.parametrize("total", [8, 19])
+    def test_a_callers_array_is_never_written(self, writeable, total):
+        # Given amplitudes are copied: the caller's array, writable or
+        # read-only, keeps its bits and its flags through every gate.
+        amps = random_state(total, total)
+        amps.reshape(-1, 64)[::3] = 0.0
+        kept = amps.copy()
+        amps.flags.writeable = writeable
+        st = StateVector(total - 2, 1, amps)
+        assert gates_match_the_pair_formula(st)
+        assert np.array_equal(bits(amps), bits(kept))
+        assert amps.flags.writeable is writeable
+
+    def test_a_callers_state_is_scanned_once(self, monkeypatch):
+        # A caller's 19-qubit state with its control register uniform
+        # takes the circuit up to its final layer, then both readers: the
+        # state is scanned once, when it is made.
+        n, r, keys = 16, 2, (0xbeef, 0x0001, 0x8000, 0x1357)
+        amps = np.zeros(1 << (n + 1 + r))
+        amps.reshape(1 << r, -1)[:, 0] = 0.5
+        expected = pair_formula(pair_formula(amps, range(n), "h"), (n,), "x")
+        expected = pair_formula(expected, (n,), "h")
+        for i, key in enumerate(keys):
+            parity_table_swap(expected, n, r, i, key)
+        scans = []
+        scanned_map = simulator._scanned_map
+        monkeypatch.setattr(simulator, "_scanned_map", lambda a: scans.append(a.size) or scanned_map(a))
+        st = StateVector(n, r, amps)
+        st.apply_hadamard(*range(n)).apply_x(n).apply_hadamard(n)
+        for i, key in enumerate(keys):
+            st.apply_controlled_key_unitary(i, key)
+        marginal, listed = st.data_marginal(), list(st.nonzero_amplitudes())
+        assert scans == [amps.size]
+        monkeypatch.undo()
+        assert np.array_equal(bits(st.amps), bits(expected))
+        rebuilt = StateVector(n, r, expected)
+        assert np.array_equal(bits(marginal), bits(rebuilt.data_marginal()))
+        assert listed == list(rebuilt.nonzero_amplitudes())
 
     @pytest.mark.parametrize("n,r", [(16, 0), (17, 1)])
     def test_readers_of_a_callers_state_call_no_is_zero(self, monkeypatch, n, r):
@@ -1355,9 +1402,7 @@ class TestLiveMap:
         marginal = st.data_marginal()
         listed = list(st.nonzero_amplitudes())
         assert listed == list(StateVector(st.n, st.r, st.amps.copy()).nonzero_amplitudes())
-        st.amps.flags.writeable = True
-        st.amps.reshape(len(st._live), -1)[~st._live] = np.nan
-        st.amps.flags.writeable = False
+        st._amps.reshape(len(st._live), -1)[~st._live] = np.nan
         assert np.array_equal(bits(st.data_marginal()), bits(marginal))
         assert list(st.nonzero_amplitudes()) == listed
 
@@ -1380,7 +1425,7 @@ class TestLiveMap:
         # scaling only kept halves change no map.
         rng = np.random.default_rng(1000 + n)
         spec = build_circuit(KeySet(tuple(int(v) for v in rng.integers(1 << n, size=k)), n))
-        state = simulator._start_state(spec.n, spec.r)
+        state = StateVector(spec.n, spec.r)
         maps = hashlib.sha256()
         for call in gate_calls(spec, False):
             apply_call(state, spec, call)
@@ -1396,7 +1441,7 @@ class TestLiveMap:
         spec = build_circuit(ks)
         *calls, last = gate_calls(spec, False)
         expected = run_circuit(ks).amps
-        st = simulator._start_state(spec.n, spec.r)
+        st = StateVector(spec.n, spec.r)
         for call in calls:
             apply_call(st, spec, call)
         # The phase `_is_zero` is called in: "high" while the high pass
@@ -1404,10 +1449,10 @@ class TestLiveMap:
         phase, passes, scans = [None], [], []
         high_pass, is_zero = simulator._high_qubit_pass, simulator._is_zero
 
-        def spied_pass(amps, qubits, kernel, live):
+        def spied_pass(amps, first, length, kernel, live):
             phase[0] = "high"
-            passes.append(qubits)
-            high_pass(amps, qubits, kernel, live)
+            passes.append((first, length))
+            high_pass(amps, first, length, kernel, live)
             phase[0] = None
 
         def spied_is_zero(tile):
@@ -1418,7 +1463,7 @@ class TestLiveMap:
         monkeypatch.setattr(simulator, "_high_qubit_pass", spied_pass)
         monkeypatch.setattr(simulator, "_is_zero", spied_is_zero)
         apply_call(st, spec, last)
-        assert passes == [(16, 17, 18)]
+        assert passes == [(16, 3)]
         phase[0] = "marginal"
         marginal = st.data_marginal()
         phase[0] = None

@@ -26,7 +26,8 @@ the 2.5th and 97.5th percentiles of that median over resamples of the
 pairs, drawn from a fixed seed, so the output is the same on every
 call.  Under its header it prints each environment field of the run
 records, and their run length, where the two files differ, and
-whether their src/ digests are equal.  Then it prints the traced
+whether their src/ digests are equal; where both files count src/
+lines, it prints the two counts.  Then it prints the traced
 per-layer deltas and how many traced runs each file holds (BENCH files
 written before the median hold one), and, where a file keeps the
 traced runs' values, each side's min-max over them (a file that keeps
@@ -60,19 +61,23 @@ ENVIRONMENT = ("nproc", "cpus_usable", "python", "numpy", "scipy", "thread_env")
 
 def tree_identity(path: Path) -> dict:
     """The commit a tree is checked out at, whether tracked files differ
-    from it, and a sha256 over its src/ files, which names the code run."""
+    from it, and a sha256 and a line count over its src/ files, which
+    name and size the code run."""
     def git(*args):
         proc = subprocess.run(["git", "-C", str(path), *args], capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
 
     status = git("status", "--porcelain", "--untracked-files=no")
-    digest = hashlib.sha256()
+    digest, lines = hashlib.sha256(), 0
     for file in sorted((path / "src").rglob("*.py")):
-        digest.update(str(file.relative_to(path)).encode() + b"\0" + file.read_bytes())
+        text = file.read_bytes()
+        digest.update(str(file.relative_to(path)).encode() + b"\0" + text)
+        lines += text.count(b"\n")
     return {
         "commit": git("rev-parse", "HEAD"),
         "dirty": None if status is None else bool(status),
         "src_sha256": digest.hexdigest(),
+        "src_lines": lines,
     }
 
 
@@ -187,6 +192,9 @@ def compare(old: dict, new: dict, bench: dict) -> int:
     shas = [doc.get("tree", {}).get("src_sha256") for doc in (old, new)]
     if None not in shas:
         print(f"  src_sha256 {'equal' if shas[0] == shas[1] else 'differs'}")
+    lines = [doc.get("tree", {}).get("src_lines") for doc in (old, new)]
+    if None not in lines:
+        print(f"  src_lines {lines[0]} -> {lines[1]}")
     for workload, old_w in old["workloads"].items():
         new_w = new["workloads"].get(workload)
         if new_w is None:
